@@ -79,65 +79,3 @@ from .costmodel import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "ContractViolation",
-    "NumericalError",
-    "assert_unitary",
-    "haar_random_unitary",
-    "phase_distance",
-    "CNOT",
-    "PLANCK_H",
-    "SWAP",
-    "PulseSpec",
-    "heisenberg_evolution",
-    "named_gate",
-    "reduce_exponent",
-    "rz",
-    "swap_pow",
-    "BellPhases",
-    "CanonicalDecomposition",
-    "CanonicalParams",
-    "exp_minus_iH",
-    "in_weyl_chamber",
-    "kak_decompose",
-    "lambdas",
-    "lambdas_to_params",
-    "reconstruct",
-    "split_local_product",
-    "BELL_EXCHANGE",
-    "Circuit",
-    "CnotPhaseParams",
-    "GateOp",
-    "SwapAngles",
-    "build_core_cnot_circuit",
-    "build_core_swap_circuit",
-    "circuit_from_dict",
-    "circuit_to_dict",
-    "cnot_phase_params",
-    "cnot_op",
-    "evaluate_circuit",
-    "expand_cnots_to_swaps",
-    "gate_counts",
-    "local_op",
-    "prune_circuit",
-    "swap_angles",
-    "swap_op",
-    "synthesize_cnot",
-    "synthesize_swap",
-    "EpEstimate",
-    "appendix_a_terms",
-    "ep_closed_form_swap",
-    "ep_exact",
-    "ep_monte_carlo",
-    "linear_entropy",
-    "local_invariance_check",
-    "HardwareProfile",
-    "Layer",
-    "Schedule",
-    "builtin_profile",
-    "compare_backends",
-    "profile_from_dict",
-    "schedule_circuit",
-]

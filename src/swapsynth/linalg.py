@@ -2,7 +2,7 @@
 
 Everything here works on plain ``numpy`` arrays of complex128.  Instead of
 wrapping matrices in classes, functions validate their contracts on entry
-(unitarity, hermiticity, symmetry) and raise :class:`ContractViolation` when
+(unitarity, symmetry) and raise :class:`ContractViolation` when
 an argument breaks its contract, or :class:`NumericalError` when an internal
 procedure misses its tolerance.
 """
@@ -27,15 +27,13 @@ __all__ = [
     "PSI_PLUS",
     "PSI_MINUS",
     "BELL_BASIS",
-    "tensor_product",
     "phase_distance",
     "haar_random_unitary",
     "project_su",
     "diagonalize_complex_symmetric_unitary",
-    "partial_trace_first",
 ]
 
-# Admission tolerance for unitarity / hermiticity checks on inputs.
+# Admission tolerance for unitarity and symmetry checks on inputs.
 ATOL_UNITARY = 1e-10
 # Tolerance for identities that should hold to machine precision.
 ATOL_EXACT = 1e-12
@@ -87,26 +85,6 @@ def assert_unitary(u, atol=ATOL_UNITARY, name="matrix"):
     return u
 
 
-def assert_hermitian(a, atol=ATOL_UNITARY, name="matrix"):
-    a = _as_square(a, name)
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > atol:
-        raise ContractViolation(
-            f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {atol:.1e}"
-        )
-    return a
-
-
-def tensor_product(a, b):
-    """Kronecker product with a guard on the result dimension (<= 16)."""
-    a = _as_square(a, "left factor")
-    b = _as_square(b, "right factor")
-    n = a.shape[0] * b.shape[0]
-    if n > 16:
-        raise ContractViolation(f"tensor product dimension {n} exceeds 16")
-    return np.kron(a, b)
-
-
 def phase_distance(u, v):
     """Global-phase-invariant gate distance 1 - |tr(u^dag v)| / n.
 
@@ -151,63 +129,26 @@ def project_su(u):
     return u * np.exp(-1j * phi), float(phi)
 
 
-def _jacobi_real_symmetric(a, max_sweeps=100, off_tol=1e-13):
-    """Cyclic Jacobi diagonalization of a small real symmetric matrix.
-
-    Returns (eigenvalues, v) with a == v @ diag(w) @ v.T.  Sweeps over all
-    upper-triangle pairs in a fixed order; raises NumericalError if the
-    off-diagonal norm has not collapsed after max_sweeps sweeps.
-    """
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, np.max(np.abs(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= off_tol * scale:
-            return np.diagonal(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                j = np.eye(n)
-                j[p, p] = c
-                j[q, q] = c
-                j[p, q] = s
-                j[q, p] = -s
-                a = j.T @ a @ j
-                v = v @ j
-    raise NumericalError("Jacobi diagonalization failed to converge in 100 sweeps")
+# Real weights r for the combination Re(m) + r Im(m), tried in order.  Two
+# distinct eigenphases t1, t2 of m collide in it only when t1 + t2 equals
+# 2 atan(r) modulo 2 pi, so each r is generic: atan(r) / pi is far from the
+# small rationals that landmark gates produce.
+_MIX_WEIGHTS = (1.1842932116394713, -0.5501638305515631)
 
 
-def _cluster_indices(values, gap):
-    """Group indices of a 1-d array into clusters closer than gap."""
-    order = np.argsort(values, kind="stable")
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] < gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
-
-
-def diagonalize_complex_symmetric_unitary(m, cluster_gap=1e-8):
+def diagonalize_complex_symmetric_unitary(m):
     """Factor a complex symmetric unitary as m = Q diag(d) Q^T, Q real orthogonal.
 
     Such an m has commuting real and imaginary parts with Re^2 + Im^2 = I,
-    so one real orthogonal Q diagonalizes both.  Re(m) is diagonalized by
-    cyclic Jacobi first; within each cluster of its eigenvalues (gap below
-    ``cluster_gap``) a secondary Jacobi pass on Im(m) resolves the remaining
-    freedom.  Eigenpairs are sorted by the phase of d in (-pi, pi], and each
-    eigenvector's first component above 1e-8 is made positive.
+    so one real orthogonal Q diagonalizes both, and with them every real
+    combination Re(m) + r Im(m).  One ``eigh`` of that combination gives Q,
+    and d is the diagonal of Q^T m Q.  An eigenvalue e^{it} of m maps to
+    cos t + r sin t, so for a generic r the combination separates every pair
+    of distinct eigenvalues of m, while equal eigenvalues of m may share any
+    basis of their eigenspace.  The weights in ``_MIX_WEIGHTS`` are tried in
+    order until the reconstruction residual is below 1e-9.  Eigenpairs are
+    sorted by the phase of d in (-pi, pi], and each eigenvector's first
+    component above 1e-8 is made positive.
     """
     m = _as_square(m, "m")
     if m.shape[0] != 4:
@@ -219,48 +160,28 @@ def diagonalize_complex_symmetric_unitary(m, cluster_gap=1e-8):
         )
     assert_unitary(m, name="m")
 
-    a = np.ascontiguousarray((m.real + m.real.T) / 2.0)
-    b = np.ascontiguousarray((m.imag + m.imag.T) / 2.0)
-
-    wa, v = _jacobi_real_symmetric(a)
-    for cluster in _cluster_indices(wa, cluster_gap):
-        if len(cluster) < 2:
-            continue
-        sub = v[:, cluster].T @ b @ v[:, cluster]
-        sub = (sub + sub.T) / 2.0
-        _, w = _jacobi_real_symmetric(sub)
-        v[:, cluster] = v[:, cluster] @ w
-
-    d = np.diagonal(v.T @ a @ v) + 1j * np.diagonal(v.T @ b @ v)
-    if np.max(np.abs(np.abs(d) - 1.0)) > 1e-8:
+    for r in _MIX_WEIGHTS:
+        _, q = np.linalg.eigh(m.real + r * m.imag)
+        d = np.diagonal(q.T @ m @ q)
+        unimodular_dev = np.max(np.abs(np.abs(d) - 1.0))
+        d = d / np.abs(d)
+        recon_dev = np.max(np.abs((q * d) @ q.T - m))
+        if recon_dev <= 1e-9:
+            break
+    else:
+        raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
+    if unimodular_dev > 1e-8:
         raise NumericalError("joint diagonalization produced non-unimodular values")
-    d = d / np.abs(d)
+    ortho_dev = np.max(np.abs(q.T @ q - np.eye(4)))
+    if ortho_dev > 1e-10:
+        raise NumericalError(f"eigenvector matrix lost orthogonality: {ortho_dev:.3e}")
 
     order = np.argsort(np.angle(d), kind="stable")
     d = d[order]
-    q = v[:, order]
+    q = q[:, order]
     for j in range(4):
         col = q[:, j]
         lead = col[np.abs(col) > 1e-8]
         if lead.size and lead[0] < 0:
             q[:, j] = -col
-
-    ortho_dev = np.max(np.abs(q.T @ q - np.eye(4)))
-    if ortho_dev > 1e-10:
-        raise NumericalError(f"eigenvector matrix lost orthogonality: {ortho_dev:.3e}")
-    recon_dev = np.max(np.abs(q @ np.diag(d) @ q.T - m))
-    if recon_dev > 1e-9:
-        raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
     return d, q
-
-
-def partial_trace_first(rho):
-    """Reduced density matrix of qubit 1 (the second qubit traced out)."""
-    rho = assert_hermitian(rho, name="rho")
-    if rho.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 density matrix, got {rho.shape}")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > ATOL_UNITARY:
-        raise ContractViolation(f"density matrix trace {tr} is not 1")
-    r = rho.reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", r)
