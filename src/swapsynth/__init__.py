@@ -61,6 +61,7 @@ from .synthesis import (
 )
 from .entanglement import (
     EpEstimate,
+    appendix_a_residuals,
     appendix_a_terms,
     ep_closed_form_swap,
     ep_exact,
@@ -69,6 +70,7 @@ from .entanglement import (
     local_invariance_check,
 )
 from .costmodel import (
+    BUILTIN_PROFILES,
     HardwareProfile,
     Layer,
     Schedule,

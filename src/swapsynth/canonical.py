@@ -181,7 +181,7 @@ def split_local_product(l):
     residual = np.max(np.abs(np.kron(a_raw, b_raw) - l))
     if residual > 1e-8:
         raise NumericalError(
-            f"not a single-qubit tensor product: residual {residual:.3e}"
+            f"not a single-qubit tensor product: residual {residual:.3e} exceeds 1e-8"
         )
     a = a_raw / np.sqrt(np.linalg.det(a_raw))
     b = b_raw / np.sqrt(np.linalg.det(b_raw))
@@ -301,8 +301,11 @@ def kak_decompose(u):
     if not in_weyl_chamber(params):
         raise NumericalError(f"reduction left the chamber: {params}")
 
-    b1, b2, psi2 = split_local_product(state.l2)
-    f1, f2, psi1 = split_local_product(state.l1)
+    try:
+        b1, b2, psi2 = split_local_product(state.l2)
+        f1, f2, psi1 = split_local_product(state.l1)
+    except ContractViolation as exc:
+        raise NumericalError(f"kak_decompose, splitting the local factors: {exc}") from exc
     total = float(np.angle(np.exp(1j * (state.phi + psi1 + psi2))))
     return CanonicalDecomposition(
         global_phase=total, front=(f1, f2), params=params, back=(b1, b2)

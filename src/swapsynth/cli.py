@@ -15,17 +15,27 @@ import sys
 import numpy as np
 
 from .canonical import kak_decompose, lambdas
-from .costmodel import builtin_profile, compare_backends, profile_from_dict, schedule_circuit
+from .costmodel import (
+    BUILTIN_PROFILES,
+    builtin_profile,
+    compare_backends,
+    profile_from_dict,
+    schedule_circuit,
+)
 from .entanglement import (
+    appendix_a_residuals,
     appendix_a_terms,
     ep_closed_form_swap,
     ep_exact,
     ep_monte_carlo,
-    _trace_term,
 )
-from .gates import SWAP, named_gate, swap_pow
+from .gates import named_gate, swap_pow
 from .linalg import ContractViolation, NumericalError, assert_unitary, haar_random_unitary, phase_distance
 from .synthesis import (
+    _cnot_circuit,
+    _matrix_from_json,
+    _matrix_to_json,
+    _swap_circuit,
     circuit_from_dict,
     circuit_to_dict,
     cnot_phase_params,
@@ -33,8 +43,6 @@ from .synthesis import (
     gate_counts,
     prune_circuit,
     shifted_bell_phases,
-    synthesize_cnot,
-    synthesize_swap,
 )
 
 __all__ = ["main", "entry"]
@@ -51,8 +59,7 @@ def _format_time(seconds):
 
 
 def _matrix_to_doc(u):
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(u)]
-    return {"dim": 4, "rows": rows}
+    return {"dim": 4, "rows": _matrix_to_json(u)}
 
 
 def _matrix_from_doc(doc, name="matrix"):
@@ -67,16 +74,7 @@ def _matrix_from_doc(doc, name="matrix"):
         raise ContractViolation(f"{name}: expected keys 'dim' and 'rows', or 'gate'") from None
     if dim != 4:
         raise ContractViolation(f"{name}: only dim 4 is supported, got {dim}")
-    try:
-        arr = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError):
-        raise ContractViolation(f"{name}: rows must be 4x4 nested [re, im] pairs") from None
-    if arr.shape != (4, 4):
-        raise ContractViolation(f"{name}: rows have shape {arr.shape}, expected (4, 4)")
-    return arr
+    return _matrix_from_json(rows, 4, name)
 
 
 def _load_json(path):
@@ -105,7 +103,7 @@ def _resolve_target(ns):
 
 
 def _resolve_profile(name_or_path):
-    if name_or_path.lower() in ("gaas", "si"):
+    if name_or_path.lower() in BUILTIN_PROFILES:
         return builtin_profile(name_or_path)
     return profile_from_dict(_load_json(name_or_path))
 
@@ -126,16 +124,16 @@ def _write_json(path, doc):
 
 def cmd_synth(ns):
     u, label = _resolve_target(ns)
+    dec = kak_decompose(u)
     if ns.backend == "swap":
-        circuit = synthesize_swap(u)
+        circuit = _swap_circuit(dec)
     else:
-        circuit = synthesize_cnot(u)
+        circuit = _cnot_circuit(dec)
     if ns.prune:
         circuit = prune_circuit(circuit)
     residual = phase_distance(evaluate_circuit(circuit), u)
     swaps, cnots, locals_ = gate_counts(circuit)
 
-    dec = kak_decompose(u)
     hx, hy, hz = dec.params
     report = {
         "target": label,
@@ -258,15 +256,13 @@ def cmd_analyze_ep_matrix(ns):
 
 def cmd_analyze_appendix_a(ns):
     term2, term3 = appendix_a_terms(ns.alpha)
-    v = swap_pow(ns.alpha)
-    direct2 = _trace_term(v)
-    direct3 = _trace_term(SWAP @ v)
+    residual2, residual3 = appendix_a_residuals(ns.alpha)
     report = {
         "alpha": float(ns.alpha),
         "term2": float(term2),
         "term3": float(term3),
-        "residual_term2": float(abs(term2 - direct2)),
-        "residual_term3": float(abs(term3 - direct3)),
+        "residual_term2": residual2,
+        "residual_term3": residual3,
     }
     lines = [
         f"alpha:           {ns.alpha:.6f}",

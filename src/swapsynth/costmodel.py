@@ -14,21 +14,24 @@ six-half-SWAP substitution.
 from __future__ import annotations
 
 import dataclasses
+import types
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ContractViolation, NumericalError, assert_unitary, phase_distance
+from .canonical import kak_decompose
+from .linalg import ContractViolation, NumericalError, phase_distance
 from .synthesis import (
+    _cnot_circuit,
+    _swap_circuit,
     evaluate_circuit,
     expand_cnots_to_swaps,
     gate_counts,
-    synthesize_cnot,
-    synthesize_swap,
 )
 
 __all__ = [
     "HardwareProfile",
+    "BUILTIN_PROFILES",
     "builtin_profile",
     "profile_from_dict",
     "Layer",
@@ -74,7 +77,7 @@ class HardwareProfile:
             )
 
 
-_BUILTIN = {
+BUILTIN_PROFILES = types.MappingProxyType({
     "gaas": HardwareProfile(
         name="gaas",
         rabi_frequency_hz=6.2e6,
@@ -87,17 +90,17 @@ _BUILTIN = {
         pi_rotation_time_s=18e-9,
         swap_full_time_s=50e-12,
     ),
-}
+})
 
 
 def builtin_profile(name):
     """Look up a built-in profile: 'gaas' or 'si'."""
     key = str(name).strip().lower()
-    if key not in _BUILTIN:
+    if key not in BUILTIN_PROFILES:
         raise ContractViolation(
-            f"unknown profile {name!r}; built-ins: {', '.join(sorted(_BUILTIN))}"
+            f"unknown profile {name!r}; built-ins: {', '.join(sorted(BUILTIN_PROFILES))}"
         )
-    return _BUILTIN[key]
+    return BUILTIN_PROFILES[key]
 
 
 def profile_from_dict(doc):
@@ -216,12 +219,13 @@ def compare_backends(u, profile):
 
     Backends: the three-SWAP circuit, the three-CNOT circuit, and the
     naive variant with every CNOT expanded into two half-SWAP pulses.
-    The naive expansion is verified against u before timing.  Returns a
-    report dict with per-backend gate counts, layer counts, and totals.
+    The naive expansion is verified against u before timing.  Both
+    backends are built from one decomposition of u.  Returns a report dict
+    with per-backend gate counts, layer counts, and totals.
     """
-    u = assert_unitary(u, name="u")
-    swap_circuit = synthesize_swap(u)
-    cnot_circuit = synthesize_cnot(u)
+    dec = kak_decompose(u)
+    swap_circuit = _swap_circuit(dec)
+    cnot_circuit = _cnot_circuit(dec)
     naive_circuit = expand_cnots_to_swaps(cnot_circuit)
     dev = phase_distance(evaluate_circuit(naive_circuit), u)
     if dev > 1e-9:

@@ -30,6 +30,7 @@ __all__ = [
     "ep_exact",
     "ep_closed_form_swap",
     "appendix_a_terms",
+    "appendix_a_residuals",
     "EpEstimate",
     "ep_monte_carlo",
     "local_invariance_check",
@@ -113,6 +114,18 @@ def appendix_a_terms(alpha):
     base = 17.0 / 2.0 + 1.5 * np.cos(2.0 * np.pi * a)
     osc = 6.0 * np.cos(np.pi * a)
     return float(base + osc), float(base - osc)
+
+
+def appendix_a_residuals(alpha):
+    """How far each closed form of :func:`appendix_a_terms` is from its trace.
+
+    Returns (|term2 - t(SWAP**alpha)|, |term3 - t(SWAP**(alpha+1))|), with
+    t the direct 16x16 trace of :func:`ep_exact`; both are at machine
+    precision when the closed forms hold.
+    """
+    term2, term3 = appendix_a_terms(alpha)
+    v = swap_pow(alpha)
+    return float(abs(term2 - _trace_term(v))), float(abs(term3 - _trace_term(SWAP @ v)))
 
 
 class EpEstimate(NamedTuple):

@@ -19,9 +19,11 @@ import numpy as np
 
 from .canonical import (
     BellPhases,
+    exp_minus_iH,
     in_weyl_chamber,
     kak_decompose,
     lambdas,
+    split_local_product,
 )
 from .gates import CNOT, CNOT_21, rz, swap_pow
 from .linalg import (
@@ -139,7 +141,10 @@ def swap_angles(p):
     lie in [0, 1]; beta and gamma exceed 1/2 exactly when hz < 0.
     """
     if not in_weyl_chamber(p):
-        raise ContractViolation(f"parameters outside the canonical chamber: {p}")
+        raise ContractViolation(
+            f"parameters {tuple(p)} lie outside the canonical chamber by more "
+            f"than its tolerance 1e-9"
+        )
     hx, hy, hz = (float(v) for v in p)
     return SwapAngles(
         alpha=2.0 * (hx + hy) / np.pi,
@@ -169,6 +174,30 @@ def build_core_swap_circuit(p):
     return Circuit(ops=ops, declared_global_phase=hz - hx - hy)
 
 
+def _swap_circuit(dec):
+    """The :func:`synthesize_swap` circuit for an already decomposed target."""
+    hx, hy, hz = dec.params
+    f1, f2 = dec.front
+    b1, b2 = dec.back
+    try:
+        ang = swap_angles(dec.params)
+        ops = [
+            local_op(1, f1, "u1"),
+            local_op(2, f2, "v1"),
+            swap_op(ang.alpha),
+            local_op(2, PAULI_X, "X"),
+            swap_op(ang.beta),
+            local_op(1, PAULI_Z, "Z"),
+            swap_op(ang.gamma),
+            local_op(1, b1 @ PAULI_Z, "u4'·Z"),
+            local_op(2, b2 @ PAULI_X, "v4'·X"),
+        ]
+    except ContractViolation as exc:
+        raise NumericalError(f"swap synthesis: {exc}") from exc
+    phase = dec.global_phase + (hz - hx - hy)
+    return Circuit(ops=ops, declared_global_phase=float(phase))
+
+
 def synthesize_swap(u):
     """Compile u into 3 fractional SWAPs and exactly 6 single-qubit gates.
 
@@ -177,24 +206,7 @@ def synthesize_swap(u):
     record the merge.  The evaluated circuit reproduces u to machine
     precision including global phase.
     """
-    dec = kak_decompose(u)
-    ang = swap_angles(dec.params)
-    hx, hy, hz = dec.params
-    f1, f2 = dec.front
-    b1, b2 = dec.back
-    ops = [
-        local_op(1, f1, "u1"),
-        local_op(2, f2, "v1"),
-        swap_op(ang.alpha),
-        local_op(2, PAULI_X, "X"),
-        swap_op(ang.beta),
-        local_op(1, PAULI_Z, "Z"),
-        swap_op(ang.gamma),
-        local_op(1, b1 @ PAULI_Z, "u4'·Z"),
-        local_op(2, b2 @ PAULI_X, "v4'·X"),
-    ]
-    phase = dec.global_phase + (hz - hx - hy)
-    return Circuit(ops=ops, declared_global_phase=float(phase))
+    return _swap_circuit(kak_decompose(u))
 
 
 def cnot_phase_params(phases):
@@ -210,7 +222,7 @@ def cnot_phase_params(phases):
     l00, l01, l10, l11 = (float(phases[i]) for i in range(4))
     total = l00 + l01 + l10 + l11
     if abs(total) > 1e-9:
-        raise ContractViolation(f"Bell phases must sum to 0, got {total:.3e}")
+        raise ContractViolation(f"Bell phases must sum to 0 within 1e-9, got {total:.3e}")
     zeta = (l00 + l01) / 4.0
     half_sum = (l00 - l01) / 4.0
     half_diff = (l10 - l11) / 4.0
@@ -259,38 +271,46 @@ def shifted_bell_phases(lam):
     )
 
 
+# The core for coordinates h evaluates to E(h) E(-pi/4, 0, 0) BELL_EXCHANGE,
+# because shifted_bell_phases lowers hx by pi/4, and the last two factors
+# form a fixed local product e^{i psi} (p (x) q) (Vatan & Williams, PRA 69,
+# 032315 (2004)).  So core(h) = e^{i psi} E(h) (p (x) q) for every h, and the
+# core's local factors are known without decomposing it.  split_local_product
+# raises NumericalError on import if the identity ever stops holding.
+_CORE_P, _CORE_Q, _CORE_PSI = split_local_product(
+    exp_minus_iH((-np.pi / 4.0, 0.0, 0.0)) @ BELL_EXCHANGE
+)
+
+
+def _cnot_circuit(dec):
+    """The :func:`synthesize_cnot` circuit for an already decomposed target."""
+    a1, b1 = dec.front
+    a2, b2 = dec.back
+    try:
+        params = cnot_phase_params(shifted_bell_phases(lambdas(dec.params)))
+        ops = [
+            local_op(1, _CORE_P.conj().T @ a1, "front-q1"),
+            local_op(2, _CORE_Q.conj().T @ b1, "front-q2"),
+            *build_core_cnot_circuit(params).ops,
+            local_op(1, a2, "back-q1"),
+            local_op(2, b2, "back-q2"),
+        ]
+    except ContractViolation as exc:
+        raise NumericalError(f"cnot synthesis: {exc}") from exc
+    return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))
+
+
 def synthesize_cnot(u):
     """Compile u into exactly 3 CNOTs and at most 8 single-qubit gates.
 
-    The parametric core realizes every canonical class: feeding it the
-    shifted Bell phases of the target lands it on the same Weyl chamber
-    point as u.  Decomposing both and cancelling the core's own local
-    factors leaves four dressed single-qubit gates around the
-    three-CNOT block.
+    Fed the shifted Bell phases of u's canonical coordinates h, the
+    parametric core evaluates to e^{i psi} E(h) (p (x) q), with one local
+    pair p, q and phase psi that are the same for every h.  So u is
+    decomposed once: its back locals stay as they are, its front locals
+    absorb p^dag and q^dag, and psi comes off the global phase, leaving
+    four dressed single-qubit gates around the three-CNOT block.
     """
-    u = assert_unitary(u, name="u")
-    du = kak_decompose(u)
-    params = cnot_phase_params(shifted_bell_phases(lambdas(du.params)))
-    core = build_core_cnot_circuit(params)
-    dc = kak_decompose(evaluate_circuit(core))
-    drift = max(abs(a - b) for a, b in zip(du.params, dc.params))
-    if drift > 1e-8:
-        raise NumericalError(
-            f"core missed the target's canonical point by {drift:.3e}"
-        )
-    a1, b1 = du.front
-    a2, b2 = du.back
-    p1, q1 = dc.front
-    p2, q2 = dc.back
-    ops = [
-        local_op(1, p1.conj().T @ a1, "front-q1"),
-        local_op(2, q1.conj().T @ b1, "front-q2"),
-        *core.ops,
-        local_op(1, a2 @ p2.conj().T, "back-q1"),
-        local_op(2, b2 @ q2.conj().T, "back-q2"),
-    ]
-    phase = du.global_phase - dc.global_phase
-    return Circuit(ops=ops, declared_global_phase=float(phase))
+    return _cnot_circuit(kak_decompose(u))
 
 
 # Exact CNOT out of two half-SWAPs: the inner z-Pauli splits the pulse pair,
@@ -378,18 +398,25 @@ def prune_circuit(circuit, tol=1e-12):
 
 
 def _matrix_to_json(m):
+    """Rows of [re, im] pairs: the one matrix layout of every JSON file."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
-def _matrix_from_json(rows):
+def _matrix_from_json(rows, dim, name):
+    """Inverse of :func:`_matrix_to_json` for a dim x dim matrix."""
     try:
         m = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows]
+            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
+            dtype=complex,
         )
-    except (TypeError, IndexError, ValueError, KeyError) as exc:
-        raise ContractViolation(f"malformed matrix entries: {exc}") from None
-    if m.ndim != 2:
-        raise ContractViolation(f"matrix must be 2-dimensional, got shape {m.shape}")
+    except (TypeError, IndexError, ValueError, KeyError):
+        raise ContractViolation(
+            f"{name}: rows must be {dim}x{dim} nested [re, im] pairs"
+        ) from None
+    if m.shape != (dim, dim):
+        raise ContractViolation(
+            f"{name}: rows have shape {m.shape}, expected ({dim}, {dim})"
+        )
     return m
 
 
@@ -426,7 +453,7 @@ def circuit_from_dict(doc):
             ops.append(
                 local_op(
                     entry.get("qubit"),
-                    _matrix_from_json(entry.get("matrix")),
+                    _matrix_from_json(entry.get("matrix"), 2, name="local matrix"),
                     str(entry.get("label", "")),
                 )
             )

@@ -203,6 +203,10 @@ def test_corrupt_matrix_file(tmp_path, capsys):
     nonunitary.write_text(json.dumps({"dim": 4, "rows": rows}))
     code, _, err = run(capsys, "synth", "--matrix", str(nonunitary))
     assert code == 2
+    keyed = tmp_path / "k.json"
+    keyed.write_text(json.dumps({"dim": 4, "rows": [[{"re": 1.0, "im": 0.0}] * 4] * 4}))
+    code, _, err = run(capsys, "synth", "--matrix", str(keyed))
+    assert code == 2
 
 
 def test_prune_flag(tmp_path, capsys):

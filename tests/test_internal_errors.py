@@ -1,0 +1,72 @@
+"""A broken contract on a value the library computed is a NumericalError.
+
+ContractViolation means the caller passed bad input, and the CLI exits 2.
+When a check fires on a value computed inside kak_decompose or a
+synthesizer, the fault is numerical: the library re-raises it as
+NumericalError, naming the stage, the measured value and the bound, and
+the CLI exits 3.  Each test forces one such path with monkeypatch.
+"""
+
+import dataclasses
+
+import pytest
+
+from swapsynth import canonical, cli, costmodel, synthesis
+from swapsynth.canonical import kak_decompose
+from swapsynth.linalg import NumericalError, haar_random_unitary
+from swapsynth.synthesis import synthesize_cnot, synthesize_swap
+
+U = haar_random_unitary(4, seed=17)
+
+
+def cli_exit(capsys, *argv):
+    code = cli.main(["synth", "--gate", "cnot", *argv])
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    return code
+
+
+def test_split_of_computed_local_product(monkeypatch, capsys):
+    original = canonical.split_local_product
+    monkeypatch.setattr(canonical, "split_local_product", lambda l: original(l * (1.0 + 1e-6)))
+    with pytest.raises(NumericalError, match=r"kak_decompose.*not unitary.*e-06 exceeds 1\.0e-10"):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
+
+
+def test_local_op_on_computed_local(monkeypatch, capsys):
+    def skewed(u):
+        dec = canonical.kak_decompose(u)
+        f1, f2 = dec.front
+        return dataclasses.replace(dec, front=(f1 * (1.0 + 1e-6), f2))
+
+    for module in (synthesis, costmodel, cli):
+        monkeypatch.setattr(module, "kak_decompose", skewed)
+    with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1\.0e-10"):
+        synthesize_swap(U)
+    with pytest.raises(NumericalError, match=r"cnot synthesis.*not unitary.*exceeds 1\.0e-10"):
+        synthesize_cnot(U)
+    assert cli_exit(capsys, "--backend", "swap") == 3
+    assert cli_exit(capsys, "--backend", "cnot") == 3
+    assert cli.main(["cost", "--compare", "--gate", "cnot"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_swap_angles_of_computed_params(monkeypatch, capsys):
+    monkeypatch.setattr(synthesis, "in_weyl_chamber", lambda p: False)
+    with pytest.raises(NumericalError, match=r"swap synthesis: parameters .* tolerance 1e-9"):
+        synthesize_swap(U)
+    assert cli_exit(capsys, "--backend", "swap") == 3
+
+
+def test_cnot_phase_params_of_computed_phases(monkeypatch, capsys):
+    original = synthesis.shifted_bell_phases
+
+    def unbalanced(lam):
+        phases = original(lam)
+        return phases._replace(l00=phases.l00 + 1e-6)
+
+    monkeypatch.setattr(synthesis, "shifted_bell_phases", unbalanced)
+    with pytest.raises(NumericalError, match=r"cnot synthesis: .*within 1e-9, got 1\.000e-06"):
+        synthesize_cnot(U)
+    assert cli_exit(capsys, "--backend", "cnot") == 3
