@@ -5,8 +5,6 @@ a full SWAP needs a single unit pulse, and a generic gate needs three
 fractional ones.  Six single-qubit gates finish the job in every case.
 """
 
-import numpy as np
-
 from swapsynth import (
     evaluate_circuit,
     gate_counts,

@@ -5,8 +5,6 @@ four z-rotation angles steer it to any target class.  For a CNOT target
 all four angles vanish and the skeleton collapses accordingly.
 """
 
-import numpy as np
-
 from swapsynth import (
     evaluate_circuit,
     gate_counts,

@@ -6,8 +6,6 @@ J dt to half a Planck quantum gives a full SWAP, a quarter gives the
 half-SWAP used in CNOT constructions.
 """
 
-import numpy as np
-
 from swapsynth import (
     PLANCK_H,
     PulseSpec,

@@ -40,9 +40,12 @@ from .canonical import (
 from .synthesis import (
     BELL_EXCHANGE,
     Circuit,
+    CnotOp,
     CnotPhaseParams,
     GateOp,
+    LocalOp,
     SwapAngles,
+    SwapPowOp,
     build_core_cnot_circuit,
     build_core_swap_circuit,
     circuit_from_dict,

@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    BELL_BASIS,
     ContractViolation,
     ID2,
     NumericalError,
@@ -50,19 +49,6 @@ from .linalg import (
     project_su,
 )
 
-__all__ = [
-    "MAGIC",
-    "CanonicalParams",
-    "BellPhases",
-    "CanonicalDecomposition",
-    "lambdas",
-    "lambdas_to_params",
-    "exp_minus_iH",
-    "in_weyl_chamber",
-    "split_local_product",
-    "kak_decompose",
-    "reconstruct",
-]
 
 # Basis in which every single-qubit pair a (x) b becomes real orthogonal and
 # every E(h) becomes diagonal.  Columns: phi+, i phi-, i psi+, psi-.

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .canonical import kak_decompose, lambdas
+from .canonical import kak_decompose
 from .costmodel import (
     BUILTIN_PROFILES,
     builtin_profile,
@@ -32,20 +32,18 @@ from .entanglement import (
 from .gates import named_gate, swap_pow
 from .linalg import ContractViolation, NumericalError, assert_unitary, haar_random_unitary, phase_distance
 from .synthesis import (
+    SwapPowOp,
     _cnot_circuit,
+    _cnot_core_params,
     _matrix_from_json,
     _matrix_to_json,
     _swap_circuit,
     circuit_from_dict,
     circuit_to_dict,
-    cnot_phase_params,
     evaluate_circuit,
     gate_counts,
     prune_circuit,
-    shifted_bell_phases,
 )
-
-__all__ = ["main", "entry"]
 
 
 def _format_time(seconds):
@@ -149,12 +147,12 @@ def cmd_synth(ns):
         f"canonical h:     ({hx:.9f}, {hy:.9f}, {hz:.9f})",
     ]
     if ns.backend == "swap":
-        exponents = [float(op.alpha) for op in circuit.ops if op.kind == "swap_pow"]
+        exponents = [float(op.alpha) for op in circuit.ops if isinstance(op, SwapPowOp)]
         report["swap_exponents"] = exponents
         rendered = ", ".join(f"{a:.9f}" for a in exponents)
         lines.append(f"swap exponents:  ({rendered})")
     else:
-        phases = cnot_phase_params(shifted_bell_phases(lambdas(dec.params)))
+        phases = _cnot_core_params(dec)
         report["cnot_phase_params"] = [float(p) for p in phases]
         rendered = ", ".join(f"{p:.9f}" for p in phases)
         lines.append(f"rz phases:       ({rendered})")

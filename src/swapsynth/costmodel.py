@@ -22,6 +22,7 @@ import numpy as np
 from .canonical import kak_decompose
 from .linalg import ContractViolation, NumericalError, phase_distance
 from .synthesis import (
+    LocalOp,
     _cnot_circuit,
     _swap_circuit,
     evaluate_circuit,
@@ -29,16 +30,6 @@ from .synthesis import (
     gate_counts,
 )
 
-__all__ = [
-    "HardwareProfile",
-    "BUILTIN_PROFILES",
-    "builtin_profile",
-    "profile_from_dict",
-    "Layer",
-    "Schedule",
-    "schedule_circuit",
-    "compare_backends",
-]
 
 _POLICIES = ("fixed_pi", "proportional")
 
@@ -142,62 +133,28 @@ class Schedule:
     profile_name: str
 
 
-def _local_duration(op, profile):
-    if profile.local_rotation_policy == "fixed_pi":
-        return profile.pi_rotation_time_s
-    # Rotation angle of a 2x2 unitary, ignoring global phase: |tr| = 2|cos(angle/2)|.
-    cos_half = min(abs(np.trace(op.matrix)) / 2.0, 1.0)
-    angle = 2.0 * np.arccos(cos_half)
-    return profile.pi_rotation_time_s * angle / np.pi
-
-
-def _swap_duration(alpha, profile):
-    reduced = float(alpha) % 2.0
-    return profile.swap_full_time_s * min(reduced, 2.0 - reduced)
-
-
 def schedule_circuit(circuit, profile):
     """Greedy left-to-right layering of a circuit.
 
     Adjacent single-qubit gates on distinct qubits share a layer whose
     duration is the maximum of its members; each two-qubit gate stands
-    alone.  swap_pow duration scales with the exponent's distance from an
-    even integer, capped at the full-SWAP time.  cnot ops are costed at
-    the full-SWAP time: on an exchange-only device a CNOT is not a native
-    pulse, so this is an optimistic placeholder for comparisons.
+    alone.  Each op's duration is its ``duration_s(profile)``: swap_pow
+    scales with the exponent's distance from an even integer, capped at the
+    full-SWAP time, and cnot is an optimistic full-SWAP-time placeholder,
+    since a CNOT is not a native pulse on an exchange-only device.
     """
     layers = []
-    pending = []
-    used_qubits = set()
-
-    def flush():
-        if pending:
-            duration = max(d for _, d in pending)
-            layers.append(
-                Layer(duration_s=duration, op_indices=tuple(i for i, _ in pending), kind="local")
-            )
-            pending.clear()
-            used_qubits.clear()
-
     for idx, op in enumerate(circuit.ops):
-        if op.kind == "local":
-            if op.qubit in used_qubits:
-                flush()
-            pending.append((idx, _local_duration(op, profile)))
-            used_qubits.add(op.qubit)
-        elif op.kind == "swap_pow":
-            flush()
-            layers.append(
-                Layer(duration_s=_swap_duration(op.alpha, profile), op_indices=(idx,), kind="swap_pow")
-            )
-        elif op.kind == "cnot":
-            flush()
-            layers.append(
-                Layer(duration_s=profile.swap_full_time_s, op_indices=(idx,), kind="cnot")
-            )
+        duration = op.duration_s(profile)
+        prev = [circuit.ops[i] for i in layers[-1].op_indices] if layers else []
+        if isinstance(op, LocalOp) and prev and all(
+            isinstance(p, LocalOp) and p.qubit != op.qubit for p in prev
+        ):
+            last = layers.pop()
+            duration = max(last.duration_s, duration)
+            layers.append(Layer(duration, last.op_indices + (idx,), op.kind))
         else:
-            raise ContractViolation(f"unknown op kind {op.kind!r}")
-    flush()
+            layers.append(Layer(duration, (idx,), op.kind))
     total = float(sum(layer.duration_s for layer in layers))
     return Schedule(layers=tuple(layers), total_time_s=total, profile_name=profile.name)
 
@@ -205,7 +162,7 @@ def schedule_circuit(circuit, profile):
 def _backend_entry(circuit, profile):
     swaps, cnots, locals_ = gate_counts(circuit)
     sched = schedule_circuit(circuit, profile)
-    local_layers = sum(1 for layer in sched.layers if layer.kind == "local")
+    local_layers = sum(1 for layer in sched.layers if layer.kind == LocalOp.kind)
     return {
         "gate_counts": {"swap_pow": swaps, "cnot": cnots, "local": locals_},
         "layers": len(sched.layers),

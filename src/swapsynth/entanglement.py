@@ -22,20 +22,6 @@ from .linalg import (
     assert_unitary,
 )
 
-__all__ = [
-    "T13",
-    "TRACE_T13",
-    "C2",
-    "linear_entropy",
-    "ep_exact",
-    "ep_closed_form_swap",
-    "appendix_a_terms",
-    "appendix_a_residuals",
-    "EpEstimate",
-    "ep_monte_carlo",
-    "local_invariance_check",
-]
-
 
 def _build_t13():
     """Permutation on (C2)^4 exchanging tensor slots 1 and 3.

@@ -23,21 +23,6 @@ from .linalg import (
     PAULI_Z,
 )
 
-__all__ = [
-    "PLANCK_H",
-    "HBAR",
-    "SWAP",
-    "CNOT",
-    "CNOT_21",
-    "CZ",
-    "swap_pow",
-    "reduce_exponent",
-    "rz",
-    "named_gate",
-    "NAMED_GATES",
-    "PulseSpec",
-    "heisenberg_evolution",
-]
 
 # Exact SI value of the Planck constant (2019 redefinition), in J*s.
 PLANCK_H = 6.62607015e-34

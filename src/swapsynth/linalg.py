@@ -11,27 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ContractViolation",
-    "NumericalError",
-    "ATOL_UNITARY",
-    "ATOL_EXACT",
-    "ID2",
-    "ID4",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "HADAMARD",
-    "PHI_PLUS",
-    "PHI_MINUS",
-    "PSI_PLUS",
-    "PSI_MINUS",
-    "BELL_BASIS",
-    "phase_distance",
-    "haar_random_unitary",
-    "project_su",
-    "diagonalize_complex_symmetric_unitary",
-]
 
 # Admission tolerance for unitarity and symmetry checks on inputs.
 ATOL_UNITARY = 1e-10
@@ -78,7 +57,8 @@ def assert_unitary(u, atol=ATOL_UNITARY, name="matrix"):
     """Raise ContractViolation unless u @ u.conj().T == I within atol."""
     u = _as_square(u, name)
     dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > atol:
+    # Written so that a NaN deviation fails the check too.
+    if not dev <= atol:
         raise ContractViolation(
             f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:.1e}"
         )

@@ -7,13 +7,17 @@ the canonical decomposition; both reproduce their target to machine
 precision including the global phase.
 
 Circuits are plain data: an ordered op list (leftmost applied first) and a
-declared global phase, serializable to a stable JSON schema.
+declared global phase, serializable to a stable JSON schema.  An op is a
+:class:`LocalOp`, :class:`SwapPowOp` or :class:`CnotOp`, built by the
+validating :func:`local_op`, :func:`swap_op` or :func:`cnot_op`; each kind
+knows its own unitary, JSON entry, prune rule and schedule cost.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -37,41 +41,114 @@ from .linalg import (
     assert_unitary,
 )
 
-__all__ = [
-    "GateOp",
-    "Circuit",
-    "SwapAngles",
-    "CnotPhaseParams",
-    "BELL_EXCHANGE",
-    "local_op",
-    "swap_op",
-    "cnot_op",
-    "swap_angles",
-    "build_core_swap_circuit",
-    "synthesize_swap",
-    "cnot_phase_params",
-    "shifted_bell_phases",
-    "build_core_cnot_circuit",
-    "synthesize_cnot",
-    "expand_cnots_to_swaps",
-    "evaluate_circuit",
-    "gate_counts",
-    "prune_circuit",
-    "circuit_to_dict",
-    "circuit_from_dict",
-]
+
+class GateOp:
+    """Common base of the three op kinds.
+
+    Every op has a readable ``kind`` string and these methods:
+    ``unitary()`` is its 4x4 matrix, computed from its fields on each call;
+    ``to_dict()`` is its JSON entry; ``identity_phase(tol)`` is theta when
+    the op acts as e^{i theta} I within tol, or None (the default) when it
+    must be kept; ``duration_s(profile)`` is its time under a hardware
+    profile.
+    """
+
+    kind: ClassVar[str]
+
+    def identity_phase(self, tol):
+        return None
 
 
 @dataclasses.dataclass(eq=False)
-class GateOp:
-    """One circuit element: a single-qubit gate, SWAP power, or CNOT."""
+class LocalOp(GateOp):
+    """Single-qubit gate ``matrix`` on qubit 1 (left factor) or 2."""
 
-    kind: str
-    qubit: int | None = None
-    matrix: np.ndarray | None = None
+    qubit: int
+    matrix: np.ndarray
     label: str = ""
-    alpha: float | None = None
-    control: int | None = None
+    kind: ClassVar[str] = "local"
+
+    def unitary(self):
+        if self.qubit == 1:
+            return np.kron(self.matrix, ID2)
+        return np.kron(ID2, self.matrix)
+
+    def to_dict(self):
+        return {
+            "kind": self.kind,
+            "qubit": self.qubit,
+            "label": self.label,
+            "matrix": _matrix_to_json(self.matrix),
+        }
+
+    @staticmethod
+    def from_dict(entry):
+        matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
+        return local_op(entry.get("qubit"), matrix, str(entry.get("label", "")))
+
+    def identity_phase(self, tol):
+        theta = np.angle(np.trace(self.matrix) / 2.0)
+        if np.max(np.abs(self.matrix - np.exp(1j * theta) * ID2)) <= tol:
+            return theta
+        return None
+
+    def duration_s(self, profile):
+        if profile.local_rotation_policy == "fixed_pi":
+            return profile.pi_rotation_time_s
+        # Rotation angle ignoring global phase: |tr| = 2|cos(angle/2)|.
+        cos_half = min(abs(np.trace(self.matrix)) / 2.0, 1.0)
+        return profile.pi_rotation_time_s * 2.0 * np.arccos(cos_half) / np.pi
+
+
+@dataclasses.dataclass(eq=False)
+class SwapPowOp(GateOp):
+    """SWAP raised to the real power ``alpha`` (period 2)."""
+
+    alpha: float
+    kind: ClassVar[str] = "swap_pow"
+
+    def _even_distance(self):
+        reduced = float(self.alpha) % 2.0
+        return min(reduced, 2.0 - reduced)
+
+    def unitary(self):
+        return swap_pow(self.alpha)
+
+    def to_dict(self):
+        return {"kind": self.kind, "alpha": float(self.alpha)}
+
+    @staticmethod
+    def from_dict(entry):
+        return swap_op(entry.get("alpha"))
+
+    def identity_phase(self, tol):
+        return 0.0 if self._even_distance() <= tol else None
+
+    def duration_s(self, profile):
+        return profile.swap_full_time_s * self._even_distance()
+
+
+@dataclasses.dataclass(eq=False)
+class CnotOp(GateOp):
+    """CNOT with control qubit ``control`` (1 or 2)."""
+
+    control: int
+    kind: ClassVar[str] = "cnot"
+
+    def unitary(self):
+        # A copy, so that a caller writing to the result cannot alter CNOT.
+        return (CNOT if self.control == 1 else CNOT_21).copy()
+
+    def to_dict(self):
+        return {"kind": self.kind, "control": self.control}
+
+    @staticmethod
+    def from_dict(entry):
+        return cnot_op(entry.get("control", 1))
+
+    def duration_s(self, profile):
+        # Not a native exchange pulse: costed at the full-SWAP time.
+        return profile.swap_full_time_s
 
 
 def local_op(qubit, matrix, label=""):
@@ -80,7 +157,7 @@ def local_op(qubit, matrix, label=""):
     matrix = assert_unitary(matrix, name="local matrix")
     if matrix.shape[0] != 2:
         raise ContractViolation(f"local matrix must be 2x2, got {matrix.shape}")
-    return GateOp(kind="local", qubit=qubit, matrix=matrix, label=label)
+    return LocalOp(qubit=qubit, matrix=matrix, label=label)
 
 
 def swap_op(alpha):
@@ -90,13 +167,17 @@ def swap_op(alpha):
         raise ContractViolation(f"swap exponent must be a number, got {alpha!r}") from None
     if not np.isfinite(alpha):
         raise ContractViolation(f"swap exponent must be finite, got {alpha}")
-    return GateOp(kind="swap_pow", alpha=alpha)
+    return SwapPowOp(alpha=alpha)
 
 
 def cnot_op(control=1):
     if control not in (1, 2):
         raise ContractViolation(f"control must be 1 or 2, got {control}")
-    return GateOp(kind="cnot", control=control)
+    return CnotOp(control=control)
+
+
+# The one place a kind string is read from outside input.
+_OP_KINDS = {cls.kind: cls for cls in (LocalOp, SwapPowOp, CnotOp)}
 
 
 @dataclasses.dataclass(eq=False)
@@ -153,6 +234,26 @@ def swap_angles(p):
     )
 
 
+def _core_swap(p):
+    """Op list and declared phase of the three-SWAP core E(p).
+
+    The list ends with the Pauli pair Z on qubit 1, X on qubit 2.  The
+    Paulis are exact constants, so they skip :func:`local_op`'s check.
+    """
+    ang = swap_angles(p)
+    hx, hy, hz = (float(v) for v in p)
+    ops = [
+        swap_op(ang.alpha),
+        LocalOp(2, PAULI_X, "X"),
+        swap_op(ang.beta),
+        LocalOp(1, PAULI_Z, "Z"),
+        swap_op(ang.gamma),
+        LocalOp(1, PAULI_Z, "Z"),
+        LocalOp(2, PAULI_X, "X"),
+    ]
+    return ops, hz - hx - hy
+
+
 def build_core_swap_circuit(p):
     """Three-SWAP realization of the entangling core E(p).
 
@@ -160,42 +261,26 @@ def build_core_swap_circuit(p):
     hz - hx - hy.  The interleaved Pauli gates are not yet merged with any
     surrounding locals; the op list has fixed shape 3 swap_pow + 4 local.
     """
-    ang = swap_angles(p)
-    hx, hy, hz = (float(v) for v in p)
-    ops = [
-        swap_op(ang.alpha),
-        local_op(2, PAULI_X, "X"),
-        swap_op(ang.beta),
-        local_op(1, PAULI_Z, "Z"),
-        swap_op(ang.gamma),
-        local_op(1, PAULI_Z, "Z"),
-        local_op(2, PAULI_X, "X"),
-    ]
-    return Circuit(ops=ops, declared_global_phase=hz - hx - hy)
+    ops, phase = _core_swap(p)
+    return Circuit(ops=ops, declared_global_phase=phase)
 
 
 def _swap_circuit(dec):
     """The :func:`synthesize_swap` circuit for an already decomposed target."""
-    hx, hy, hz = dec.params
     f1, f2 = dec.front
     b1, b2 = dec.back
     try:
-        ang = swap_angles(dec.params)
+        (*core, z, x), phase = _core_swap(dec.params)
         ops = [
             local_op(1, f1, "u1"),
             local_op(2, f2, "v1"),
-            swap_op(ang.alpha),
-            local_op(2, PAULI_X, "X"),
-            swap_op(ang.beta),
-            local_op(1, PAULI_Z, "Z"),
-            swap_op(ang.gamma),
-            local_op(1, b1 @ PAULI_Z, "u4'·Z"),
-            local_op(2, b2 @ PAULI_X, "v4'·X"),
+            *core,
+            local_op(1, b1 @ z.matrix, f"u4'·{z.label}"),
+            local_op(2, b2 @ x.matrix, f"v4'·{x.label}"),
         ]
     except ContractViolation as exc:
         raise NumericalError(f"swap synthesis: {exc}") from exc
-    phase = dec.global_phase + (hz - hx - hy)
-    return Circuit(ops=ops, declared_global_phase=float(phase))
+    return Circuit(ops=ops, declared_global_phase=float(dec.global_phase + phase))
 
 
 def synthesize_swap(u):
@@ -282,12 +367,17 @@ _CORE_P, _CORE_Q, _CORE_PSI = split_local_product(
 )
 
 
+def _cnot_core_params(dec):
+    """Phase-layer angles of the CNOT core for a decomposed target."""
+    return cnot_phase_params(shifted_bell_phases(lambdas(dec.params)))
+
+
 def _cnot_circuit(dec):
     """The :func:`synthesize_cnot` circuit for an already decomposed target."""
     a1, b1 = dec.front
     a2, b2 = dec.back
     try:
-        params = cnot_phase_params(shifted_bell_phases(lambdas(dec.params)))
+        params = _cnot_core_params(dec)
         ops = [
             local_op(1, _CORE_P.conj().T @ a1, "front-q1"),
             local_op(2, _CORE_Q.conj().T @ b1, "front-q2"),
@@ -340,7 +430,7 @@ def expand_cnots_to_swaps(circuit):
     """
     ops = []
     for op in circuit.ops:
-        if op.kind == "cnot":
+        if isinstance(op, CnotOp):
             ops.extend(_cnot_gadget(op.control))
         else:
             ops.append(op)
@@ -351,27 +441,14 @@ def evaluate_circuit(circuit):
     """Multiply a circuit out to its 4x4 unitary, global phase included."""
     u = ID4 * np.exp(1j * float(circuit.declared_global_phase))
     for op in circuit.ops:
-        if op.kind == "local":
-            if op.qubit == 1:
-                g = np.kron(op.matrix, ID2)
-            else:
-                g = np.kron(ID2, op.matrix)
-        elif op.kind == "swap_pow":
-            g = swap_pow(op.alpha)
-        elif op.kind == "cnot":
-            g = CNOT if op.control == 1 else CNOT_21
-        else:
-            raise ContractViolation(f"unknown op kind {op.kind!r}")
-        u = g @ u
+        u = op.unitary() @ u
     return u
 
 
 def gate_counts(circuit):
     """(swap_pow count, cnot count, local count)."""
-    swaps = sum(1 for op in circuit.ops if op.kind == "swap_pow")
-    cnots = sum(1 for op in circuit.ops if op.kind == "cnot")
-    locals_ = sum(1 for op in circuit.ops if op.kind == "local")
-    return swaps, cnots, locals_
+    tally = collections.Counter(op.kind for op in circuit.ops)
+    return tally[SwapPowOp.kind], tally[CnotOp.kind], tally[LocalOp.kind]
 
 
 def prune_circuit(circuit, tol=1e-12):
@@ -384,16 +461,11 @@ def prune_circuit(circuit, tol=1e-12):
     phase = float(circuit.declared_global_phase)
     ops = []
     for op in circuit.ops:
-        if op.kind == "local":
-            theta = np.angle(np.trace(op.matrix) / 2.0)
-            if np.max(np.abs(op.matrix - np.exp(1j * theta) * ID2)) <= tol:
-                phase += theta
-                continue
-        elif op.kind == "swap_pow":
-            reduced = op.alpha % 2.0
-            if min(reduced, 2.0 - reduced) <= tol:
-                continue
-        ops.append(op)
+        theta = op.identity_phase(tol)
+        if theta is None:
+            ops.append(op)
+        else:
+            phase += theta
     return Circuit(ops=ops, declared_global_phase=phase)
 
 
@@ -422,49 +494,27 @@ def _matrix_from_json(rows, dim, name):
 
 def circuit_to_dict(circuit):
     """JSON-ready dict: {"global_phase": float, "ops": [...]}"""
-    ops = []
-    for op in circuit.ops:
-        if op.kind == "local":
-            ops.append(
-                {
-                    "kind": "local",
-                    "qubit": op.qubit,
-                    "label": op.label,
-                    "matrix": _matrix_to_json(op.matrix),
-                }
-            )
-        elif op.kind == "swap_pow":
-            ops.append({"kind": "swap_pow", "alpha": float(op.alpha)})
-        elif op.kind == "cnot":
-            ops.append({"kind": "cnot", "control": op.control})
-        else:
-            raise ContractViolation(f"unknown op kind {op.kind!r}")
-    return {"global_phase": float(circuit.declared_global_phase), "ops": ops}
+    return {
+        "global_phase": float(circuit.declared_global_phase),
+        "ops": [op.to_dict() for op in circuit.ops],
+    }
 
 
 def circuit_from_dict(doc):
     """Inverse of :func:`circuit_to_dict`, validating every op."""
-    if not isinstance(doc, dict) or "ops" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ContractViolation("circuit document must be a dict with an 'ops' list")
     ops = []
     for entry in doc["ops"]:
         kind = entry.get("kind") if isinstance(entry, dict) else None
-        if kind == "local":
-            ops.append(
-                local_op(
-                    entry.get("qubit"),
-                    _matrix_from_json(entry.get("matrix"), 2, name="local matrix"),
-                    str(entry.get("label", "")),
-                )
-            )
-        elif kind == "swap_pow":
-            ops.append(swap_op(entry.get("alpha")))
-        elif kind == "cnot":
-            ops.append(cnot_op(entry.get("control", 1)))
-        else:
+        op_class = _OP_KINDS.get(kind) if isinstance(kind, str) else None
+        if op_class is None:
             raise ContractViolation(f"unknown op kind {kind!r}")
+        ops.append(op_class.from_dict(entry))
     try:
         phase = float(doc.get("global_phase", 0.0))
     except (TypeError, ValueError):
         raise ContractViolation("global_phase must be a number") from None
+    if not np.isfinite(phase):
+        raise ContractViolation(f"global_phase must be finite, got {phase}")
     return Circuit(ops=ops, declared_global_phase=phase)

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from swapsynth.cli import main
@@ -74,6 +73,18 @@ def test_verify_bad_circuit_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "verify", str(bad), "--gate", "cnot")
     assert code == 2
+    nan_local = {"kind": "local", "qubit": 1, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    for doc in (
+        {"ops": 5},
+        {"ops": None},
+        {"ops": [nan_local]},
+        {"ops": [], "global_phase": float("nan")},
+        {"ops": [], "global_phase": float("inf")},
+    ):
+        bad.write_text(json.dumps(doc))
+        for argv in (("verify", str(bad), "--gate", "cnot"), ("cost", str(bad))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (doc, argv)
 
 
 def test_random_deterministic(tmp_path, capsys):
@@ -207,6 +218,13 @@ def test_corrupt_matrix_file(tmp_path, capsys):
     keyed.write_text(json.dumps({"dim": 4, "rows": [[{"re": 1.0, "im": 0.0}] * 4] * 4}))
     code, _, err = run(capsys, "synth", "--matrix", str(keyed))
     assert code == 2
+    nan = tmp_path / "nan.json"
+    rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    rows[0][0] = [float("nan"), 0.0]
+    nan.write_text(json.dumps({"dim": 4, "rows": rows}))
+    for command in (("synth",), ("analyze", "ep-matrix")):
+        code, _, err = run(capsys, *command, "--matrix", str(nan))
+        assert code == 2, command
 
 
 def test_prune_flag(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from swapsynth.costmodel import (
@@ -12,7 +11,6 @@ from swapsynth.gates import CNOT, SWAP
 from swapsynth.linalg import ContractViolation, ID2, PAULI_X, haar_random_unitary
 from swapsynth.synthesis import (
     Circuit,
-    cnot_op,
     local_op,
     swap_op,
     synthesize_swap,

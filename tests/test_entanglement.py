@@ -5,8 +5,6 @@ the operator-trace definition evaluated numerically, and a brute-force
 Monte Carlo average of output linear entropies.
 """
 
-import time
-
 import numpy as np
 import pytest
 

@@ -50,6 +50,9 @@ def test_assert_unitary_rejects():
         assert_unitary(np.ones((2, 2)))
     with pytest.raises(ContractViolation):
         assert_unitary(np.zeros((3,)))
+    # A NaN entry makes the deviation NaN, which must fail the check too.
+    with pytest.raises(ContractViolation):
+        assert_unitary(np.diag([np.nan, 1.0]))
 
 
 def test_phase_distance_basics():

@@ -5,10 +5,9 @@ from swapsynth.canonical import (
     BellPhases,
     CanonicalParams,
     exp_minus_iH,
-    kak_decompose,
     lambdas,
 )
-from swapsynth.gates import CNOT, SWAP, named_gate, swap_pow
+from swapsynth.gates import CNOT, SWAP, named_gate
 from swapsynth.linalg import (
     ContractViolation,
     ID2,
@@ -268,3 +267,11 @@ def test_circuit_from_dict_rejects_garbage():
         circuit_from_dict([1, 2, 3])
     with pytest.raises(ContractViolation):
         circuit_from_dict({"ops": [{"kind": "local", "qubit": 1, "matrix": [[1]]}]})
+    with pytest.raises(ContractViolation):
+        circuit_from_dict({"ops": [{"kind": ["local"]}]})
+    for ops in (5, None, "swap_pow"):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": ops})
+    for phase in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": [], "global_phase": phase})
