@@ -44,6 +44,7 @@ from .linalg import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
+    _frozen,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     project_su,
@@ -52,9 +53,9 @@ from .linalg import (
 
 # Basis in which every single-qubit pair a (x) b becomes real orthogonal and
 # every E(h) becomes diagonal.  Columns: phi+, i phi-, i psi+, psi-.
-MAGIC = np.column_stack(
+MAGIC = _frozen(np.column_stack(
     [PHI_PLUS, 1j * PHI_MINUS, 1j * PSI_PLUS, PSI_MINUS]
-)
+))
 
 _SIGMA = (PAULI_X, PAULI_Y, PAULI_Z)
 

@@ -56,20 +56,14 @@ def _format_time(seconds):
     return f"{seconds / 1e-15:.6g} fs"
 
 
-def _matrix_to_doc(u):
-    return {"dim": 4, "rows": _matrix_to_json(u)}
-
-
 def _matrix_from_doc(doc, name="matrix"):
     if not isinstance(doc, dict):
         raise ContractViolation(f"{name}: expected a JSON object")
-    if "gate" in doc:
-        return named_gate(doc["gate"])
     try:
         dim = int(doc["dim"])
         rows = doc["rows"]
     except (KeyError, TypeError, ValueError):
-        raise ContractViolation(f"{name}: expected keys 'dim' and 'rows', or 'gate'") from None
+        raise ContractViolation(f"{name}: expected keys 'dim' and 'rows'") from None
     if dim != 4:
         raise ContractViolation(f"{name}: only dim 4 is supported, got {dim}")
     return _matrix_from_json(rows, 4, name)
@@ -87,12 +81,12 @@ def _load_json(path):
 
 def _resolve_target(ns):
     """Target unitary from --gate or --matrix."""
-    if getattr(ns, "gate", None):
+    if ns.gate:
         u = named_gate(ns.gate)
         if u.shape != (4, 4):
             raise ContractViolation(f"gate {ns.gate!r} is not a two-qubit gate")
         return u, ns.gate
-    if getattr(ns, "matrix", None):
+    if ns.matrix:
         u = _matrix_from_doc(_load_json(ns.matrix), name=ns.matrix)
         if u.shape != (4, 4):
             raise ContractViolation(f"{ns.matrix}: target must be 4x4")
@@ -106,21 +100,22 @@ def _resolve_profile(name_or_path):
     return profile_from_dict(_load_json(name_or_path))
 
 
-def _emit(ns, lines, report):
-    if ns.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ContractViolation(f"cannot write {path}: {exc}") from None
+
+
+def _check_tolerance(tolerance):
+    if not 0.0 <= tolerance < np.inf:
+        raise ContractViolation(f"--tolerance must be finite and nonnegative, got {tolerance}")
 
 
 def cmd_synth(ns):
+    _check_tolerance(ns.tolerance)
     u, label = _resolve_target(ns)
     dec = kak_decompose(u)
     if ns.backend == "swap":
@@ -160,19 +155,19 @@ def cmd_synth(ns):
         f"gate counts:     {swaps} swap_pow, {cnots} cnot, {locals_} local",
         f"phase distance:  {residual:.3e}",
     ]
-    if ns.out:
-        _write_json(ns.out, circuit_to_dict(circuit))
-        report["circuit_file"] = ns.out
-        lines.append(f"circuit written: {ns.out}")
-    _emit(ns, lines, report)
-    return 0 if residual <= ns.tolerance else 1
+    if ns.circuit_file:
+        _write_json(ns.circuit_file, circuit_to_dict(circuit))
+        report["circuit_file"] = ns.circuit_file
+        lines.append(f"circuit written: {ns.circuit_file}")
+    return (0 if residual <= ns.tolerance else 1), report, lines
 
 
 def cmd_verify(ns):
+    _check_tolerance(ns.tolerance)
     circuit = circuit_from_dict(_load_json(ns.circuit))
     u, label = _resolve_target(ns)
     residual = phase_distance(evaluate_circuit(circuit), u)
-    ok = residual < ns.tolerance
+    ok = residual <= ns.tolerance
     report = {
         "circuit": ns.circuit,
         "target": label,
@@ -187,10 +182,7 @@ def cmd_verify(ns):
         f"tolerance:       {ns.tolerance:.3e}",
         f"result:          {'PASS' if ok else 'FAIL'}",
     ]
-    if ns.out:
-        _write_json(ns.out, report)
-    _emit(ns, lines, report)
-    return 0 if ok else 1
+    return (0 if ok else 1), report, lines
 
 
 def cmd_analyze_ep_curve(ns):
@@ -219,10 +211,7 @@ def cmd_analyze_ep_curve(ns):
         alpha = float(np.arccos(1.0 - 12.0 * ns.target_ep) / (2.0 * np.pi))
         report["inverse"] = {"target_ep": float(ns.target_ep), "alpha": alpha}
         lines.append(f"inverse:         E_p = {ns.target_ep:.9f} at alpha = {alpha:.9f}")
-    if ns.out:
-        _write_json(ns.out, report)
-    _emit(ns, lines, report)
-    return 0
+    return 0, report, lines
 
 
 def cmd_analyze_ep_matrix(ns):
@@ -246,10 +235,7 @@ def cmd_analyze_ep_matrix(ns):
             f"({est.samples} samples, seed {est.seed})",
             f"deviation:       {abs(est.mean - value):.3e}",
         ]
-    if ns.out:
-        _write_json(ns.out, report)
-    _emit(ns, lines, report)
-    return 0
+    return 0, report, lines
 
 
 def cmd_analyze_appendix_a(ns):
@@ -268,10 +254,7 @@ def cmd_analyze_appendix_a(ns):
         f"term3:           {term3:.12f}   (direct trace deviation {report['residual_term3']:.3e})",
         f"sum:             {term2 + term3:.12f}",
     ]
-    if ns.out:
-        _write_json(ns.out, report)
-    _emit(ns, lines, report)
-    return 0
+    return 0, report, lines
 
 
 def cmd_cost(ns):
@@ -290,10 +273,7 @@ def cmd_cost(ns):
                 f"total {_format_time(entry['total_time_s'])}"
             )
         lines.append(f"note: {report['note']}")
-        if ns.out:
-            _write_json(ns.out, report)
-        _emit(ns, lines, report)
-        return 0
+        return 0, report, lines
     if not ns.circuit:
         raise ContractViolation("pass a circuit file, or --compare with a target")
     circuit = circuit_from_dict(_load_json(ns.circuit))
@@ -312,39 +292,38 @@ def cmd_cost(ns):
         ops = ", ".join(str(j) for j in layer.op_indices)
         lines.append(f"layer {i:<2} {layer.kind:<9} {_format_time(layer.duration_s):>12}   ops [{ops}]")
     lines.append(f"total:           {_format_time(sched.total_time_s)}")
-    if ns.out:
-        _write_json(ns.out, report)
-    _emit(ns, lines, report)
-    return 0
+    return 0, report, lines
 
 
 def cmd_random(ns):
     if ns.count < 0:
         raise ContractViolation("--count must be nonnegative")
-    out_dir = ns.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = ns.out_dir or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ContractViolation(f"cannot create directory {out_dir}: {exc}") from None
     paths = []
     for i in range(ns.count):
         u = haar_random_unitary(4, seed=ns.seed + i)
         path = os.path.join(out_dir, f"random_{ns.seed + i:06d}.json")
-        _write_json(path, _matrix_to_doc(u))
+        _write_json(path, {"dim": 4, "rows": _matrix_to_json(u)})
         paths.append(path)
     report = {"seed": int(ns.seed), "count": int(ns.count), "files": paths}
-    _emit(ns, [f"wrote {p}" for p in paths], report)
-    return 0
+    return 0, report, [f"wrote {p}" for p in paths]
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the primary artifact (circuit or report JSON) here")
-    common.add_argument("--json", action="store_true", help="print the report as JSON")
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-8,
-        help="verification tolerance on the phase distance (default 1e-8)",
-    )
-    common.add_argument("--prune", action="store_true", help="drop identity-like gates first")
+    json_flag = {"action": "store_true", "help": "print the report as JSON"}
+    tolerance = {
+        "type": float,
+        "default": 1e-8,
+        "help": "verification tolerance on the phase distance (default 1e-8)",
+    }
+
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", help="also write the report JSON here")
+    report.add_argument("--json", **json_flag)
 
     target = argparse.ArgumentParser(add_help=False)
     target.add_argument("--gate", help="named two-qubit gate, e.g. cnot, swap, iswap")
@@ -354,27 +333,33 @@ def build_parser():
         prog="swapsynth",
         description="Two-qubit circuit synthesis over fractional-SWAP gates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Each prog is passed as argparse would derive it, which spares it formatting a usage line.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     p = sub.add_parser(
         "synth",
-        parents=[common, target],
+        parents=[target],
         help="compile a two-qubit unitary into three swap_pow or three cnot gates",
     )
     p.add_argument("--backend", choices=("swap", "cnot"), default="swap")
+    p.add_argument("--out", dest="circuit_file", metavar="FILE", help="write the circuit JSON here")
+    p.add_argument("--json", **json_flag)
+    p.add_argument("--tolerance", **tolerance)
+    p.add_argument("--prune", action="store_true", help="drop identity-like gates first")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
-        "verify", parents=[common, target], help="check a circuit file against a target"
+        "verify", parents=[report, target], help="check a circuit file against a target"
     )
     p.add_argument("circuit", help="circuit JSON file")
+    p.add_argument("--tolerance", **tolerance)
     p.set_defaults(func=cmd_verify)
 
     analyze = sub.add_parser("analyze", help="entangling power analytics")
-    asub = analyze.add_subparsers(dest="analysis", required=True)
+    asub = analyze.add_subparsers(dest="analysis", required=True, prog=analyze.prog)
 
     p = asub.add_parser(
-        "ep-curve", parents=[common], help="entangling power of swap_pow(alpha) over a grid"
+        "ep-curve", parents=[report], help="entangling power of swap_pow(alpha) over a grid"
     )
     p.add_argument("--points", type=int, default=100, help="grid points on [0, 2) (default 100)")
     p.add_argument(
@@ -386,7 +371,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze_ep_curve)
 
     p = asub.add_parser(
-        "ep-matrix", parents=[common, target], help="entangling power of an arbitrary gate"
+        "ep-matrix", parents=[report, target], help="entangling power of an arbitrary gate"
     )
     p.add_argument("--samples", type=int, default=0, help="add a Monte Carlo estimate")
     p.add_argument("--seed", type=int, default=0)
@@ -394,13 +379,13 @@ def build_parser():
 
     p = asub.add_parser(
         "appendix-a",
-        parents=[common],
+        parents=[report],
         help="closed-form operator traces behind the entangling power curve",
     )
     p.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(func=cmd_analyze_appendix_a)
 
-    p = sub.add_parser("cost", parents=[common, target], help="schedule a circuit on hardware")
+    p = sub.add_parser("cost", parents=[report, target], help="schedule a circuit on hardware")
     p.add_argument("circuit", nargs="?", help="circuit JSON file")
     p.add_argument("--profile", default="gaas", help="gaas, si, or a profile JSON file")
     p.add_argument(
@@ -408,7 +393,9 @@ def build_parser():
     )
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("random", parents=[common], help="write Haar-random unitary matrix files")
+    p = sub.add_parser("random", help="write Haar-random unitary matrix files")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="matrix file directory (default .)")
+    p.add_argument("--json", **json_flag)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=cmd_random)
@@ -417,16 +404,24 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    """Run one command; print its report (``--json``) or text lines, and write ``--out``."""
+    ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        code, report, lines = ns.func(ns)
+        if getattr(ns, "out", None):
+            _write_json(ns.out, report)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    if ns.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def entry():

@@ -19,6 +19,7 @@ import numpy as np
 from .gates import SWAP, swap_pow
 from .linalg import (
     ContractViolation,
+    _frozen,
     assert_unitary,
 )
 
@@ -39,7 +40,7 @@ def _build_t13():
     return t
 
 
-T13 = _build_t13()
+T13 = _frozen(_build_t13())
 
 # Fixed points of the slot exchange: all (a,b,c,d) with a = c, hence 2**3.
 TRACE_T13 = 8

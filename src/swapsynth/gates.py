@@ -21,6 +21,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _frozen,
 )
 
 
@@ -28,15 +29,15 @@ from .linalg import (
 PLANCK_H = 6.62607015e-34
 HBAR = PLANCK_H / (2.0 * np.pi)
 
-SWAP = np.array(
+SWAP = _frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+))
 
-CNOT = np.array(
+CNOT = _frozen(np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+))
 
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
+CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 
 
 def reduce_exponent(alpha):
@@ -82,9 +83,9 @@ def rz(zeta):
 
 
 # CNOT with qubit 2 as control and qubit 1 as target.
-CNOT_21 = np.array(
+CNOT_21 = _frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
+))
 
 NAMED_GATES = {
     "cnot": CNOT,
@@ -97,10 +98,10 @@ NAMED_GATES = {
     "z": PAULI_Z,
     "hadamard": HADAMARD,
     # Extensions beyond the core set, both 4x4.
-    "sqrt_swap": swap_pow(0.5),
-    "iswap": np.array(
+    "sqrt_swap": _frozen(swap_pow(0.5)),
+    "iswap": _frozen(np.array(
         [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    )),
 }
 
 

@@ -14,8 +14,6 @@ import numpy as np
 
 # Admission tolerance for unitarity and symmetry checks on inputs.
 ATOL_UNITARY = 1e-10
-# Tolerance for identities that should hold to machine precision.
-ATOL_EXACT = 1e-12
 
 
 class ContractViolation(ValueError):
@@ -26,24 +24,31 @@ class NumericalError(RuntimeError):
     """An internal numerical procedure failed to reach its tolerance."""
 
 
-ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
+def _frozen(a):
+    """Make a module-level array read-only, so that no op or caller that
+    shares it can write into it."""
+    a.setflags(write=False)
+    return a
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+ID2 = _frozen(np.eye(2, dtype=complex))
+ID4 = _frozen(np.eye(4, dtype=complex))
+
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 # Unitary Hadamard, 1/sqrt(2) normalization.
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+HADAMARD = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
 # Bell states as column vectors in the computational basis |00>,|01>,|10>,|11>.
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0)
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
+PHI_PLUS = _frozen(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
+PHI_MINUS = _frozen(np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0))
+PSI_PLUS = _frozen(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0))
+PSI_MINUS = _frozen(np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0))
 
 # Columns ordered (phi+, phi-, psi+, psi-).
-BELL_BASIS = np.column_stack([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS])
+BELL_BASIS = _frozen(np.column_stack([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS]))
 
 
 def _as_square(a, name="matrix"):

@@ -38,6 +38,7 @@ from .linalg import (
     NumericalError,
     PAULI_X,
     PAULI_Z,
+    _frozen,
     assert_unitary,
 )
 
@@ -84,7 +85,7 @@ class LocalOp(GateOp):
     @staticmethod
     def from_dict(entry):
         matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
-        return local_op(entry.get("qubit"), matrix, str(entry.get("label", "")))
+        return local_op(_int_field(entry, "qubit"), matrix, str(entry.get("label", "")))
 
     def identity_phase(self, tol):
         theta = np.angle(np.trace(self.matrix) / 2.0)
@@ -136,7 +137,7 @@ class CnotOp(GateOp):
     kind: ClassVar[str] = "cnot"
 
     def unitary(self):
-        # A copy, so that a caller writing to the result cannot alter CNOT.
+        # A copy: CNOT is read-only, and like every op's unitary the result is the caller's.
         return (CNOT if self.control == 1 else CNOT_21).copy()
 
     def to_dict(self):
@@ -144,7 +145,7 @@ class CnotOp(GateOp):
 
     @staticmethod
     def from_dict(entry):
-        return cnot_op(entry.get("control", 1))
+        return cnot_op(_int_field(entry, "control", 1))
 
     def duration_s(self, profile):
         # Not a native exchange pulse: costed at the full-SWAP time.
@@ -176,6 +177,14 @@ def cnot_op(control=1):
     return CnotOp(control=control)
 
 
+def _int_field(entry, key, default=None):
+    """A qubit index read from JSON: an int, so neither true nor 2.0 passes."""
+    value = entry.get(key, default)
+    if type(value) is not int:
+        raise ContractViolation(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 # The one place a kind string is read from outside input.
 _OP_KINDS = {cls.kind: cls for cls in (LocalOp, SwapPowOp, CnotOp)}
 
@@ -192,10 +201,10 @@ class Circuit:
 # states while fixing phi+ and psi+.  Equal to the three-CNOT interleaving
 # CNOT (W (x) I) CNOT (W (x) I) CNOT with W the Hadamard, and the fixed
 # entangling skeleton around which the CNOT backend applies Bell phases.
-_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
-_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
-_PM = np.kron(_PLUS, _MINUS)
-BELL_EXCHANGE = ID4 - 2.0 * np.outer(_PM, _PM.conj())
+_PLUS = _frozen(np.array([1, 1], dtype=complex) / np.sqrt(2.0))
+_MINUS = _frozen(np.array([1, -1], dtype=complex) / np.sqrt(2.0))
+_PM = _frozen(np.kron(_PLUS, _MINUS))
+BELL_EXCHANGE = _frozen(ID4 - 2.0 * np.outer(_PM, _PM.conj()))
 
 
 class SwapAngles(NamedTuple):
@@ -365,6 +374,8 @@ def shifted_bell_phases(lam):
 _CORE_P, _CORE_Q, _CORE_PSI = split_local_product(
     exp_minus_iH((-np.pi / 4.0, 0.0, 0.0)) @ BELL_EXCHANGE
 )
+_frozen(_CORE_P)
+_frozen(_CORE_Q)
 
 
 def _cnot_core_params(dec):
@@ -405,8 +416,8 @@ def synthesize_cnot(u):
 
 # Exact CNOT out of two half-SWAPs: the inner z-Pauli splits the pulse pair,
 # and the outer single-qubit gates rotate the result onto CNOT proper.
-_SGATE = np.diag([1.0, 1j]).astype(complex)
-_SDG = np.diag([1.0, -1j]).astype(complex)
+_SGATE = _frozen(np.diag([1.0, 1j]).astype(complex))
+_SDG = _frozen(np.diag([1.0, -1j]).astype(complex))
 
 
 def _cnot_gadget(control):

@@ -74,12 +74,15 @@ def test_verify_bad_circuit_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(bad), "--gate", "cnot")
     assert code == 2
     nan_local = {"kind": "local", "qubit": 1, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    bool_qubit = {"kind": "local", "qubit": True, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     for doc in (
         {"ops": 5},
         {"ops": None},
         {"ops": [nan_local]},
         {"ops": [], "global_phase": float("nan")},
         {"ops": [], "global_phase": float("inf")},
+        {"ops": [bool_qubit]},
+        {"ops": [{"kind": "cnot", "control": 2.0}]},
     ):
         bad.write_text(json.dumps(doc))
         for argv in (("verify", str(bad), "--gate", "cnot"), ("cost", str(bad))):
@@ -239,3 +242,70 @@ def test_prune_flag(tmp_path, capsys):
     doc = json.loads(out.read_text())
     circuit = circuit_from_dict(doc)
     assert phase_distance(evaluate_circuit(circuit), CNOT) < 1e-10
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(out))
+    missing = str(tmp_path / "no_such_dir" / "x.json")
+    for argv in (
+        ("synth", "--gate", "cnot", "--out", missing),
+        ("verify", str(out), "--gate", "cnot", "--out", missing),
+        ("analyze", "appendix-a", "--out", missing),
+        ("cost", str(out), "--out", missing),
+        ("synth", "--gate", "cnot", "--out", str(tmp_path)),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert text == "" and err.startswith("error: "), argv
+
+
+def test_random_out_names_a_file(tmp_path, capsys):
+    existing = tmp_path / "file.json"
+    existing.write_text("{}")
+    for count in ("0", "1"):
+        code, text, err = run(capsys, "random", "--count", count, "--out", str(existing))
+        assert code == 2
+        assert text == "" and err.startswith("error: ")
+    assert existing.read_text() == "{}"
+
+
+def test_bad_tolerance_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(out))
+    for value in ("nan", "inf", "-inf", "-1e-8"):
+        for argv in (("synth", "--gate", "cnot"), ("verify", str(out), "--gate", "cnot")):
+            code, text, err = run(capsys, *argv, f"--tolerance={value}")
+            assert code == 2, (argv, value)
+            assert "--tolerance" in err and text == "", (argv, value)
+
+
+def test_synth_and_verify_share_the_tolerance_gate(tmp_path, capsys):
+    # A residual exactly at the tolerance passes in both commands.
+    out = tmp_path / "c.json"
+    for gate in ("identity4", "cnot", "iswap"):
+        code, text, _ = run(capsys, "synth", "--gate", gate, "--out", str(out), "--json")
+        residual = repr(json.loads(text)["phase_distance"])
+        code, _, _ = run(capsys, "synth", "--gate", gate, "--tolerance", residual)
+        assert code == 0, gate
+        code, text, _ = run(capsys, "verify", str(out), "--gate", gate, "--tolerance", residual)
+        assert code == 0 and "PASS" in text, gate
+
+
+def test_report_out_matches_json_report(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(out))
+    for argv in (
+        ("verify", str(out), "--gate", "cnot"),
+        ("analyze", "ep-curve", "--points", "5"),
+        ("analyze", "ep-matrix", "--gate", "cnot"),
+        ("analyze", "appendix-a"),
+        ("cost", str(out)),
+        ("cost", "--compare", "--gate", "cnot"),
+    ):
+        rep = tmp_path / "rep.json"
+        code, text, _ = run(capsys, *argv, "--out", str(rep), "--json")
+        assert code == 0, argv
+        assert json.loads(rep.read_text()) == json.loads(text), argv
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and text and not text.startswith("{"), argv

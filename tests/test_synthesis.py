@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swapsynth import canonical, entanglement, gates, linalg, synthesis
 from swapsynth.canonical import (
     BellPhases,
     CanonicalParams,
@@ -275,3 +276,31 @@ def test_circuit_from_dict_rejects_garbage():
     for phase in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [], "global_phase": phase})
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    for qubit in (True, 1.0, 2.0, "1", None):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": [{"kind": "local", "qubit": qubit, "matrix": identity}]})
+    for control in (True, 2.0, "2", None):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": [{"kind": "cnot", "control": control}]})
+
+
+def test_shared_constants_are_read_only():
+    # The swap core's Pauli ops share linalg's constant, not a copy of it.
+    op = build_core_swap_circuit((0.3, 0.2, 0.1)).ops[1]
+    assert op.matrix is PAULI_X
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 5.0
+    np.testing.assert_array_equal(PAULI_X, [[0, 1], [1, 0]])
+    # Lookups that hand out a matrix still hand out a writable copy.
+    assert named_gate("x").flags.writeable
+    assert cnot_op(1).unitary().flags.writeable
+
+
+@pytest.mark.parametrize("module", [linalg, gates, canonical, synthesis, entanglement])
+def test_module_level_arrays_are_read_only(module):
+    arrays = {name: v for name, v in vars(module).items() if isinstance(v, np.ndarray)}
+    if module is gates:
+        arrays.update({f"NAMED_GATES[{k!r}]": v for k, v in gates.NAMED_GATES.items()})
+    assert arrays
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
