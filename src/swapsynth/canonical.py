@@ -45,6 +45,7 @@ from .linalg import (
     PSI_MINUS,
     PSI_PLUS,
     _frozen,
+    _kron,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     project_su,
@@ -58,6 +59,15 @@ MAGIC = _frozen(np.column_stack(
 ))
 
 _SIGMA = (PAULI_X, PAULI_Y, PAULI_Z)
+
+# Conjugators of the chamber moves, indexed by Pauli axis k (see
+# _ReductionState): sigma_k (x) sigma_k for shift, c_k (x) c_k with
+# c_k = (I - i sigma_k) / sqrt 2 for swap, and sigma_k (x) I for flip_pair.
+_SHIFT_CONJ = tuple(_frozen(_kron(s, s)) for s in _SIGMA)
+_SWAP_CONJ = tuple(
+    _frozen(_kron(c, c)) for c in ((ID2 - 1j * s) / np.sqrt(2.0) for s in _SIGMA)
+)
+_FLIP_CONJ = tuple(_frozen(_kron(s, ID2)) for s in _SIGMA)
 
 _WALL_TOL = 1e-10
 _CHAMBER_TOL = 1e-9
@@ -165,14 +175,14 @@ def split_local_product(l):
     p, q = np.unravel_index(np.argmax(norms), (2, 2))
     b_raw = blocks[p, :, q, :] * (np.sqrt(2.0) / norms[p, q])
     a_raw = np.einsum("ab,iajb->ij", b_raw.conj(), blocks) / 2.0
-    residual = np.max(np.abs(np.kron(a_raw, b_raw) - l))
+    residual = np.abs(_kron(a_raw, b_raw) - l).max()
     if residual > 1e-8:
         raise NumericalError(
             f"not a single-qubit tensor product: residual {residual:.3e} exceeds 1e-8"
         )
     a = a_raw / np.sqrt(np.linalg.det(a_raw))
     b = b_raw / np.sqrt(np.linalg.det(b_raw))
-    psi = float(np.angle(np.trace(np.kron(a, b).conj().T @ l)))
+    psi = float(np.angle(np.trace(_kron(a, b).conj().T @ l)))
     return a, b, psi
 
 
@@ -197,25 +207,21 @@ class _ReductionState:
         self.h[k] -= n * np.pi / 2.0
         z = (1.0, -1j, -1.0, 1j)[n % 4]
         if n % 2:
-            g = np.kron(_SIGMA[k], _SIGMA[k])
-            self.l1 = g @ self.l1
+            self.l1 = _SHIFT_CONJ[k] @ self.l1
         self.phi += np.angle(z)
 
     def swap(self, j, k):
         """Exchange h[j] and h[k] via same-axis rotations on both qubits."""
         if j == k:
             return
-        axis = 3 - j - k
-        c = (ID2 - 1j * _SIGMA[axis]) / np.sqrt(2.0)
-        g = np.kron(c, c)
+        g = _SWAP_CONJ[3 - j - k]
         self.h[[j, k]] = self.h[[k, j]]
         self.l2 = self.l2 @ g.conj().T
         self.l1 = g @ self.l1
 
     def flip_pair(self, j, k):
         """Negate h[j] and h[k] via a single-qubit Pauli on qubit 1."""
-        axis = 3 - j - k
-        g = np.kron(_SIGMA[axis], ID2)
+        g = _FLIP_CONJ[3 - j - k]
         self.h[j] = -self.h[j]
         self.h[k] = -self.h[k]
         self.l2 = self.l2 @ g
@@ -261,7 +267,7 @@ def kak_decompose(u):
 
     lam = -np.angle(d) / 2.0
     o2 = (vm @ q) * np.exp(1j * lam)[np.newaxis, :]
-    imag_dev = np.max(np.abs(o2.imag))
+    imag_dev = np.abs(o2.imag).max()
     if imag_dev > 1e-8:
         raise NumericalError(
             f"second orthogonal factor has imaginary residue {imag_dev:.3e}"
@@ -304,4 +310,4 @@ def reconstruct(dec):
     f1, f2 = dec.front
     b1, b2 = dec.back
     core = exp_minus_iH(dec.params)
-    return np.exp(1j * dec.global_phase) * (np.kron(b1, b2) @ core @ np.kron(f1, f2))
+    return np.exp(1j * dec.global_phase) * (_kron(b1, b2) @ core @ _kron(f1, f2))

@@ -258,6 +258,10 @@ def cmd_analyze_appendix_a(ns):
 
 
 def cmd_cost(ns):
+    if ns.compare and ns.circuit:
+        raise ContractViolation("--compare synthesizes the target itself; pass no circuit file with it")
+    if not ns.compare and (ns.gate or ns.matrix):
+        raise ContractViolation("--gate and --matrix name a target for --compare; pass --compare too")
     profile = _resolve_profile(ns.profile)
     if ns.compare:
         u, label = _resolve_target(ns)
@@ -298,6 +302,8 @@ def cmd_cost(ns):
 def cmd_random(ns):
     if ns.count < 0:
         raise ContractViolation("--count must be nonnegative")
+    if ns.seed < 0:
+        raise ContractViolation("--seed must be nonnegative")
     out_dir = ns.out_dir or "."
     try:
         os.makedirs(out_dir, exist_ok=True)

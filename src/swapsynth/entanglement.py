@@ -20,6 +20,8 @@ from .gates import SWAP, swap_pow
 from .linalg import (
     ContractViolation,
     _frozen,
+    _kron,
+    _rng,
     assert_unitary,
 )
 
@@ -66,7 +68,7 @@ def linear_entropy(state):
 
 
 def _trace_term(v):
-    vv = np.kron(v, v)
+    vv = _kron(v, v)
     return np.trace(vv.conj().T @ T13 @ vv @ T13).real
 
 
@@ -142,7 +144,7 @@ def ep_monte_carlo(u, samples, seed):
     samples = int(samples)
     if samples < 1:
         raise ContractViolation(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z1 = _haar_qubit_states(rng, samples)
     z2 = _haar_qubit_states(rng, samples)
     prod = np.einsum("na,nb->nab", z1, z2).reshape(samples, 4)
@@ -166,5 +168,5 @@ def local_invariance_check(u, a, b):
     if a.shape[0] != 2 or b.shape[0] != 2:
         raise ContractViolation("a and b must be 2x2 unitaries")
     u = assert_unitary(u, name="u")
-    dressed = np.kron(a, b) @ u
+    dressed = _kron(a, b) @ u
     return float(abs(ep_exact(dressed) - ep_exact(u)))

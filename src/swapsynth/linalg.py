@@ -51,6 +51,29 @@ PSI_MINUS = _frozen(np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0))
 BELL_BASIS = _frozen(np.column_stack([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS]))
 
 
+def _kron(a, b):
+    """Kronecker product of two matrices, bit for bit equal to numpy's ``kron``.
+
+    It forms the same products by one broadcast multiply, without the shape
+    bookkeeping that makes numpy's ``kron`` cost several times more on 2x2
+    and 4x4 factors.  It stays private: the benchmark tracer
+    (``perfbench/tracer.py``) wraps every public function of the package, and
+    the per-layer rows that ``BENCHMARK.json`` declares are a fixed set.
+    """
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
+def _rng(seed):
+    """``np.random.default_rng(seed)``, raising ContractViolation on a seed it
+    rejects, such as a negative integer."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"bad seed {seed!r}: {exc}") from None
+
+
 def _as_square(a, name="matrix"):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -61,7 +84,9 @@ def _as_square(a, name="matrix"):
 def assert_unitary(u, atol=ATOL_UNITARY, name="matrix"):
     """Raise ContractViolation unless u @ u.conj().T == I within atol."""
     u = _as_square(u, name)
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    n = u.shape[0]
+    eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
+    dev = np.abs(u @ u.conj().T - eye).max()
     # Written so that a NaN deviation fails the check too.
     if not dev <= atol:
         raise ContractViolation(
@@ -94,7 +119,7 @@ def haar_random_unitary(dim, seed):
     """
     if dim not in (2, 4):
         raise ContractViolation(f"unsupported dimension {dim}, expected 2 or 4")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     diag = np.diagonal(r)
@@ -138,7 +163,7 @@ def diagonalize_complex_symmetric_unitary(m):
     m = _as_square(m, "m")
     if m.shape[0] != 4:
         raise ContractViolation(f"expected a 4x4 matrix, got {m.shape}")
-    sym_dev = np.max(np.abs(m - m.T))
+    sym_dev = np.abs(m - m.T).max()
     if sym_dev > ATOL_UNITARY:
         raise ContractViolation(
             f"matrix is not symmetric: max deviation {sym_dev:.3e}"
@@ -148,16 +173,16 @@ def diagonalize_complex_symmetric_unitary(m):
     for r in _MIX_WEIGHTS:
         _, q = np.linalg.eigh(m.real + r * m.imag)
         d = np.diagonal(q.T @ m @ q)
-        unimodular_dev = np.max(np.abs(np.abs(d) - 1.0))
+        unimodular_dev = np.abs(np.abs(d) - 1.0).max()
         d = d / np.abs(d)
-        recon_dev = np.max(np.abs((q * d) @ q.T - m))
+        recon_dev = np.abs((q * d) @ q.T - m).max()
         if recon_dev <= 1e-9:
             break
     else:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
     if unimodular_dev > 1e-8:
         raise NumericalError("joint diagonalization produced non-unimodular values")
-    ortho_dev = np.max(np.abs(q.T @ q - np.eye(4)))
+    ortho_dev = np.abs(q.T @ q - ID4).max()
     if ortho_dev > 1e-10:
         raise NumericalError(f"eigenvector matrix lost orthogonality: {ortho_dev:.3e}")
 

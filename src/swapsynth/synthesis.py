@@ -39,6 +39,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     _frozen,
+    _kron,
     assert_unitary,
 )
 
@@ -71,8 +72,8 @@ class LocalOp(GateOp):
 
     def unitary(self):
         if self.qubit == 1:
-            return np.kron(self.matrix, ID2)
-        return np.kron(ID2, self.matrix)
+            return _kron(self.matrix, ID2)
+        return _kron(ID2, self.matrix)
 
     def to_dict(self):
         return {
@@ -89,7 +90,7 @@ class LocalOp(GateOp):
 
     def identity_phase(self, tol):
         theta = np.angle(np.trace(self.matrix) / 2.0)
-        if np.max(np.abs(self.matrix - np.exp(1j * theta) * ID2)) <= tol:
+        if np.abs(self.matrix - np.exp(1j * theta) * ID2).max() <= tol:
             return theta
         return None
 
@@ -203,7 +204,7 @@ class Circuit:
 # entangling skeleton around which the CNOT backend applies Bell phases.
 _PLUS = _frozen(np.array([1, 1], dtype=complex) / np.sqrt(2.0))
 _MINUS = _frozen(np.array([1, -1], dtype=complex) / np.sqrt(2.0))
-_PM = _frozen(np.kron(_PLUS, _MINUS))
+_PM = _frozen(np.outer(_PLUS, _MINUS).ravel())
 BELL_EXCHANGE = _frozen(ID4 - 2.0 * np.outer(_PM, _PM.conj()))
 
 

@@ -9,6 +9,7 @@ the coordinates without trusting the decomposition internals.
 import numpy as np
 import pytest
 
+from swapsynth import canonical
 from swapsynth.canonical import (
     MAGIC,
     CanonicalParams,
@@ -23,8 +24,12 @@ from swapsynth.canonical import (
 from swapsynth.gates import CNOT, CZ, SWAP, swap_pow
 from swapsynth.linalg import (
     ContractViolation,
+    ID2,
     ID4,
     NumericalError,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -228,3 +233,11 @@ def test_split_local_product_round_trip():
 def test_split_local_product_rejects_entangler():
     with pytest.raises(NumericalError):
         split_local_product(CNOT)
+
+
+def test_chamber_move_conjugators_match_their_factors():
+    for k, sigma in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+        c = (ID2 - 1j * sigma) / np.sqrt(2.0)
+        assert np.array_equal(canonical._SHIFT_CONJ[k], np.kron(sigma, sigma))
+        assert np.array_equal(canonical._SWAP_CONJ[k], np.kron(c, c))
+        assert np.array_equal(canonical._FLIP_CONJ[k], np.kron(sigma, ID2))

@@ -114,6 +114,27 @@ def test_random_matrix_round_trip(tmp_path, capsys):
     assert rep["phase_distance"] < 1e-9
 
 
+def test_random_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "random"
+    for count in ("0", "1"):
+        code, text, err = run(capsys, "random", "--seed", "-1", "--count", count, "--out", str(out))
+        assert code == 2
+        assert text == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_analyze_ep_matrix_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "ep.json"
+    code, text, err = run(
+        capsys,
+        "analyze", "ep-matrix", "--gate", "cnot", "--samples", "10", "--seed", "-3",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert text == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_ep_matrix(capsys):
     code, text, _ = run(capsys, "analyze", "ep-matrix", "--gate", "cnot", "--json")
     assert code == 0
@@ -202,9 +223,19 @@ def test_cost_custom_profile(tmp_path, capsys):
     assert rep["total_time_s"] == pytest.approx(4 * 5.0e-8 + 1.0e-10, rel=1e-6)
 
 
-def test_cost_needs_circuit_or_compare(capsys):
+def test_cost_needs_circuit_or_compare(tmp_path, capsys):
     code, _, err = run(capsys, "cost", "--profile", "gaas")
     assert code == 2
+    circuit = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(circuit))
+    # A target without --compare, or a circuit file with it, would be silently ignored.
+    for argv in (
+        ("cost", str(circuit), "--gate", "swap"),
+        ("cost", str(circuit), "--compare", "--gate", "swap"),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert code == 2
+        assert text == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_corrupt_matrix_file(tmp_path, capsys):

@@ -142,6 +142,11 @@ def test_monte_carlo_validates_samples():
         ep_monte_carlo(CNOT, samples=0, seed=0)
 
 
+def test_monte_carlo_rejects_negative_seed():
+    with pytest.raises(ContractViolation):
+        ep_monte_carlo(CNOT, samples=10, seed=-3)
+
+
 def test_local_invariance():
     u = haar_random_unitary(4, seed=3)
     for s in range(10):

@@ -13,6 +13,7 @@ from swapsynth.linalg import (
     PAULI_Z,
     PHI_PLUS,
     PSI_MINUS,
+    _kron,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     haar_random_unitary,
@@ -96,6 +97,28 @@ def test_haar_first_moment():
 def test_haar_rejects_other_dims():
     with pytest.raises(ContractViolation):
         haar_random_unitary(3, seed=0)
+
+
+def test_haar_rejects_negative_seed():
+    for seed in (-1, -3):
+        with pytest.raises(ContractViolation):
+            haar_random_unitary(4, seed=seed)
+
+
+def test_private_kron_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+
+    def draw(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    pairs = [(draw(2), draw(2)), (draw(4), draw(4)), (draw(2), draw(4)), (draw(4), draw(2))]
+    constants = (ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, BELL_BASIS)
+    pairs += [(a, b) for a in constants for b in constants]
+    for a, b in pairs:
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_project_su_examples():

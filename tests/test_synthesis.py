@@ -299,7 +299,12 @@ def test_shared_constants_are_read_only():
 
 @pytest.mark.parametrize("module", [linalg, gates, canonical, synthesis, entanglement])
 def test_module_level_arrays_are_read_only(module):
-    arrays = {name: v for name, v in vars(module).items() if isinstance(v, np.ndarray)}
+    arrays = {}
+    for name, v in vars(module).items():
+        if isinstance(v, np.ndarray):
+            arrays[name] = v
+        elif isinstance(v, tuple):
+            arrays.update({f"{name}[{i}]": a for i, a in enumerate(v) if isinstance(a, np.ndarray)})
     if module is gates:
         arrays.update({f"NAMED_GATES[{k!r}]": v for k, v in gates.NAMED_GATES.items()})
     assert arrays
