@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     ContractViolation,
     ID2,
+    ID4,
     NumericalError,
     PAULI_X,
     PAULI_Y,
@@ -144,18 +145,18 @@ def exp_minus_iH(params):
     return u
 
 
-def in_weyl_chamber(params, tol=_CHAMBER_TOL):
+def in_weyl_chamber(params):
     """True when (hx, hy, hz) lies in the canonical chamber.
 
     0 <= |hz| <= hy <= hx <= pi/4, with hz >= 0 required on the hx = pi/4
     wall (where the two hz signs describe the same equivalence class).
     """
     hx, hy, hz = (float(v) for v in params)
-    if hx > np.pi / 4.0 + tol or hy > hx + tol or abs(hz) > hy + tol:
+    if hx > np.pi / 4.0 + _CHAMBER_TOL or hy > hx + _CHAMBER_TOL:
         return False
-    if hy < -tol:
+    if abs(hz) > hy + _CHAMBER_TOL or hy < -_CHAMBER_TOL:
         return False
-    if hx >= np.pi / 4.0 - _WALL_TOL and hz < -max(tol, 1e-13):
+    if hx >= np.pi / 4.0 - _WALL_TOL and hz < -_CHAMBER_TOL:
         return False
     return True
 
@@ -167,9 +168,7 @@ def split_local_product(l):
     Raises NumericalError if l is further than 1e-8 from any tensor
     product of single-qubit factors.
     """
-    l = assert_unitary(l, name="local product")
-    if l.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 matrix, got {l.shape}")
+    l = assert_unitary(l, name="local product", dim=4)
     blocks = l.reshape(2, 2, 2, 2)
     norms = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(1, 3)))
     p, q = np.unravel_index(np.argmax(norms), (2, 2))
@@ -248,14 +247,18 @@ class _ReductionState:
 def kak_decompose(u):
     """Canonical decomposition of a two-qubit unitary.
 
-    Returns a :class:`CanonicalDecomposition` whose coordinates lie in the
-    canonical chamber and whose :func:`reconstruct` reproduces u to around
-    1e-12.  Works for every unitary including purely local ones, maximally
-    entangling ones, and cores with degenerate coordinates.
+    u must pass :func:`assert_unitary` as a 4x4 matrix.  It is decomposed
+    as its nearest unitary, one Newton-Schulz step u (3I - u^dag u) / 2 away,
+    so the :func:`reconstruct` of the returned :class:`CanonicalDecomposition`
+    reproduces u to about its admitted deviation, and a unitary u to around
+    1e-12.  The coordinates lie in the canonical chamber.  Works for every
+    unitary including purely local ones, maximally entangling ones, and
+    cores with degenerate coordinates.
     """
-    u = assert_unitary(u, name="u")
-    if u.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 unitary, got {u.shape}")
+    u = assert_unitary(u, name="u", dim=4)
+    # Without the projection, m = vm^T vm below doubles u's deviation, past
+    # the bound at which diagonalize_complex_symmetric_unitary admits m.
+    u = u @ (3.0 * ID4 - u.conj().T @ u) / 2.0
 
     v, phi = project_su(u)
     vm = MAGIC.conj().T @ v @ MAGIC

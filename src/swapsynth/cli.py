@@ -82,14 +82,9 @@ def _load_json(path):
 def _resolve_target(ns):
     """Target unitary from --gate or --matrix."""
     if ns.gate:
-        u = named_gate(ns.gate)
-        if u.shape != (4, 4):
-            raise ContractViolation(f"gate {ns.gate!r} is not a two-qubit gate")
-        return u, ns.gate
+        return assert_unitary(named_gate(ns.gate), name=f"gate {ns.gate!r}", dim=4), ns.gate
     if ns.matrix:
         u = _matrix_from_doc(_load_json(ns.matrix), name=ns.matrix)
-        if u.shape != (4, 4):
-            raise ContractViolation(f"{ns.matrix}: target must be 4x4")
         return assert_unitary(u, name="target"), ns.matrix
     raise ContractViolation("a target is required: pass --gate NAME or --matrix FILE")
 
@@ -215,6 +210,8 @@ def cmd_analyze_ep_curve(ns):
 
 
 def cmd_analyze_ep_matrix(ns):
+    if ns.seed is not None and not ns.samples:
+        raise ContractViolation("--seed seeds the Monte Carlo estimate; pass --samples too")
     u, label = _resolve_target(ns)
     value = ep_exact(u)
     report = {"target": label, "entangling_power": float(value)}
@@ -223,7 +220,7 @@ def cmd_analyze_ep_matrix(ns):
         f"entangling power: {value:.12f}",
     ]
     if ns.samples:
-        est = ep_monte_carlo(u, samples=ns.samples, seed=ns.seed)
+        est = ep_monte_carlo(u, samples=ns.samples, seed=ns.seed or 0)
         report["monte_carlo"] = {
             "mean": float(est.mean),
             "std_error": float(est.std_error),
@@ -380,7 +377,7 @@ def build_parser():
         "ep-matrix", parents=[report, target], help="entangling power of an arbitrary gate"
     )
     p.add_argument("--samples", type=int, default=0, help="add a Monte Carlo estimate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the Monte Carlo estimate (default 0)")
     p.set_defaults(func=cmd_analyze_ep_matrix)
 
     p = asub.add_parser(

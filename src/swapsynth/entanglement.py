@@ -78,9 +78,7 @@ def ep_exact(u):
     E_p(u) = 5/9 - (1/36) [ t(u) + t(SWAP u) ] where
     t(v) = tr( (v(x)v)^dag T13 (v(x)v) T13 ).
     """
-    u = assert_unitary(u, name="u")
-    if u.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 unitary, got {u.shape}")
+    u = assert_unitary(u, name="u", dim=4)
     return float(5.0 / 9.0 - (_trace_term(u) + _trace_term(SWAP @ u)) / 36.0)
 
 
@@ -138,9 +136,7 @@ def ep_monte_carlo(u, samples, seed):
     drawn first, then qubit-2 states, from one seeded generator.  Returns
     mean, standard error (sample std / sqrt(n)), and the inputs.
     """
-    u = assert_unitary(u, name="u")
-    if u.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 unitary, got {u.shape}")
+    u = assert_unitary(u, name="u", dim=4)
     samples = int(samples)
     if samples < 1:
         raise ContractViolation(f"samples must be >= 1, got {samples}")
@@ -163,10 +159,8 @@ def ep_monte_carlo(u, samples, seed):
 
 def local_invariance_check(u, a, b):
     """|E_p((a (x) b) u) - E_p(u)|: zero because E_p ignores output locals."""
-    a = assert_unitary(a, name="a")
-    b = assert_unitary(b, name="b")
-    if a.shape[0] != 2 or b.shape[0] != 2:
-        raise ContractViolation("a and b must be 2x2 unitaries")
-    u = assert_unitary(u, name="u")
+    a = assert_unitary(a, name="a", dim=2)
+    b = assert_unitary(b, name="b", dim=2)
+    u = assert_unitary(u, name="u", dim=4)
     dressed = _kron(a, b) @ u
     return float(abs(ep_exact(dressed) - ep_exact(u)))

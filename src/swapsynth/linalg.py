@@ -74,23 +74,25 @@ def _rng(seed):
         raise ContractViolation(f"bad seed {seed!r}: {exc}") from None
 
 
-def _as_square(a, name="matrix"):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation(f"{name} must be square, got shape {a.shape}")
-    return a
+def assert_unitary(u, name="matrix", dim=None):
+    """Admit u as a unitary argument, or raise ContractViolation naming it.
 
-
-def assert_unitary(u, atol=ATOL_UNITARY, name="matrix"):
-    """Raise ContractViolation unless u @ u.conj().T == I within atol."""
-    u = _as_square(u, name)
+    u is admitted when it is a 2-D square array, ``dim x dim`` when dim is
+    given, and every entry of u @ u.conj().T is within ATOL_UNITARY of the
+    identity.  Returns u as a complex array.  This is the one admission rule
+    for every function that takes a unitary argument.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]):
+        size = "square" if dim is None else f"{dim}x{dim}"
+        raise ContractViolation(f"{name} must be a {size} matrix, got shape {u.shape}")
     n = u.shape[0]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
     dev = np.abs(u @ u.conj().T - eye).max()
     # Written so that a NaN deviation fails the check too.
-    if not dev <= atol:
+    if not dev <= ATOL_UNITARY:
         raise ContractViolation(
-            f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:.1e}"
+            f"{name} is not unitary: max deviation {dev:.3e} exceeds {ATOL_UNITARY:.1e}"
         )
     return u
 
@@ -103,9 +105,7 @@ def phase_distance(u, v):
     up to numerical slack.
     """
     u = assert_unitary(u, name="u")
-    v = assert_unitary(v, name="v")
-    if u.shape != v.shape:
-        raise ContractViolation(f"shape mismatch {u.shape} vs {v.shape}")
+    v = assert_unitary(v, name="v", dim=u.shape[0])
     d = 1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0]
     return max(d, 0.0)
 
@@ -160,15 +160,12 @@ def diagonalize_complex_symmetric_unitary(m):
     sorted by the phase of d in (-pi, pi], and each eigenvector's first
     component above 1e-8 is made positive.
     """
-    m = _as_square(m, "m")
-    if m.shape[0] != 4:
-        raise ContractViolation(f"expected a 4x4 matrix, got {m.shape}")
+    m = assert_unitary(m, name="m", dim=4)
     sym_dev = np.abs(m - m.T).max()
     if sym_dev > ATOL_UNITARY:
         raise ContractViolation(
             f"matrix is not symmetric: max deviation {sym_dev:.3e}"
         )
-    assert_unitary(m, name="m")
 
     for r in _MIX_WEIGHTS:
         _, q = np.linalg.eigh(m.real + r * m.imag)

@@ -156,9 +156,7 @@ class CnotOp(GateOp):
 def local_op(qubit, matrix, label=""):
     if qubit not in (1, 2):
         raise ContractViolation(f"qubit must be 1 or 2, got {qubit}")
-    matrix = assert_unitary(matrix, name="local matrix")
-    if matrix.shape[0] != 2:
-        raise ContractViolation(f"local matrix must be 2x2, got {matrix.shape}")
+    matrix = assert_unitary(matrix, name="local matrix", dim=2)
     return LocalOp(qubit=qubit, matrix=matrix, label=label)
 
 

@@ -1,0 +1,107 @@
+"""What every function that takes a unitary admits, and what it then does.
+
+``linalg.assert_unitary`` is the one admission rule: a square matrix, of the
+size the function needs, unitary within ``ATOL_UNITARY``.  A wrong-size
+argument is refused with a ContractViolation that names it.  An admitted
+target as far from unitary as the bound allows still compiles, on both
+backends and through the CLI, to a residual below 1e-9 against the matrix
+as given.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from swapsynth.canonical import kak_decompose, split_local_product
+from swapsynth.cli import main
+from swapsynth.entanglement import ep_exact, ep_monte_carlo, local_invariance_check
+from swapsynth.linalg import (
+    ATOL_UNITARY,
+    ContractViolation,
+    HADAMARD,
+    ID2,
+    ID4,
+    assert_unitary,
+    diagonalize_complex_symmetric_unitary,
+    haar_random_unitary,
+    phase_distance,
+)
+from swapsynth.synthesis import (
+    _matrix_to_json,
+    evaluate_circuit,
+    local_op,
+    synthesize_cnot,
+    synthesize_swap,
+)
+
+# Unitary where square, so that the size is the only fault.
+SHAPES = {
+    "2x2": HADAMARD,
+    "3x3": np.eye(3, dtype=complex)[[1, 2, 0]],
+    "4x4": ID4,
+    "8x8": np.eye(8, dtype=complex),
+    "2x3": np.eye(3, dtype=complex)[:2],
+    "1-D": np.ones(4, dtype=complex) / 2.0,
+}
+
+# (call, name of the argument in the error, its size; None for any square size)
+ADMITTING = {
+    "kak_decompose": (kak_decompose, "u", 4),
+    "split_local_product": (split_local_product, "local product", 4),
+    "diagonalize_complex_symmetric_unitary": (diagonalize_complex_symmetric_unitary, "m", 4),
+    "ep_exact": (ep_exact, "u", 4),
+    "ep_monte_carlo": (lambda x: ep_monte_carlo(x, samples=10, seed=0), "u", 4),
+    "local_invariance_check(u)": (lambda x: local_invariance_check(x, ID2, ID2), "u", 4),
+    "local_invariance_check(a)": (lambda x: local_invariance_check(ID4, x, ID2), "a", 2),
+    "local_invariance_check(b)": (lambda x: local_invariance_check(ID4, ID2, x), "b", 2),
+    "local_op": (lambda x: local_op(1, x), "local matrix", 2),
+    "phase_distance(u)": (lambda x: phase_distance(x, ID4), "u", None),
+    "phase_distance(v)": (lambda x: phase_distance(ID4, x), "v", 4),
+}
+
+WRONG_SIZE = [
+    (func, shape)
+    for func, (_, _, dim) in ADMITTING.items()
+    for shape, x in SHAPES.items()
+    if not (x.ndim == 2 and x.shape[0] == x.shape[1] and dim in (None, x.shape[0]))
+]
+
+
+@pytest.mark.parametrize("func,shape", WRONG_SIZE, ids=[f"{f}-{s}" for f, s in WRONG_SIZE])
+def test_wrong_size_argument_is_refused_by_name(func, shape):
+    call, name, _ = ADMITTING[func]
+    with pytest.raises(ContractViolation) as exc:
+        call(SHAPES[shape])
+    assert str(exc.value).startswith(f"{name} must be a ")
+
+
+def near_bound_target(seed, kind, dev):
+    """A Haar target pushed off unitary to a deviation of about dev."""
+    u = haar_random_unitary(4, seed=seed)
+    if kind == "scaled":
+        return u * np.sqrt(1.0 + dev)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = z + z.conj().T
+    # (I + e h)(I + e h)^dag = I + 2 e h + O(e^2).
+    return (ID4 + (dev / (2.0 * np.abs(h).max())) * h) @ u
+
+
+def test_near_bound_targets_compile_on_both_backends():
+    rng = np.random.default_rng(2004)
+    for seed in range(500, 512):
+        for kind in ("scaled", "hermitian"):
+            u = near_bound_target(seed, kind, rng.uniform(0.5, 1.0) * ATOL_UNITARY)
+            assert 0.5 * ATOL_UNITARY <= np.abs(u @ u.conj().T - ID4).max() <= ATOL_UNITARY
+            assert_unitary(u)
+            for synthesize in (synthesize_swap, synthesize_cnot):
+                assert phase_distance(evaluate_circuit(synthesize(u)), u) < 1e-9
+
+
+def test_near_bound_target_file_compiles_through_the_cli(tmp_path, capsys):
+    u = near_bound_target(7, "scaled", 0.99 * ATOL_UNITARY)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 4, "rows": _matrix_to_json(u)}))
+    for argv in (["synth", "--matrix", str(path)], ["cost", "--compare", "--matrix", str(path)]):
+        assert main(argv) == 0, capsys.readouterr().err

@@ -53,6 +53,7 @@ def test_synth_requires_target(capsys):
 def test_synth_rejects_single_qubit_gate(capsys):
     code, _, err = run(capsys, "synth", "--gate", "hadamard")
     assert code == 2
+    assert err.startswith("error: gate 'hadamard' must be a 4x4 matrix")
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -108,3 +108,21 @@ def test_option_a_command_does_not_read_is_refused(argv, option, capsys):
         cli.main([*argv, option])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Options whose value only a mode the invocation did not select would read.
+INERT = [
+    ("analyze", "ep-matrix", "--gate", "cnot", "--seed", "5"),
+    ("analyze", "ep-matrix", "--gate", "cnot", "--seed", "0"),
+    ("analyze", "ep-matrix", "--gate", "cnot", "--samples", "0", "--seed", "5"),
+    ("cost", "c.json", "--gate", "swap"),
+    ("cost", "c.json", "--compare", "--gate", "swap"),
+]
+
+
+@pytest.mark.parametrize("argv", INERT, ids=" ".join)
+def test_inert_option_is_refused(argv, capsys):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
