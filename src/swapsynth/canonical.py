@@ -45,6 +45,7 @@ from .linalg import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
+    _check_unitary,
     _frozen,
     _kron,
     assert_unitary,
@@ -149,16 +150,18 @@ def in_weyl_chamber(params):
     """True when (hx, hy, hz) lies in the canonical chamber.
 
     0 <= |hz| <= hy <= hx <= pi/4, with hz >= 0 required on the hx = pi/4
-    wall (where the two hz signs describe the same equivalence class).
+    wall (where the two hz signs describe the same equivalence class).  A NaN
+    coordinate is outside.
     """
     hx, hy, hz = (float(v) for v in params)
-    if hx > np.pi / 4.0 + _CHAMBER_TOL or hy > hx + _CHAMBER_TOL:
-        return False
-    if abs(hz) > hy + _CHAMBER_TOL or hy < -_CHAMBER_TOL:
-        return False
-    if hx >= np.pi / 4.0 - _WALL_TOL and hz < -_CHAMBER_TOL:
-        return False
-    return True
+    # Each bound is tested as holding, so that a NaN fails it.
+    inside = (
+        hx <= np.pi / 4.0 + _CHAMBER_TOL
+        and hy <= hx + _CHAMBER_TOL
+        and abs(hz) <= hy + _CHAMBER_TOL
+        and hy >= -_CHAMBER_TOL
+    )
+    return inside and not (hx >= np.pi / 4.0 - _WALL_TOL and hz < -_CHAMBER_TOL)
 
 
 def split_local_product(l):
@@ -169,19 +172,37 @@ def split_local_product(l):
     product of single-qubit factors.
     """
     l = assert_unitary(l, name="local product", dim=4)
-    blocks = l.reshape(2, 2, 2, 2)
-    norms = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(1, 3)))
-    p, q = np.unravel_index(np.argmax(norms), (2, 2))
-    b_raw = blocks[p, :, q, :] * (np.sqrt(2.0) / norms[p, q])
-    a_raw = np.einsum("ab,iajb->ij", b_raw.conj(), blocks) / 2.0
-    residual = np.abs(_kron(a_raw, b_raw) - l).max()
+    a, b, psi = _split_local_products(l[np.newaxis])
+    return a[0], b[0], float(psi[0])
+
+
+def _split_local_products(ls):
+    """:func:`split_local_product` of each member of a (k, 4, 4) stack at once.
+
+    Returns stacks a, b of shape (k, 2, 2) and the k phases psi, each member
+    bit for bit equal to a split on its own.  The stack is admitted under
+    the rule of assert_unitary, by name "local product".  Private, like
+    ``_kron``: kak_decompose splits both of its local products in one call.
+    """
+    ls = _check_unitary(ls, "local product")
+    k = ls.shape[0]
+    members = np.arange(k)
+    blocks = ls.reshape(k, 2, 2, 2, 2)
+    # The largest 2x2 block (p, q) of each member is a multiple of its b.
+    norms = np.sqrt((np.abs(blocks) ** 2).sum(axis=(2, 4))).reshape(k, 4)
+    pq = norms.argmax(axis=1)
+    p, q = np.divmod(pq, 2)
+    b_raw = blocks[members, p, :, q, :] * (np.sqrt(2.0) / norms[members, pq])[:, None, None]
+    a_raw = np.einsum("kab,kiajb->kij", b_raw.conj(), blocks) / 2.0
+    residual = np.abs(_kron(a_raw, b_raw) - ls).max()
     if residual > 1e-8:
         raise NumericalError(
             f"not a single-qubit tensor product: residual {residual:.3e} exceeds 1e-8"
         )
-    a = a_raw / np.sqrt(np.linalg.det(a_raw))
-    b = b_raw / np.sqrt(np.linalg.det(b_raw))
-    psi = float(np.angle(np.trace(_kron(a, b).conj().T @ l)))
+    factors = np.array([a_raw, b_raw])
+    a, b = factors / np.sqrt(np.linalg.det(factors))[..., None, None]
+    overlap = _kron(a, b).conj().swapaxes(-1, -2) @ ls
+    psi = np.angle(overlap.trace(axis1=1, axis2=2))
     return a, b, psi
 
 
@@ -298,8 +319,7 @@ def kak_decompose(u):
         raise NumericalError(f"reduction left the chamber: {params}")
 
     try:
-        b1, b2, psi2 = split_local_product(state.l2)
-        f1, f2, psi1 = split_local_product(state.l1)
+        (b1, f1), (b2, f2), (psi2, psi1) = _split_local_products(np.array([state.l2, state.l1]))
     except ContractViolation as exc:
         raise NumericalError(f"kak_decompose, splitting the local factors: {exc}") from exc
     total = float(np.angle(np.exp(1j * (state.phi + psi1 + psi2))))

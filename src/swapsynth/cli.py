@@ -35,6 +35,7 @@ from .synthesis import (
     SwapPowOp,
     _cnot_circuit,
     _cnot_core_params,
+    _int_field,
     _matrix_from_json,
     _matrix_to_json,
     _swap_circuit,
@@ -57,16 +58,12 @@ def _format_time(seconds):
 
 
 def _matrix_from_doc(doc, name="matrix"):
-    if not isinstance(doc, dict):
-        raise ContractViolation(f"{name}: expected a JSON object")
-    try:
-        dim = int(doc["dim"])
-        rows = doc["rows"]
-    except (KeyError, TypeError, ValueError):
-        raise ContractViolation(f"{name}: expected keys 'dim' and 'rows'") from None
+    if not isinstance(doc, dict) or "dim" not in doc or "rows" not in doc:
+        raise ContractViolation(f"{name}: expected a JSON object with keys 'dim' and 'rows'")
+    dim = _int_field(doc, "dim")
     if dim != 4:
         raise ContractViolation(f"{name}: only dim 4 is supported, got {dim}")
-    return _matrix_from_json(rows, 4, name)
+    return _matrix_from_json(doc["rows"], 4, name)
 
 
 def _load_json(path):

@@ -56,12 +56,14 @@ def _kron(a, b):
 
     It forms the same products by one broadcast multiply, without the shape
     bookkeeping that makes numpy's ``kron`` cost several times more on 2x2
-    and 4x4 factors.  It stays private: the benchmark tracer
+    and 4x4 factors.  Given two (k, ., .) stacks, it takes the product of
+    each pair a[i], b[i].  It stays private: the benchmark tracer
     (``perfbench/tracer.py``) wraps every public function of the package, and
     the per-layer rows that ``BENCHMARK.json`` declares are a fixed set.
     """
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *a.shape[:-2], m * p, n * q
     )
 
 
@@ -77,18 +79,30 @@ def _rng(seed):
 def assert_unitary(u, name="matrix", dim=None):
     """Admit u as a unitary argument, or raise ContractViolation naming it.
 
-    u is admitted when it is a 2-D square array, ``dim x dim`` when dim is
-    given, and every entry of u @ u.conj().T is within ATOL_UNITARY of the
-    identity.  Returns u as a complex array.  This is the one admission rule
-    for every function that takes a unitary argument.
+    u is admitted when it is a non-empty 2-D square array, ``dim x dim`` when
+    dim is given, and every entry of u @ u.conj().T is within ATOL_UNITARY of
+    the identity.  Returns u as a complex array.  This is the one admission
+    rule for every function that takes a unitary argument.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]):
-        size = "square" if dim is None else f"{dim}x{dim}"
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]) or not u.size:
+        size = "non-empty square" if dim is None else f"{dim}x{dim}"
         raise ContractViolation(f"{name} must be a {size} matrix, got shape {u.shape}")
-    n = u.shape[0]
+    return _check_unitary(u, name)
+
+
+def _check_unitary(u, name):
+    """The unitarity half of :func:`assert_unitary`, for one square matrix or a
+    ``(k, n, n)`` stack of them checked at once.
+
+    Raises the ContractViolation of assert_unitary when any member is further
+    than ATOL_UNITARY from unitary; for a stack the message gives the largest
+    deviation among its members.  Private, like ``_kron``: it checks matrices
+    the library computed, several per target, in one call.
+    """
+    n = u.shape[-1]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
-    dev = np.abs(u @ u.conj().T - eye).max()
+    dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max()
     # Written so that a NaN deviation fails the check too.
     if not dev <= ATOL_UNITARY:
         raise ContractViolation(
@@ -186,9 +200,8 @@ def diagonalize_complex_symmetric_unitary(m):
     order = np.argsort(np.angle(d), kind="stable")
     d = d[order]
     q = q[:, order]
-    for j in range(4):
-        col = q[:, j]
-        lead = col[np.abs(col) > 1e-8]
-        if lead.size and lead[0] < 0:
-            q[:, j] = -col
+    # Each column of the orthogonal q has an entry above 1e-8, and argmax
+    # picks the first one.
+    lead = q[np.argmax(np.abs(q) > 1e-8, axis=0), np.arange(4)]
+    q *= np.where(lead < 0, -1.0, 1.0)
     return d, q

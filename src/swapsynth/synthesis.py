@@ -29,7 +29,7 @@ from .canonical import (
     lambdas,
     split_local_product,
 )
-from .gates import CNOT, CNOT_21, rz, swap_pow
+from .gates import CNOT, CNOT_21, swap_pow
 from .linalg import (
     ContractViolation,
     HADAMARD,
@@ -38,6 +38,7 @@ from .linalg import (
     NumericalError,
     PAULI_X,
     PAULI_Z,
+    _check_unitary,
     _frozen,
     _kron,
     assert_unitary,
@@ -177,7 +178,7 @@ def cnot_op(control=1):
 
 
 def _int_field(entry, key, default=None):
-    """A qubit index read from JSON: an int, so neither true nor 2.0 passes."""
+    """An integer field read from JSON: an int, so neither true nor 2.0 nor "2" passes."""
     value = entry.get(key, default)
     if type(value) is not int:
         raise ContractViolation(f"{key} must be an integer, got {value!r}")
@@ -273,21 +274,30 @@ def build_core_swap_circuit(p):
     return Circuit(ops=ops, declared_global_phase=phase)
 
 
+def _local_ops(matrices, slots):
+    """LocalOps for a (k, 2, 2) stack of computed single-qubit matrices.
+
+    slots gives each member's (qubit, label).  The stack is admitted in one
+    check under :func:`local_op`'s rule, so a failure raises the same
+    ContractViolation that local_op would.
+    """
+    matrices = _check_unitary(matrices, "local matrix")
+    return [LocalOp(q, m, label) for (q, label), m in zip(slots, matrices)]
+
+
 def _swap_circuit(dec):
     """The :func:`synthesize_swap` circuit for an already decomposed target."""
     f1, f2 = dec.front
     b1, b2 = dec.back
     try:
         (*core, z, x), phase = _core_swap(dec.params)
-        ops = [
-            local_op(1, f1, "u1"),
-            local_op(2, f2, "v1"),
-            *core,
-            local_op(1, b1 @ z.matrix, f"u4'·{z.label}"),
-            local_op(2, b2 @ x.matrix, f"v4'·{x.label}"),
-        ]
+        u1, v1, u4, v4 = _local_ops(
+            np.array([f1, f2, b1 @ z.matrix, b2 @ x.matrix]),
+            ((1, "u1"), (2, "v1"), (1, f"u4'·{z.label}"), (2, f"v4'·{x.label}")),
+        )
     except ContractViolation as exc:
         raise NumericalError(f"swap synthesis: {exc}") from exc
+    ops = [u1, v1, *core, u4, v4]
     return Circuit(ops=ops, declared_global_phase=float(dec.global_phase + phase))
 
 
@@ -327,6 +337,28 @@ def cnot_phase_params(phases):
     )
 
 
+# Qubit and label of the four phase-layer locals of the CNOT core.
+_CORE_CNOT_SLOTS = ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2"))
+
+
+def _core_cnot_locals(params):
+    """The CNOT core's phase-layer locals rz(z1) W, rz(x1), W rz(z2), rz(x2),
+    as one (4, 2, 2) stack that is not yet admitted."""
+    angles = np.array([float(v) for v in params])
+    m = np.zeros((4, 2, 2), dtype=complex)
+    m[:, 0, 0] = np.exp(-1j * angles)
+    m[:, 1, 1] = np.exp(1j * angles)
+    m[0] = m[0] @ HADAMARD
+    m[2] = HADAMARD @ m[2]
+    return m
+
+
+def _core_cnot_ops(phase_locals):
+    """The core's op list: its four phase-layer LocalOps between three CNOTs."""
+    w1, r1, w2, r2 = phase_locals
+    return [cnot_op(1), w1, r1, cnot_op(1), w2, r2, cnot_op(1)]
+
+
 def build_core_cnot_circuit(params):
     """Three CNOTs with two merged phase layers: the parametric core.
 
@@ -335,17 +367,8 @@ def build_core_cnot_circuit(params):
     :func:`cnot_phase_params`.  Equals exp_minus_iH(h) @ BELL_EXCHANGE for
     the matching coordinates h.
     """
-    z1, x1, z2, x2 = (float(v) for v in params)
-    ops = [
-        cnot_op(1),
-        local_op(1, rz(z1) @ HADAMARD, "rz1·W"),
-        local_op(2, rz(x1), "rz1"),
-        cnot_op(1),
-        local_op(1, HADAMARD @ rz(z2), "W·rz2"),
-        local_op(2, rz(x2), "rz2"),
-        cnot_op(1),
-    ]
-    return Circuit(ops=ops, declared_global_phase=0.0)
+    phase_locals = _local_ops(_core_cnot_locals(params), _CORE_CNOT_SLOTS)
+    return Circuit(ops=_core_cnot_ops(phase_locals), declared_global_phase=0.0)
 
 
 def shifted_bell_phases(lam):
@@ -388,13 +411,17 @@ def _cnot_circuit(dec):
     a2, b2 = dec.back
     try:
         params = _cnot_core_params(dec)
-        ops = [
-            local_op(1, _CORE_P.conj().T @ a1, "front-q1"),
-            local_op(2, _CORE_Q.conj().T @ b1, "front-q2"),
-            *build_core_cnot_circuit(params).ops,
-            local_op(1, a2, "back-q1"),
-            local_op(2, b2, "back-q2"),
-        ]
+        front_q1, front_q2, *core, back_q1, back_q2 = _local_ops(
+            np.array([
+                _CORE_P.conj().T @ a1,
+                _CORE_Q.conj().T @ b1,
+                *_core_cnot_locals(params),
+                a2,
+                b2,
+            ]),
+            ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1"), (2, "back-q2")),
+        )
+        ops = [front_q1, front_q2, *_core_cnot_ops(core), back_q1, back_q2]
     except ContractViolation as exc:
         raise NumericalError(f"cnot synthesis: {exc}") from exc
     return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))

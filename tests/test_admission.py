@@ -26,6 +26,7 @@ from swapsynth.linalg import (
     diagonalize_complex_symmetric_unitary,
     haar_random_unitary,
     phase_distance,
+    project_su,
 )
 from swapsynth.synthesis import (
     _matrix_to_json,
@@ -43,6 +44,7 @@ SHAPES = {
     "8x8": np.eye(8, dtype=complex),
     "2x3": np.eye(3, dtype=complex)[:2],
     "1-D": np.ones(4, dtype=complex) / 2.0,
+    "0x0": np.zeros((0, 0), dtype=complex),
 }
 
 # (call, name of the argument in the error, its size; None for any square size)
@@ -58,13 +60,15 @@ ADMITTING = {
     "local_op": (lambda x: local_op(1, x), "local matrix", 2),
     "phase_distance(u)": (lambda x: phase_distance(x, ID4), "u", None),
     "phase_distance(v)": (lambda x: phase_distance(ID4, x), "v", 4),
+    "assert_unitary": (assert_unitary, "matrix", None),
+    "project_su": (project_su, "u", None),
 }
 
 WRONG_SIZE = [
     (func, shape)
     for func, (_, _, dim) in ADMITTING.items()
     for shape, x in SHAPES.items()
-    if not (x.ndim == 2 and x.shape[0] == x.shape[1] and dim in (None, x.shape[0]))
+    if not (x.ndim == 2 and x.shape[0] == x.shape[1] and dim in (None, x.shape[0]) and x.size)
 ]
 
 

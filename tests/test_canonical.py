@@ -113,6 +113,18 @@ def test_in_weyl_chamber():
     assert not in_weyl_chamber(CanonicalParams(0.5, 0.3, 0.4))
     # hz < 0 is allowed inside but not on the hx = pi/4 wall
     assert not in_weyl_chamber(CanonicalParams(PI4, 0.3, -0.1))
+    # a non-finite coordinate is outside
+    nan, inf = float("nan"), float("inf")
+    for params in (
+        (nan, nan, nan),
+        (0.3, nan, 0.1),
+        (nan, 0.0, 0.0),
+        (0.5, 0.3, nan),
+        (PI4, 0.3, nan),
+        (-inf, -inf, 0.0),
+        (inf, 0.3, 0.1),
+    ):
+        assert not in_weyl_chamber(CanonicalParams(*params)), params
 
 
 def test_kak_identity():

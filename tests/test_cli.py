@@ -260,6 +260,13 @@ def test_corrupt_matrix_file(tmp_path, capsys):
     for command in (("synth",), ("analyze", "ep-matrix")):
         code, _, err = run(capsys, *command, "--matrix", str(nan))
         assert code == 2, command
+    identity = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for dim in (4.5, "4", 4.0, True, None):
+        odd = tmp_path / "dim.json"
+        odd.write_text(json.dumps({"dim": dim, "rows": identity}))
+        code, _, err = run(capsys, "synth", "--matrix", str(odd))
+        assert code == 2, dim
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_prune_flag(tmp_path, capsys):

@@ -9,6 +9,7 @@ the CLI exits 3.  Each test forces one such path with monkeypatch.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from swapsynth import canonical, cli, costmodel, synthesis
@@ -27,29 +28,44 @@ def cli_exit(capsys, *argv):
 
 
 def test_split_of_computed_local_product(monkeypatch, capsys):
-    original = canonical.split_local_product
-    monkeypatch.setattr(canonical, "split_local_product", lambda l: original(l * (1.0 + 1e-6)))
+    original = canonical._split_local_products
+    monkeypatch.setattr(canonical, "_split_local_products", lambda ls: original(ls * (1.0 + 1e-6)))
     with pytest.raises(NumericalError, match=r"kak_decompose.*not unitary.*e-06 exceeds 1\.0e-10"):
         kak_decompose(U)
     assert cli_exit(capsys) == 3
 
 
 def test_local_op_on_computed_local(monkeypatch, capsys):
-    def skewed(u):
-        dec = canonical.kak_decompose(u)
-        f1, f2 = dec.front
-        return dataclasses.replace(dec, front=(f1 * (1.0 + 1e-6), f2))
+    """Each of the four computed locals is checked, not only the first."""
+    for side in ("front", "back"):
+        for slot in (0, 1):
 
-    for module in (synthesis, costmodel, cli):
-        monkeypatch.setattr(module, "kak_decompose", skewed)
-    with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1\.0e-10"):
-        synthesize_swap(U)
-    with pytest.raises(NumericalError, match=r"cnot synthesis.*not unitary.*exceeds 1\.0e-10"):
-        synthesize_cnot(U)
-    assert cli_exit(capsys, "--backend", "swap") == 3
-    assert cli_exit(capsys, "--backend", "cnot") == 3
-    assert cli.main(["cost", "--compare", "--gate", "cnot"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+            def skewed(u, side=side, slot=slot):
+                dec = canonical.kak_decompose(u)
+                pair = list(getattr(dec, side))
+                pair[slot] = pair[slot] * (1.0 + 1e-6)
+                return dataclasses.replace(dec, **{side: tuple(pair)})
+
+            for module in (synthesis, costmodel, cli):
+                monkeypatch.setattr(module, "kak_decompose", skewed)
+            with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1\.0e-10"):
+                synthesize_swap(U)
+            with pytest.raises(NumericalError, match=r"cnot synthesis.*not unitary.*exceeds 1\.0e-10"):
+                synthesize_cnot(U)
+            assert cli_exit(capsys, "--backend", "swap") == 3
+            assert cli_exit(capsys, "--backend", "cnot") == 3
+            assert cli.main(["cost", "--compare", "--gate", "cnot"]) == 3
+            assert "numerical failure" in capsys.readouterr().err
+
+
+def test_reduction_to_nan_coordinates(monkeypatch, capsys):
+    def to_nan(state):
+        state.h[:] = np.nan
+
+    monkeypatch.setattr(canonical._ReductionState, "reduce", to_nan)
+    with pytest.raises(NumericalError, match=r"reduction left the chamber: .*nan"):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
 
 
 def test_swap_angles_of_computed_params(monkeypatch, capsys):

@@ -75,8 +75,9 @@ def test_swap_angles_examples():
     ang = swap_angles(CanonicalParams(0.6, 0.5, -0.4))
     assert ang.beta == pytest.approx(2.0 * (0.6 + 0.4) / np.pi)
     assert ang.beta > 0.5 and ang.gamma > 0.5
-    with pytest.raises(ContractViolation):
-        swap_angles(CanonicalParams(1.0, 0.0, 0.0))
+    for params in ((1.0, 0.0, 0.0), (np.nan, np.nan, np.nan), (0.3, np.nan, 0.1), (PI4, PI4, np.nan)):
+        with pytest.raises(ContractViolation, match="outside the canonical chamber"):
+            swap_angles(CanonicalParams(*params))
 
 
 def test_swap_angles_range():
