@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    BELL_BASIS,
     ContractViolation,
     ID2,
     ID4,
@@ -41,10 +42,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PHI_MINUS,
-    PHI_PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
+    _check_bound,
     _check_unitary,
     _frozen,
     _kron,
@@ -56,9 +54,7 @@ from .linalg import (
 
 # Basis in which every single-qubit pair a (x) b becomes real orthogonal and
 # every E(h) becomes diagonal.  Columns: phi+, i phi-, i psi+, psi-.
-MAGIC = _frozen(np.column_stack(
-    [PHI_PLUS, 1j * PHI_MINUS, 1j * PSI_PLUS, PSI_MINUS]
-))
+MAGIC = _frozen(BELL_BASIS * np.array([1, 1j, 1j, 1]))
 
 _SIGMA = (PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -131,19 +127,13 @@ def lambdas_to_params(phases):
 def exp_minus_iH(params):
     """The core unitary E(h) = exp(-i (hx XX + hy YY + hz ZZ)).
 
-    Built from its Bell eigenbasis, so it is exactly unitary for any real
-    coordinates, not only chamber ones.
+    Built as B diag(e^{-i l}) B^dag from the Bell basis B and the phases l
+    of :func:`lambdas`, so it is exactly unitary for any real coordinates.
     """
     ph = lambdas(params)
-    u = np.zeros((4, 4), dtype=complex)
-    for angle, state in (
-        (ph.l00, PHI_PLUS),
-        (ph.l01, PSI_PLUS),
-        (ph.l10, PHI_MINUS),
-        (ph.l11, PSI_MINUS),
-    ):
-        u += np.exp(-1j * angle) * np.outer(state, state.conj())
-    return u
+    # In the column order of BELL_BASIS: phi+, phi-, psi+, psi-.
+    phases = np.exp(-1j * np.array([ph.l00, ph.l10, ph.l01, ph.l11]))
+    return (BELL_BASIS * phases) @ BELL_BASIS.conj().T
 
 
 def in_weyl_chamber(params):
@@ -195,10 +185,7 @@ def _split_local_products(ls):
     b_raw = blocks[members, p, :, q, :] * (np.sqrt(2.0) / norms[members, pq])[:, None, None]
     a_raw = np.einsum("kab,kiajb->kij", b_raw.conj(), blocks) / 2.0
     residual = np.abs(_kron(a_raw, b_raw) - ls).max()
-    if residual > 1e-8:
-        raise NumericalError(
-            f"not a single-qubit tensor product: residual {residual:.3e} exceeds 1e-8"
-        )
+    _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
     factors = np.array([a_raw, b_raw])
     a, b = factors / np.sqrt(np.linalg.det(factors))[..., None, None]
     overlap = _kron(a, b).conj().swapaxes(-1, -2) @ ls
@@ -291,11 +278,7 @@ def kak_decompose(u):
 
     lam = -np.angle(d) / 2.0
     o2 = (vm @ q) * np.exp(1j * lam)[np.newaxis, :]
-    imag_dev = np.abs(o2.imag).max()
-    if imag_dev > 1e-8:
-        raise NumericalError(
-            f"second orthogonal factor has imaginary residue {imag_dev:.3e}"
-        )
+    _check_bound(np.abs(o2.imag).max(), 1e-8, "second orthogonal factor has imaginary residue")
     if np.linalg.det(o2).real < 0:
         lam[0] += np.pi
         o2[:, 0] = -o2[:, 0]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .canonical import kak_decompose
-from .linalg import ContractViolation, NumericalError, phase_distance
+from .linalg import ContractViolation, _check_bound, phase_distance
 from .synthesis import (
     LocalOp,
     _cnot_circuit,
@@ -185,8 +185,7 @@ def compare_backends(u, profile):
     cnot_circuit = _cnot_circuit(dec)
     naive_circuit = expand_cnots_to_swaps(cnot_circuit)
     dev = phase_distance(evaluate_circuit(naive_circuit), u)
-    if dev > 1e-9:
-        raise NumericalError(f"naive expansion failed verification: {dev:.3e}")
+    _check_bound(dev, 1e-9, "naive expansion failed verification: phase distance")
 
     entries = {
         "swap": _backend_entry(swap_circuit, profile),

@@ -2,8 +2,10 @@
 
 The entangling power E_p(U) is the average linear entropy that U generates
 when applied to independent Haar-random single-qubit product states.  It is
-computed three ways that must agree: an exact 16x16 trace formula, a closed
-form for fractional SWAP gates, and a seeded Monte Carlo estimator.
+computed three ways that must agree: an exact trace over two copies of U,
+contracted with the exchange of qubit 1 between the copies (Zanardi, Zalka
+& Faoro, PRA 62, 030301 (2000)), a closed form for fractional SWAP gates,
+and a seeded Monte Carlo estimator.
 
 Reference values: E_p(CNOT) = 2/9, E_p(SWAP**1/2) = 1/6 (the maximum over
 all SWAP powers), E_p(I) = E_p(SWAP) = 0.  The gap 1/6 < 2/9 is why a
@@ -19,36 +21,10 @@ import numpy as np
 from .gates import SWAP, swap_pow
 from .linalg import (
     ContractViolation,
-    _frozen,
     _kron,
     _rng,
     assert_unitary,
 )
-
-
-def _build_t13():
-    """Permutation on (C2)^4 exchanging tensor slots 1 and 3.
-
-    Maps basis ket index (a,b,c,d) to (c,b,a,d); its own inverse.
-    """
-    t = np.zeros((16, 16))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    src = 8 * a + 4 * b + 2 * c + d
-                    dst = 8 * c + 4 * b + 2 * a + d
-                    t[dst, src] = 1.0
-    return t
-
-
-T13 = _frozen(_build_t13())
-
-# Fixed points of the slot exchange: all (a,b,c,d) with a = c, hence 2**3.
-TRACE_T13 = 8
-# Normalization of the product-state average: each single-qubit Haar second
-# moment contributes a factor 1/(d(d+1)) = 1/6 at d = 2.
-C2 = 6
 
 
 def linear_entropy(state):
@@ -68,15 +44,18 @@ def linear_entropy(state):
 
 
 def _trace_term(v):
-    vv = _kron(v, v)
-    return np.trace(vv.conj().T @ T13 @ vv @ T13).real
+    """t(v) = tr((v (x) v)^dag T (v (x) v) T), T exchanging qubit 1 of the two
+    copies, as one contraction over qubit indices."""
+    w = v.reshape(2, 2, 2, 2)
+    return np.einsum("abcd,efgh,ebgd,afch->", w.conj(), w.conj(), w, w).real
 
 
 def ep_exact(u):
     """Entangling power by the exact two-copy trace formula.
 
     E_p(u) = 5/9 - (1/36) [ t(u) + t(SWAP u) ] where
-    t(v) = tr( (v(x)v)^dag T13 (v(x)v) T13 ).
+    t(v) = tr( (v(x)v)^dag T (v(x)v) T ), with T the exchange of qubit 1
+    between the two copies, evaluated as one contraction over qubit indices.
     """
     u = assert_unitary(u, name="u", dim=4)
     return float(5.0 / 9.0 - (_trace_term(u) + _trace_term(SWAP @ u)) / 36.0)
@@ -93,7 +72,7 @@ def appendix_a_terms(alpha):
     term2 = 17/2 + 6 cos(pi alpha) + (3/2) cos(2 pi alpha)
     term3 = 17/2 - 6 cos(pi alpha) + (3/2) cos(2 pi alpha)
 
-    These equal the direct 16x16 traces t(SWAP**alpha) and
+    These equal the direct two-copy traces t(SWAP**alpha) and
     t(SWAP**(alpha+1)) from :func:`ep_exact`; together they give
     E_p = 5/9 - (term2 + term3)/36, which collapses to the closed form.
     """
@@ -107,7 +86,7 @@ def appendix_a_residuals(alpha):
     """How far each closed form of :func:`appendix_a_terms` is from its trace.
 
     Returns (|term2 - t(SWAP**alpha)|, |term3 - t(SWAP**(alpha+1))|), with
-    t the direct 16x16 trace of :func:`ep_exact`; both are at machine
+    t the direct two-copy trace of :func:`ep_exact`; both are at machine
     precision when the closed forms hold.
     """
     term2, term3 = appendix_a_terms(alpha)

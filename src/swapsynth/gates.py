@@ -147,17 +147,12 @@ def heisenberg_evolution(pulse):
     other common normalization J sigma1.sigma2, alpha would be four times
     larger; this module consistently uses spin operators S = sigma/2.)
 
-    Returns (u, alpha, theta) where u = e^{i theta} SWAP**alpha exactly and
-    theta is reported on the principal branch (-pi, pi].
+    Returns (u, alpha, theta) with u = e^{i theta} swap_pow(alpha), theta
+    reported on the principal branch (-pi, pi].
     """
     if not isinstance(pulse, PulseSpec):
         pulse = PulseSpec(float(pulse))
     phi = pulse.integrated_coupling / HBAR
-    singlet = np.outer(
-        np.array([0, 1, -1, 0]) / np.sqrt(2.0), np.array([0, 1, -1, 0]) / np.sqrt(2.0)
-    ).astype(complex)
-    triplet = ID4 - singlet
-    u = np.exp(-1j * phi / 4.0) * triplet + np.exp(3j * phi / 4.0) * singlet
-    alpha = (phi / np.pi) % 2.0
+    alpha = float((phi / np.pi) % 2.0)
     theta = float(np.angle(np.exp(-1j * phi / 4.0)))
-    return u, float(alpha), theta
+    return np.exp(1j * theta) * swap_pow(alpha), alpha, theta

@@ -111,6 +111,13 @@ def _check_unitary(u, name):
     return u
 
 
+def _check_bound(dev, bound, what):
+    """Raise NumericalError unless an internal result's deviation dev is
+    within bound.  Written so that a NaN deviation fails too."""
+    if not dev <= bound:
+        raise NumericalError(f"{what} {dev:.3e} exceeds {bound:.1e}")
+
+
 def phase_distance(u, v):
     """Global-phase-invariant gate distance 1 - |tr(u^dag v)| / n.
 
@@ -191,11 +198,8 @@ def diagonalize_complex_symmetric_unitary(m):
             break
     else:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
-    if unimodular_dev > 1e-8:
-        raise NumericalError("joint diagonalization produced non-unimodular values")
-    ortho_dev = np.abs(q.T @ q - ID4).max()
-    if ortho_dev > 1e-10:
-        raise NumericalError(f"eigenvector matrix lost orthogonality: {ortho_dev:.3e}")
+    _check_bound(unimodular_dev, 1e-8, "non-unimodular eigenvalues: deviation")
+    _check_bound(np.abs(q.T @ q - ID4).max(), 1e-10, "eigenvector matrix lost orthogonality:")
 
     order = np.argsort(np.angle(d), kind="stable")
     d = d[order]

@@ -31,6 +31,7 @@ from .canonical import (
 )
 from .gates import CNOT, CNOT_21, swap_pow
 from .linalg import (
+    BELL_BASIS,
     ContractViolation,
     HADAMARD,
     ID2,
@@ -201,10 +202,7 @@ class Circuit:
 # states while fixing phi+ and psi+.  Equal to the three-CNOT interleaving
 # CNOT (W (x) I) CNOT (W (x) I) CNOT with W the Hadamard, and the fixed
 # entangling skeleton around which the CNOT backend applies Bell phases.
-_PLUS = _frozen(np.array([1, 1], dtype=complex) / np.sqrt(2.0))
-_MINUS = _frozen(np.array([1, -1], dtype=complex) / np.sqrt(2.0))
-_PM = _frozen(np.outer(_PLUS, _MINUS).ravel())
-BELL_EXCHANGE = _frozen(ID4 - 2.0 * np.outer(_PM, _PM.conj()))
+BELL_EXCHANGE = _frozen(BELL_BASIS[:, [0, 3, 2, 1]] @ BELL_BASIS.conj().T)
 
 
 class SwapAngles(NamedTuple):
@@ -443,18 +441,20 @@ def synthesize_cnot(u):
 # Exact CNOT out of two half-SWAPs: the inner z-Pauli splits the pulse pair,
 # and the outer single-qubit gates rotate the result onto CNOT proper.
 _SGATE = _frozen(np.diag([1.0, 1j]).astype(complex))
-_SDG = _frozen(np.diag([1.0, -1j]).astype(complex))
+_H_SDG = _frozen(HADAMARD @ np.diag([1.0, -1j]))
 
 
 def _cnot_gadget(control):
+    """The six ops of one CNOT; its locals are exact constants, so they skip
+    :func:`local_op`'s check."""
     target = 2 if control == 1 else 1
     return [
-        local_op(target, HADAMARD, "H"),
-        swap_op(0.5),
-        local_op(control, PAULI_Z, "Z"),
-        swap_op(0.5),
-        local_op(control, _SGATE, "S"),
-        local_op(target, HADAMARD @ _SDG, "H·Sdg"),
+        LocalOp(target, HADAMARD, "H"),
+        SwapPowOp(0.5),
+        LocalOp(control, PAULI_Z, "Z"),
+        SwapPowOp(0.5),
+        LocalOp(control, _SGATE, "S"),
+        LocalOp(target, _H_SDG, "H·Sdg"),
     ]
 
 

@@ -9,9 +9,6 @@ import numpy as np
 import pytest
 
 from swapsynth.entanglement import (
-    C2,
-    T13,
-    TRACE_T13,
     appendix_a_terms,
     ep_closed_form_swap,
     ep_exact,
@@ -32,24 +29,26 @@ from swapsynth.linalg import (
 )
 
 
-def test_t13_is_an_involution_permutation():
-    assert T13.shape == (16, 16)
-    assert np.array_equal(T13 @ T13, np.eye(16))
-    assert np.array_equal(np.sum(T13, axis=0), np.ones(16))
-    assert np.trace(T13) == TRACE_T13 == 8
+def _slot_exchange_13():
+    """Permutation on (C2)^4 taking basis ket |a b c d> to |c b a d>."""
+    p = np.zeros((16, 16))
+    for a, b, c, d in np.ndindex(2, 2, 2, 2):
+        p[8 * c + 4 * b + 2 * a + d, 8 * a + 4 * b + 2 * c + d] = 1.0
+    return p
 
 
-def test_t13_exchanges_first_and_third_qubit():
-    # basis vector |a b c d> must land on |c b a d>
-    for a, b, c, d in ((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)):
-        src = np.zeros(16)
-        src[8 * a + 4 * b + 2 * c + d] = 1.0
-        dst = T13 @ src
-        assert dst[8 * c + 4 * b + 2 * a + d] == 1.0
+def test_trace_term_matches_the_16x16_reference():
+    p = _slot_exchange_13()
+    assert np.array_equal(p @ p, np.eye(16))
+    gates = [ID4, SWAP, CNOT, swap_pow(0.5), swap_pow(0.3) @ CNOT]
+    gates += [haar_random_unitary(4, seed=s) for s in range(20)]
+    for v in gates:
+        vv = np.kron(v, v)
+        reference = np.trace(vv.conj().T @ p @ vv @ p).real
+        assert _trace_term(v) == pytest.approx(reference, abs=1e-12)
 
 
 def test_constants():
-    assert C2 == 6
     # normalization: trace term of the identity is 16, of SWAP is 4
     assert _trace_term(ID4) == pytest.approx(16.0, abs=1e-12)
     assert _trace_term(SWAP) == pytest.approx(4.0, abs=1e-12)

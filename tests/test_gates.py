@@ -18,6 +18,9 @@ from swapsynth.linalg import (
     ContractViolation,
     ID2,
     ID4,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -137,6 +140,25 @@ def test_heisenberg_matches_swap_power():
         assert alpha == pytest.approx(_alpha_from_bell_phases(u), abs=1e-10)
         # declared phase reattaches exactly
         assert np.max(np.abs(u - np.exp(1j * theta) * swap_pow(alpha))) < 1e-12
+
+
+def test_heisenberg_matches_exchange_exponential():
+    """u is exp(-i phi S1.S2) with S = sigma/2 and phi = integral / hbar,
+    computed here from an eigendecomposition of S1.S2, and theta is the
+    phase that u gives the triplet states, on the principal branch."""
+    s1s2 = sum(np.kron(s, s) for s in (PAULI_X, PAULI_Y, PAULI_Z)) / 4.0
+    w, q = np.linalg.eigh(s1s2)
+    hbar = PLANCK_H / (2.0 * np.pi)
+    for k in (-3.7, -1.0, -0.5, -0.13, 0.0, 0.21, 0.5, 1.0, 2.6, 7.3):
+        integral = k * PLANCK_H
+        u, alpha, theta = heisenberg_evolution(PulseSpec(integrated_coupling=integral))
+        reference = (q * np.exp(-1j * (integral / hbar) * w)) @ q.conj().T
+        assert np.max(np.abs(u - reference)) < 1e-12
+        assert 0.0 <= alpha < 2.0
+        assert -np.pi < theta <= np.pi
+        triplet_phase = PHI_PLUS.conj() @ reference @ PHI_PLUS
+        assert abs(np.exp(1j * theta) - triplet_phase) < 1e-12
+        assert np.max(np.abs(reference - np.exp(1j * theta) * swap_pow(alpha))) < 1e-12
 
 
 def test_heisenberg_half_quantum():

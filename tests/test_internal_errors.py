@@ -86,3 +86,18 @@ def test_cnot_phase_params_of_computed_phases(monkeypatch, capsys):
     with pytest.raises(NumericalError, match=r"cnot synthesis: .*within 1e-9, got 1\.000e-06"):
         synthesize_cnot(U)
     assert cli_exit(capsys, "--backend", "cnot") == 3
+
+
+def test_nan_eigenvalue_of_joint_diagonalization(monkeypatch, capsys):
+    original = canonical.diagonalize_complex_symmetric_unitary
+
+    def one_nan(m):
+        d, q = original(m)
+        d = d.copy()
+        d[1] = np.nan
+        return d, q
+
+    monkeypatch.setattr(canonical, "diagonalize_complex_symmetric_unitary", one_nan)
+    with pytest.raises(NumericalError, match=r"imaginary residue nan exceeds 1\.0e-08"):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
