@@ -37,6 +37,26 @@ def _slot_exchange_13():
     return p
 
 
+def test_t13_is_an_involution_permutation():
+    p = _slot_exchange_13()
+    assert p.shape == (16, 16)
+    assert np.array_equal(p @ p, np.eye(16))
+    assert np.array_equal(np.sum(p, axis=0), np.ones(16))
+    assert np.array_equal(np.sum(p, axis=1), np.ones(16))
+    # |a b c d> is fixed exactly when a == c: 8 of the 16 basis kets
+    assert np.trace(p) == 8
+
+
+def test_t13_exchanges_first_and_third_qubit():
+    p = _slot_exchange_13()
+    # basis vector |a b c d> must land on |c b a d>
+    for a, b, c, d in ((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)):
+        src = np.zeros(16)
+        src[8 * a + 4 * b + 2 * c + d] = 1.0
+        dst = p @ src
+        assert dst[8 * c + 4 * b + 2 * a + d] == 1.0
+
+
 def test_trace_term_matches_the_16x16_reference():
     p = _slot_exchange_13()
     assert np.array_equal(p @ p, np.eye(16))
