@@ -21,7 +21,6 @@ from .gates import (
     PulseSpec,
     heisenberg_evolution,
     named_gate,
-    reduce_exponent,
     rz,
     swap_pow,
 )
@@ -33,7 +32,6 @@ from .canonical import (
     in_weyl_chamber,
     kak_decompose,
     lambdas,
-    lambdas_to_params,
     reconstruct,
     split_local_product,
 )
@@ -47,7 +45,6 @@ from .synthesis import (
     SwapAngles,
     SwapPowOp,
     build_core_cnot_circuit,
-    build_core_swap_circuit,
     circuit_from_dict,
     circuit_to_dict,
     cnot_phase_params,
@@ -69,8 +66,6 @@ from .entanglement import (
     ep_closed_form_swap,
     ep_exact,
     ep_monte_carlo,
-    linear_entropy,
-    local_invariance_check,
 )
 from .costmodel import (
     BUILTIN_PROFILES,

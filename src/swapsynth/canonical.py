@@ -114,16 +114,6 @@ def lambdas(params):
     )
 
 
-def lambdas_to_params(phases):
-    """Invert :func:`lambdas`; only l00, l01, l10 are needed."""
-    l00, l01, l10 = (float(phases[i]) for i in range(3))
-    return CanonicalParams(
-        hx=(l00 + l01) / 2.0,
-        hy=(l01 + l10) / 2.0,
-        hz=(l00 + l10) / 2.0,
-    )
-
-
 def exp_minus_iH(params):
     """The core unitary E(h) = exp(-i (hx XX + hy YY + hz ZZ)).
 
@@ -286,6 +276,7 @@ def kak_decompose(u):
     l2 = MAGIC @ o2 @ MAGIC.conj().T
     l1 = MAGIC @ q.T.astype(complex) @ MAGIC.conj().T
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
+    # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
     h = np.array(
         [
             (lam[0] + lam[2]) / 2.0,

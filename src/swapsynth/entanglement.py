@@ -19,28 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import SWAP, swap_pow
-from .linalg import (
-    ContractViolation,
-    _kron,
-    _rng,
-    assert_unitary,
-)
-
-
-def linear_entropy(state):
-    """1 - tr(rho1**2) for a normalized pure two-qubit state.
-
-    Zero exactly on product states, 1/2 on maximally entangled ones.
-    """
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ContractViolation(f"expected a 4-vector, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ContractViolation(f"state norm {norm} is not 1")
-    m = psi.reshape(2, 2)
-    rho1 = m @ m.conj().T
-    return float(1.0 - np.trace(rho1 @ rho1).real)
+from .linalg import ContractViolation, _rng, assert_unitary
 
 
 def _trace_term(v):
@@ -111,9 +90,11 @@ def _haar_qubit_states(rng, n):
 def ep_monte_carlo(u, samples, seed):
     """Estimate E_p(u) by sampling Haar product states.
 
-    Deterministic for a fixed (seed, samples) pair: qubit-1 states are
-    drawn first, then qubit-2 states, from one seeded generator.  Returns
-    mean, standard error (sample std / sqrt(n)), and the inputs.
+    Each sample is the linear entropy 1 - tr(rho1**2) of the output state
+    u |a>|b>, with rho1 its reduced state on qubit 1.  Deterministic for a
+    fixed (seed, samples) pair: qubit-1 states are drawn first, then
+    qubit-2 states, from one seeded generator.  Returns mean, standard
+    error (sample std / sqrt(n)), and the inputs.
     """
     u = assert_unitary(u, name="u", dim=4)
     samples = int(samples)
@@ -134,12 +115,3 @@ def ep_monte_carlo(u, samples, seed):
     else:
         std_error = 0.0
     return EpEstimate(mean=mean, std_error=std_error, samples=samples, seed=int(seed))
-
-
-def local_invariance_check(u, a, b):
-    """|E_p((a (x) b) u) - E_p(u)|: zero because E_p ignores output locals."""
-    a = assert_unitary(a, name="a", dim=2)
-    b = assert_unitary(b, name="b", dim=2)
-    u = assert_unitary(u, name="u", dim=4)
-    dressed = _kron(a, b) @ u
-    return float(abs(ep_exact(dressed) - ep_exact(u)))

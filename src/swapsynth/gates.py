@@ -40,14 +40,6 @@ CNOT = _frozen(np.array(
 CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 
 
-def reduce_exponent(alpha):
-    """Reduce a SWAP exponent modulo its period 2 into [0, 2)."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ContractViolation(f"exponent must be finite, got {alpha}")
-    return alpha % 2.0
-
-
 def swap_pow(alpha):
     """SWAP raised to a real power alpha.
 

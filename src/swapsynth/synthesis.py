@@ -244,8 +244,10 @@ def swap_angles(p):
 def _core_swap(p):
     """Op list and declared phase of the three-SWAP core E(p).
 
-    The list ends with the Pauli pair Z on qubit 1, X on qubit 2.  The
-    Paulis are exact constants, so they skip :func:`local_op`'s check.
+    ``Circuit(*_core_swap(p))`` evaluates to exp_minus_iH(p) exactly,
+    including the declared phase hz - hx - hy.  The list ends with the
+    Pauli pair Z on qubit 1, X on qubit 2.  The Paulis are exact constants,
+    so they skip :func:`local_op`'s check.
     """
     ang = swap_angles(p)
     hx, hy, hz = (float(v) for v in p)
@@ -259,17 +261,6 @@ def _core_swap(p):
         LocalOp(2, PAULI_X, "X"),
     ]
     return ops, hz - hx - hy
-
-
-def build_core_swap_circuit(p):
-    """Three-SWAP realization of the entangling core E(p).
-
-    Evaluates to exp_minus_iH(p) exactly, including the declared phase
-    hz - hx - hy.  The interleaved Pauli gates are not yet merged with any
-    surrounding locals; the op list has fixed shape 3 swap_pow + 4 local.
-    """
-    ops, phase = _core_swap(p)
-    return Circuit(ops=ops, declared_global_phase=phase)
 
 
 def _local_ops(matrices, slots):
@@ -322,7 +313,7 @@ def cnot_phase_params(phases):
     """
     l00, l01, l10, l11 = (float(phases[i]) for i in range(4))
     total = l00 + l01 + l10 + l11
-    if abs(total) > 1e-9:
+    if not abs(total) <= 1e-9:
         raise ContractViolation(f"Bell phases must sum to 0 within 1e-9, got {total:.3e}")
     zeta = (l00 + l01) / 4.0
     half_sum = (l00 - l01) / 4.0

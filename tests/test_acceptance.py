@@ -27,7 +27,8 @@ from swapsynth.entanglement import (
 from swapsynth.gates import CNOT, SWAP, named_gate, swap_pow
 from swapsynth.linalg import haar_random_unitary, phase_distance
 from swapsynth.synthesis import (
-    build_core_swap_circuit,
+    Circuit,
+    _core_swap,
     evaluate_circuit,
     gate_counts,
     swap_angles,
@@ -80,7 +81,7 @@ def test_criterion_03_core_identity():
             hz = abs(hz)
         p = CanonicalParams(hx, hy, hz)
         dev = np.max(
-            np.abs(evaluate_circuit(build_core_swap_circuit(p)) - exp_minus_iH(p))
+            np.abs(evaluate_circuit(Circuit(*_core_swap(p))) - exp_minus_iH(p))
         )
         worst = max(worst, dev)
         assert dev < 1e-12

@@ -15,12 +15,11 @@ import pytest
 
 from swapsynth.canonical import kak_decompose, split_local_product
 from swapsynth.cli import main
-from swapsynth.entanglement import ep_exact, ep_monte_carlo, local_invariance_check
+from swapsynth.entanglement import ep_exact, ep_monte_carlo
 from swapsynth.linalg import (
     ATOL_UNITARY,
     ContractViolation,
     HADAMARD,
-    ID2,
     ID4,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
@@ -54,9 +53,6 @@ ADMITTING = {
     "diagonalize_complex_symmetric_unitary": (diagonalize_complex_symmetric_unitary, "m", 4),
     "ep_exact": (ep_exact, "u", 4),
     "ep_monte_carlo": (lambda x: ep_monte_carlo(x, samples=10, seed=0), "u", 4),
-    "local_invariance_check(u)": (lambda x: local_invariance_check(x, ID2, ID2), "u", 4),
-    "local_invariance_check(a)": (lambda x: local_invariance_check(ID4, x, ID2), "a", 2),
-    "local_invariance_check(b)": (lambda x: local_invariance_check(ID4, ID2, x), "b", 2),
     "local_op": (lambda x: local_op(1, x), "local matrix", 2),
     "phase_distance(u)": (lambda x: phase_distance(x, ID4), "u", None),
     "phase_distance(v)": (lambda x: phase_distance(ID4, x), "v", 4),

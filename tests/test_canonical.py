@@ -17,7 +17,6 @@ from swapsynth.canonical import (
     in_weyl_chamber,
     kak_decompose,
     lambdas,
-    lambdas_to_params,
     reconstruct,
     split_local_product,
 )
@@ -75,14 +74,6 @@ def test_lambdas_examples():
     ph = lambdas(CanonicalParams(PI4, 0.0, 0.0))
     assert tuple(ph) == pytest.approx((PI4, PI4, -PI4, -PI4))
     assert sum(lambdas(CanonicalParams(0.3, 0.2, -0.1))) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_lambdas_round_trip():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        p = CanonicalParams(*rng.uniform(-2, 2, size=3))
-        back = lambdas_to_params(lambdas(p))
-        assert np.max(np.abs(np.array(back) - np.array(p))) < 1e-14
 
 
 def test_exp_minus_iH_examples():

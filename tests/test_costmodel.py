@@ -90,6 +90,10 @@ def test_schedule_single_swap():
     assert sched.total_time_s == pytest.approx(25e-12)
     sched = schedule_circuit(Circuit(ops=[swap_op(-0.5)]), builtin_profile("gaas"))
     assert sched.total_time_s == pytest.approx(25e-12)
+    sched = schedule_circuit(Circuit(ops=[swap_op(2.25)]), builtin_profile("gaas"))
+    assert sched.total_time_s == pytest.approx(12.5e-12)
+    sched = schedule_circuit(Circuit(ops=[swap_op(4.0)]), builtin_profile("gaas"))
+    assert sched.total_time_s == 0.0
 
 
 def test_schedule_local_packing():

@@ -1,13 +1,19 @@
-"""Every public module-level constant of the package is read somewhere.
+"""Every public module-level constant, function and class of the package is read.
 
-A small AST scan in the style of ``test_unused_imports.py``: each public
+A small AST scan in the style of ``test_unused_imports.py``.  Each public
 name that a module of ``src/swapsynth`` binds by a module-level assignment
 must be read by some module of the package (as a name or as an attribute)
 or be re-exported by ``swapsynth/__init__.py``.  A constant that only tests
 read is dead code.
+
+Each public module-level ``def`` or ``class`` must be read outside its own
+definition, by a module of the package or by a script in ``demos/``, or be
+named by a per-layer row of ``BENCHMARK.json``.  A re-export does not count:
+a function that only tests call is dead code too.
 """
 
 import ast
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -60,9 +66,33 @@ def dead_constants(sources):
     )
 
 
+def dead_definitions(sources, demo_sources=(), benchmarked=frozenset()):
+    """Sorted "module.name" of every unread public function and class.
+
+    sources is as for :func:`dead_constants`; demo_sources are the texts of
+    the demo scripts, and benchmarked holds the "module.name" that a
+    per-layer benchmark row names.
+    """
+    demo_reads = set().union(*(reads(ast.parse(source)) for source in demo_sources))
+    statements = [
+        (module, node, reads(node))
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+    ]
+    dead = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        qualified = f"{module}.{node.name}"
+        read_elsewhere = any(node.name in read for _, other, read in statements if other is not node)
+        if not (read_elsewhere or node.name in demo_reads or qualified in benchmarked):
+            dead.append(qualified)
+    return sorted(dead)
+
+
 def test_scanner_finds_dead_and_keeps_read():
     sources = {
-        "__init__": "from .a import EXPORTED\n__version__ = '1'\n",
+        "__init__": "from .a import EXPORTED, exported_only\n__version__ = '1'\n",
         "a": (
             "EXPORTED = 1\n"
             "DEAD = 2\n"
@@ -71,13 +101,46 @@ def test_scanner_finds_dead_and_keeps_read():
             "X, Y = 5, 6\n"
             "_PRIVATE = 7\n"
             "def f():\n"
-            "    return LOCAL + X\n"
+            "    return LOCAL + X + g() + Used.n\n"
+            "def g():\n"
+            "    return 0\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else 0\n"
+            "def exported_only():\n"
+            "    pass\n"
+            "def in_demo():\n"
+            "    pass\n"
+            "def timed():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Used:\n"
+            "    n = 1\n"
+            "class Dead:\n"
+            "    pass\n"
         ),
-        "b": "from . import a\nDEAD_TOO = a.ATTR\n",
+        "b": "from . import a\nDEAD_TOO = a.ATTR\ndef h():\n    return a.f()\n",
     }
     assert dead_constants(sources) == ["a.DEAD", "a.Y", "b.DEAD_TOO"]
+    demos = ["from swapsynth.a import in_demo\nin_demo()\n"]
+    assert dead_definitions(sources, demos, {"a.timed"}) == [
+        "a.Dead",
+        "a.exported_only",
+        "a.recurse",
+        "b.h",
+    ]
+
+
+def package_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
 
 def test_no_dead_public_constants():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert dead_constants(sources) == []
+    assert dead_constants(package_sources()) == []
+
+
+def test_no_dead_public_functions_or_classes():
+    demos = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demos").glob("*.py"))]
+    rows = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    benchmarked = {".".join(row["name"].split(".")[:2]) for row in rows}
+    assert dead_definitions(package_sources(), demos, benchmarked) == []

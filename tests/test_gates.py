@@ -10,7 +10,6 @@ from swapsynth.gates import (
     SWAP,
     heisenberg_evolution,
     named_gate,
-    reduce_exponent,
     rz,
     swap_pow,
 )
@@ -36,15 +35,6 @@ def test_fixed_gates():
     assert np.allclose(CNOT_21, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
     assert np.allclose(CZ, np.diag([1, 1, 1, -1]))
     assert np.allclose(SWAP @ SWAP, ID4)
-
-
-def test_reduce_exponent():
-    assert reduce_exponent(0.25) == pytest.approx(0.25)
-    assert reduce_exponent(2.25) == pytest.approx(0.25)
-    assert reduce_exponent(-0.5) == pytest.approx(1.5)
-    assert reduce_exponent(4.0) == pytest.approx(0.0)
-    with pytest.raises(ContractViolation):
-        reduce_exponent(float("nan"))
 
 
 def test_swap_pow_endpoints():

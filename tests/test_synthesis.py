@@ -25,8 +25,8 @@ from swapsynth.synthesis import (
     BELL_EXCHANGE,
     Circuit,
     CnotPhaseParams,
+    _core_swap,
     build_core_cnot_circuit,
-    build_core_swap_circuit,
     circuit_from_dict,
     circuit_to_dict,
     cnot_op,
@@ -60,8 +60,9 @@ def test_op_factories_validate():
         local_op(3, ID2)
     with pytest.raises(ContractViolation):
         local_op(1, np.ones((2, 2)))
-    with pytest.raises(ContractViolation):
-        swap_op("wide")
+    for alpha in ("wide", float("nan"), float("inf")):
+        with pytest.raises(ContractViolation):
+            swap_op(alpha)
     with pytest.raises(ContractViolation):
         cnot_op(0)
 
@@ -89,7 +90,7 @@ def test_swap_angles_range():
 
 
 def test_core_swap_shape():
-    c = build_core_swap_circuit(CanonicalParams(0.3, 0.2, 0.1))
+    c = Circuit(*_core_swap(CanonicalParams(0.3, 0.2, 0.1)))
     assert gate_counts(c) == (3, 0, 4)
 
 
@@ -104,7 +105,7 @@ def test_core_swap_matches_exponential():
     ]
     cases += [_random_chamber_point(rng) for _ in range(200)]
     for p in cases:
-        got = evaluate_circuit(build_core_swap_circuit(p))
+        got = evaluate_circuit(Circuit(*_core_swap(p)))
         want = exp_minus_iH(p)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -133,8 +134,10 @@ def test_cnot_phase_params_examples():
     assert tuple(p) == pytest.approx((0.0, 0.0, 0.0, 0.0))
     p = cnot_phase_params(lambdas(CanonicalParams(PI4, 0.0, 0.0)))
     assert tuple(p) == pytest.approx((np.pi / 8, 0.0, np.pi / 8, 0.0))
-    with pytest.raises(ContractViolation):
-        cnot_phase_params(BellPhases(0.3, 0.0, 0.0, 0.0))
+    nan, inf = float("nan"), float("inf")
+    for phases in ((0.3, 0.0, 0.0, 0.0), (nan, 0.0, 0.0, 0.0), (inf, -inf, 0.0, 0.0)):
+        with pytest.raises(ContractViolation, match="sum to 0"):
+            cnot_phase_params(BellPhases(*phases))
 
 
 def test_cnot_core_bell_phase_map():
@@ -288,7 +291,7 @@ def test_circuit_from_dict_rejects_garbage():
 
 def test_shared_constants_are_read_only():
     # The swap core's Pauli ops share linalg's constant, not a copy of it.
-    op = build_core_swap_circuit((0.3, 0.2, 0.1)).ops[1]
+    op = Circuit(*_core_swap((0.3, 0.2, 0.1))).ops[1]
     assert op.matrix is PAULI_X
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
