@@ -37,6 +37,14 @@ def test_fixed_gates():
     assert np.allclose(SWAP @ SWAP, ID4)
 
 
+def test_reduce_exponent():
+    # A SWAP exponent counts only modulo its period 2.
+    for alpha, reduced in ((2.25, 0.25), (-0.5, 1.5), (4.0, 0.0)):
+        assert np.max(np.abs(swap_pow(alpha) - swap_pow(reduced))) < 1e-14
+    with pytest.raises(ContractViolation):
+        swap_pow(float("nan"))
+
+
 def test_swap_pow_endpoints():
     assert np.allclose(swap_pow(0.0), ID4)
     assert np.allclose(swap_pow(1.0), SWAP)
