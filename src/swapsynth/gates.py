@@ -40,6 +40,17 @@ CNOT = _frozen(np.array(
 CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 
 
+def _swap_exponent(alpha):
+    """The one admission rule for a SWAP exponent: a finite float, else ContractViolation."""
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"swap exponent must be a number, got {alpha!r}") from None
+    if not np.isfinite(alpha):
+        raise ContractViolation(f"swap exponent must be finite, got {alpha}")
+    return alpha
+
+
 def swap_pow(alpha):
     """SWAP raised to a real power alpha.
 
@@ -52,9 +63,7 @@ def swap_pow(alpha):
     Periodic in alpha with period 2.  alpha = 1/2 gives the square root
     of SWAP, the natural entangling primitive of an exchange pulse.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise ContractViolation(f"exponent must be finite, got {alpha}")
+    alpha = _swap_exponent(alpha)
     p = (1.0 + np.exp(1j * np.pi * alpha)) / 2.0
     m = (1.0 - np.exp(1j * np.pi * alpha)) / 2.0
     u = np.zeros((4, 4), dtype=complex)
@@ -68,10 +77,13 @@ def swap_pow(alpha):
 
 
 def rz(zeta):
-    """Rotation about z: diag(e^{-i zeta}, e^{i zeta})."""
-    return np.diag([np.exp(-1j * float(zeta)), np.exp(1j * float(zeta))]).astype(
-        complex
-    )
+    """Rotation about z: diag(e^{-i zeta}, e^{i zeta}).  An array of angles
+    gives the (..., 2, 2) stack of the rotations its scalars give."""
+    zeta = np.asarray(zeta, dtype=float)
+    m = np.zeros((*zeta.shape, 2, 2), dtype=complex)
+    m[..., 0, 0] = np.exp(-1j * zeta)
+    m[..., 1, 1] = np.exp(1j * zeta)
+    return m
 
 
 # CNOT with qubit 2 as control and qubit 1 as target.

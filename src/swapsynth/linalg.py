@@ -9,6 +9,8 @@ procedure misses its tolerance.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -138,6 +140,10 @@ def haar_random_unitary(dim, seed):
     phase of each diagonal factor of R, which makes the distribution exactly
     Haar rather than QR-convention biased.
     """
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise ContractViolation(f"dimension must be an integer, got {dim!r}") from None
     if dim not in (2, 4):
         raise ContractViolation(f"unsupported dimension {dim}, expected 2 or 4")
     rng = _rng(seed)

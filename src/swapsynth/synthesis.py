@@ -29,7 +29,7 @@ from .canonical import (
     lambdas,
     split_local_product,
 )
-from .gates import CNOT, CNOT_21, swap_pow
+from .gates import CNOT, CNOT_21, _swap_exponent, rz, swap_pow
 from .linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -163,13 +163,7 @@ def local_op(qubit, matrix, label=""):
 
 
 def swap_op(alpha):
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise ContractViolation(f"swap exponent must be a number, got {alpha!r}") from None
-    if not np.isfinite(alpha):
-        raise ContractViolation(f"swap exponent must be finite, got {alpha}")
-    return SwapPowOp(alpha=alpha)
+    return SwapPowOp(alpha=_swap_exponent(alpha))
 
 
 def cnot_op(control=1):
@@ -330,24 +324,6 @@ def cnot_phase_params(phases):
 _CORE_CNOT_SLOTS = ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2"))
 
 
-def _core_cnot_locals(params):
-    """The CNOT core's phase-layer locals rz(z1) W, rz(x1), W rz(z2), rz(x2),
-    as one (4, 2, 2) stack that is not yet admitted."""
-    angles = np.array([float(v) for v in params])
-    m = np.zeros((4, 2, 2), dtype=complex)
-    m[:, 0, 0] = np.exp(-1j * angles)
-    m[:, 1, 1] = np.exp(1j * angles)
-    m[0] = m[0] @ HADAMARD
-    m[2] = HADAMARD @ m[2]
-    return m
-
-
-def _core_cnot_ops(phase_locals):
-    """The core's op list: its four phase-layer LocalOps between three CNOTs."""
-    w1, r1, w2, r2 = phase_locals
-    return [cnot_op(1), w1, r1, cnot_op(1), w2, r2, cnot_op(1)]
-
-
 def build_core_cnot_circuit(params):
     """Three CNOTs with two merged phase layers: the parametric core.
 
@@ -355,9 +331,16 @@ def build_core_cnot_circuit(params):
     and psi- slots, for the Bell phases l that produced ``params`` via
     :func:`cnot_phase_params`.  Equals exp_minus_iH(h) @ BELL_EXCHANGE for
     the matching coordinates h.
+
+    Its locals rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2), with W the
+    Hadamard, come from one stacked :func:`rz` and are admitted in one check.
     """
-    phase_locals = _local_ops(_core_cnot_locals(params), _CORE_CNOT_SLOTS)
-    return Circuit(ops=_core_cnot_ops(phase_locals), declared_global_phase=0.0)
+    m = rz(params)
+    m[0] = m[0] @ HADAMARD
+    m[2] = HADAMARD @ m[2]
+    w1, r1, w2, r2 = _local_ops(m, _CORE_CNOT_SLOTS)
+    ops = [cnot_op(1), w1, r1, cnot_op(1), w2, r2, cnot_op(1)]
+    return Circuit(ops=ops, declared_global_phase=0.0)
 
 
 def shifted_bell_phases(lam):
@@ -399,18 +382,12 @@ def _cnot_circuit(dec):
     a1, b1 = dec.front
     a2, b2 = dec.back
     try:
-        params = _cnot_core_params(dec)
-        front_q1, front_q2, *core, back_q1, back_q2 = _local_ops(
-            np.array([
-                _CORE_P.conj().T @ a1,
-                _CORE_Q.conj().T @ b1,
-                *_core_cnot_locals(params),
-                a2,
-                b2,
-            ]),
-            ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1"), (2, "back-q2")),
+        core = build_core_cnot_circuit(_cnot_core_params(dec))
+        front_q1, front_q2, back_q1, back_q2 = _local_ops(
+            np.array([_CORE_P.conj().T @ a1, _CORE_Q.conj().T @ b1, a2, b2]),
+            ((1, "front-q1"), (2, "front-q2"), (1, "back-q1"), (2, "back-q2")),
         )
-        ops = [front_q1, front_q2, *_core_cnot_ops(core), back_q1, back_q2]
+        ops = [front_q1, front_q2, *core.ops, back_q1, back_q2]
     except ContractViolation as exc:
         raise NumericalError(f"cnot synthesis: {exc}") from exc
     return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))

@@ -7,13 +7,11 @@ or be re-exported by ``swapsynth/__init__.py``.  A constant that only tests
 read is dead code.
 
 Each public module-level ``def`` or ``class`` must be read outside its own
-definition, by a module of the package or by a script in ``demos/``, or be
-named by a per-layer row of ``BENCHMARK.json``.  A re-export does not count:
-a function that only tests call is dead code too.
+definition, by a module of the package or by a script in ``demos/``.  A
+re-export does not count: a function that only tests call is dead code too.
 """
 
 import ast
-import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -66,12 +64,11 @@ def dead_constants(sources):
     )
 
 
-def dead_definitions(sources, demo_sources=(), benchmarked=frozenset()):
+def dead_definitions(sources, demo_sources=()):
     """Sorted "module.name" of every unread public function and class.
 
     sources is as for :func:`dead_constants`; demo_sources are the texts of
-    the demo scripts, and benchmarked holds the "module.name" that a
-    per-layer benchmark row names.
+    the demo scripts.
     """
     demo_reads = set().union(*(reads(ast.parse(source)) for source in demo_sources))
     statements = [
@@ -83,10 +80,9 @@ def dead_definitions(sources, demo_sources=(), benchmarked=frozenset()):
     for module, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        qualified = f"{module}.{node.name}"
         read_elsewhere = any(node.name in read for _, other, read in statements if other is not node)
-        if not (read_elsewhere or node.name in demo_reads or qualified in benchmarked):
-            dead.append(qualified)
+        if not (read_elsewhere or node.name in demo_reads):
+            dead.append(f"{module}.{node.name}")
     return sorted(dead)
 
 
@@ -110,8 +106,6 @@ def test_scanner_finds_dead_and_keeps_read():
             "    pass\n"
             "def in_demo():\n"
             "    pass\n"
-            "def timed():\n"
-            "    pass\n"
             "def _private():\n"
             "    pass\n"
             "class Used:\n"
@@ -123,7 +117,7 @@ def test_scanner_finds_dead_and_keeps_read():
     }
     assert dead_constants(sources) == ["a.DEAD", "a.Y", "b.DEAD_TOO"]
     demos = ["from swapsynth.a import in_demo\nin_demo()\n"]
-    assert dead_definitions(sources, demos, {"a.timed"}) == [
+    assert dead_definitions(sources, demos) == [
         "a.Dead",
         "a.exported_only",
         "a.recurse",
@@ -141,6 +135,4 @@ def test_no_dead_public_constants():
 
 def test_no_dead_public_functions_or_classes():
     demos = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demos").glob("*.py"))]
-    rows = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
-    benchmarked = {".".join(row["name"].split(".")[:2]) for row in rows}
-    assert dead_definitions(package_sources(), demos, benchmarked) == []
+    assert dead_definitions(package_sources(), demos) == []

@@ -99,6 +99,14 @@ def test_appendix_terms_against_direct_traces():
         assert abs(t3 - _trace_term(SWAP @ v)) < 1e-12
 
 
+def test_closed_forms_reject_bad_exponent():
+    for bad in (float("nan"), float("inf"), "wide", None):
+        with pytest.raises(ContractViolation):
+            ep_closed_form_swap(bad)
+        with pytest.raises(ContractViolation):
+            appendix_a_terms(bad)
+
+
 def test_appendix_terms_landmarks():
     assert appendix_a_terms(0.0) == pytest.approx((16.0, 4.0))
     assert appendix_a_terms(0.5) == pytest.approx((7.0, 7.0))

@@ -41,8 +41,9 @@ def test_reduce_exponent():
     # A SWAP exponent counts only modulo its period 2.
     for alpha, reduced in ((2.25, 0.25), (-0.5, 1.5), (4.0, 0.0)):
         assert np.max(np.abs(swap_pow(alpha) - swap_pow(reduced))) < 1e-14
-    with pytest.raises(ContractViolation):
-        swap_pow(float("nan"))
+    for bad in (float("nan"), float("inf"), "wide", None):
+        with pytest.raises(ContractViolation):
+            swap_pow(bad)
 
 
 def test_swap_pow_endpoints():
@@ -93,6 +94,13 @@ def test_rz():
     z = rz(0.4) @ rz(-0.15)
     assert np.max(np.abs(z - rz(0.25))) < 1e-15
     assert np.allclose(rz(np.pi / 2), np.diag([-1j, 1j]))
+    assert rz(0.3).shape == (2, 2)
+    # A stack of angles gives the stack of their rotations, bit for bit.
+    for k in (1, 4):
+        angles = np.random.default_rng(k).uniform(-np.pi, np.pi, k)
+        stack = rz(angles)
+        assert stack.shape == (k, 2, 2)
+        assert all(np.array_equal(stack[i], rz(angles[i])) for i in range(k))
 
 
 def test_named_gate_lookup():

@@ -95,8 +95,11 @@ def test_haar_first_moment():
 
 
 def test_haar_rejects_other_dims():
-    with pytest.raises(ContractViolation):
-        haar_random_unitary(3, seed=0)
+    for dim in (3, 4.0, "4"):
+        with pytest.raises(ContractViolation):
+            haar_random_unitary(dim, seed=0)
+    # An integer of any type passes.
+    assert np.array_equal(haar_random_unitary(np.int64(4), seed=0), haar_random_unitary(4, seed=0))
 
 
 def test_haar_rejects_negative_seed():
