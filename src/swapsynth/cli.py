@@ -8,6 +8,7 @@ success, 1 when a verification tolerance is exceeded, 2 on bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -403,11 +404,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process, built on first use; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
     """Run one command; print its report (``--json``) or text lines, and write ``--out``."""
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
-        code, report, lines = ns.func(ns)
+        # Looked up by name at call time, not the function the cached parser bound,
+        # so a handler rebound on this module (patched or traced) is the one that runs.
+        code, report, lines = globals()[ns.func.__name__](ns)
         if getattr(ns, "out", None):
             _write_json(ns.out, report)
     except ContractViolation as exc:

@@ -63,7 +63,8 @@ def swap_pow(alpha):
     Periodic in alpha with period 2.  alpha = 1/2 gives the square root
     of SWAP, the natural entangling primitive of an exchange pulse.
     """
-    alpha = _swap_exponent(alpha)
+    # Reduced by the period first: pi * alpha loses every digit once alpha is large.
+    alpha = _swap_exponent(alpha) % 2.0
     p = (1.0 + np.exp(1j * np.pi * alpha)) / 2.0
     m = (1.0 - np.exp(1j * np.pi * alpha)) / 2.0
     u = np.zeros((4, 4), dtype=complex)

@@ -123,7 +123,7 @@ class SwapPowOp(GateOp):
 
     @staticmethod
     def from_dict(entry):
-        return swap_op(entry.get("alpha"))
+        return swap_op(_number_field(entry, "alpha"))
 
     def identity_phase(self, tol):
         return 0.0 if self._even_distance() <= tol else None
@@ -177,6 +177,14 @@ def _int_field(entry, key, default=None):
     value = entry.get(key, default)
     if type(value) is not int:
         raise ContractViolation(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number_field(entry, key, default=None):
+    """A real field read from JSON: an int or a float, so neither true nor "0.5" passes."""
+    value = entry.get(key, default)
+    if type(value) not in (int, float):
+        raise ContractViolation(f"{key} must be a number, got {value!r}")
     return value
 
 
@@ -516,10 +524,7 @@ def circuit_from_dict(doc):
         if op_class is None:
             raise ContractViolation(f"unknown op kind {kind!r}")
         ops.append(op_class.from_dict(entry))
-    try:
-        phase = float(doc.get("global_phase", 0.0))
-    except (TypeError, ValueError):
-        raise ContractViolation("global_phase must be a number") from None
+    phase = float(_number_field(doc, "global_phase", 0.0))
     if not np.isfinite(phase):
         raise ContractViolation(f"global_phase must be finite, got {phase}")
     return Circuit(ops=ops, declared_global_phase=phase)

@@ -111,6 +111,8 @@ def test_appendix_terms_landmarks():
     assert appendix_a_terms(0.0) == pytest.approx((16.0, 4.0))
     assert appendix_a_terms(0.5) == pytest.approx((7.0, 7.0))
     assert appendix_a_terms(1.0) == pytest.approx((4.0, 16.0))
+    # An even exponent far past the period: reduced before it meets pi.
+    assert appendix_a_terms(1e308) == (16.0, 4.0)
 
 
 def test_monte_carlo_agrees_with_exact():

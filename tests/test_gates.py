@@ -28,6 +28,7 @@ from swapsynth.linalg import (
     haar_random_unitary,
     phase_distance,
 )
+from swapsynth.synthesis import Circuit, evaluate_circuit, prune_circuit, swap_op
 
 
 def test_fixed_gates():
@@ -39,8 +40,11 @@ def test_fixed_gates():
 
 def test_reduce_exponent():
     # A SWAP exponent counts only modulo its period 2.
-    for alpha, reduced in ((2.25, 0.25), (-0.5, 1.5), (4.0, 0.0)):
+    for alpha, reduced in ((2.25, 0.25), (-0.5, 1.5), (4.0, 0.0), (2**60, 0.0), (1e308, 0.0)):
         assert np.max(np.abs(swap_pow(alpha) - swap_pow(reduced))) < 1e-14
+    # Pruning drops an even exponent as an identity, so it must evaluate as one.
+    circuit = Circuit(ops=[swap_op(2**60)])
+    assert np.max(np.abs(evaluate_circuit(circuit) - evaluate_circuit(prune_circuit(circuit)))) < 1e-14
     for bad in (float("nan"), float("inf"), "wide", None):
         with pytest.raises(ContractViolation):
             swap_pow(bad)

@@ -287,6 +287,12 @@ def test_circuit_from_dict_rejects_garbage():
     for control in (True, 2.0, "2", None):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [{"kind": "cnot", "control": control}]})
+    for alpha in ("0.5", True):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": [{"kind": "swap_pow", "alpha": alpha}]})
+    for phase in ("0.5", True):
+        with pytest.raises(ContractViolation):
+            circuit_from_dict({"ops": [], "global_phase": phase})
 
 
 def test_shared_constants_are_read_only():
