@@ -29,6 +29,7 @@ through these four angles.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +56,8 @@ from .linalg import (
 # Basis in which every single-qubit pair a (x) b becomes real orthogonal and
 # every E(h) becomes diagonal.  Columns: phi+, i phi-, i psi+, psi-.
 MAGIC = _frozen(BELL_BASIS * np.array([1, 1j, 1j, 1]))
+_MAGIC_H = _frozen(MAGIC.conj().T)
+_THREE_ID4 = _frozen(3.0 * ID4)
 
 _SIGMA = (PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -66,6 +69,9 @@ _SWAP_CONJ = tuple(
     _frozen(_kron(c, c)) for c in ((ID2 - 1j * s) / np.sqrt(2.0) for s in _SIGMA)
 )
 _FLIP_CONJ = tuple(_frozen(_kron(s, ID2)) for s in _SIGMA)
+# Their adjoints for swap, and the phase of the scalar (-i)^n a shift by n leaves.
+_SWAP_CONJ_H = tuple(_frozen(g.conj().T) for g in _SWAP_CONJ)
+_SHIFT_PHASES = tuple(float(a) for a in np.angle((1, -1j, -1, 1j)))
 
 _WALL_TOL = 1e-10
 _CHAMBER_TOL = 1e-9
@@ -202,19 +208,18 @@ class _ReductionState:
         if n == 0:
             return
         self.h[k] -= n * np.pi / 2.0
-        z = (1.0, -1j, -1.0, 1j)[n % 4]
         if n % 2:
             self.l1 = _SHIFT_CONJ[k] @ self.l1
-        self.phi += np.angle(z)
+        self.phi += _SHIFT_PHASES[n % 4]
 
     def swap(self, j, k):
         """Exchange h[j] and h[k] via same-axis rotations on both qubits."""
         if j == k:
             return
-        g = _SWAP_CONJ[3 - j - k]
-        self.h[[j, k]] = self.h[[k, j]]
-        self.l2 = self.l2 @ g.conj().T
-        self.l1 = g @ self.l1
+        axis = 3 - j - k
+        self.h[j], self.h[k] = self.h[k], self.h[j]
+        self.l2 = self.l2 @ _SWAP_CONJ_H[axis]
+        self.l1 = _SWAP_CONJ[axis] @ self.l1
 
     def flip_pair(self, j, k):
         """Negate h[j] and h[k] via a single-qubit Pauli on qubit 1."""
@@ -225,19 +230,24 @@ class _ReductionState:
         self.l1 = g @ self.l1
 
     def reduce(self):
-        """Drive h into the canonical chamber."""
+        """Drive h into the canonical chamber.
+
+        The moves decide on h as a list of Python floats: the same IEEE
+        arithmetic as numpy scalars, at a fraction of the call cost.
+        """
+        h = self.h = [float(v) for v in self.h]
         for k in range(3):
-            self.shift(k, int(np.floor(self.h[k] / (np.pi / 2.0) + 0.5)))
+            self.shift(k, math.floor(h[k] / (np.pi / 2.0) + 0.5))
         for i in range(2):
-            j = i + int(np.argmax(np.abs(self.h[i:])))
-            self.swap(i, j)
-        if self.h[0] < 0 and self.h[1] < 0:
+            # The first of equal magnitudes wins, as with np.argmax.
+            self.swap(i, max(range(i, 3), key=lambda m: abs(h[m])))
+        if h[0] < 0 and h[1] < 0:
             self.flip_pair(0, 1)
-        elif self.h[0] < 0:
+        elif h[0] < 0:
             self.flip_pair(0, 2)
-        elif self.h[1] < 0:
+        elif h[1] < 0:
             self.flip_pair(1, 2)
-        if self.h[0] >= np.pi / 4.0 - _WALL_TOL and self.h[2] < -1e-13:
+        if h[0] >= np.pi / 4.0 - _WALL_TOL and h[2] < -1e-13:
             self.shift(0, 1)
             self.flip_pair(0, 2)
 
@@ -256,10 +266,10 @@ def kak_decompose(u):
     u = assert_unitary(u, name="u", dim=4)
     # Without the projection, m = vm^T vm below doubles u's deviation, past
     # the bound at which diagonalize_complex_symmetric_unitary admits m.
-    u = u @ (3.0 * ID4 - u.conj().T @ u) / 2.0
+    u = u @ (_THREE_ID4 - u.conj().T @ u) / 2.0
 
     v, phi = project_su(u)
-    vm = MAGIC.conj().T @ v @ MAGIC
+    vm = _MAGIC_H @ v @ MAGIC
     m = vm.T @ vm
 
     d, q = diagonalize_complex_symmetric_unitary(m)
@@ -273,8 +283,8 @@ def kak_decompose(u):
         lam[0] += np.pi
         o2[:, 0] = -o2[:, 0]
 
-    l2 = MAGIC @ o2 @ MAGIC.conj().T
-    l1 = MAGIC @ q.T.astype(complex) @ MAGIC.conj().T
+    l2 = MAGIC @ o2 @ _MAGIC_H
+    l1 = MAGIC @ q.T.astype(complex) @ _MAGIC_H
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
     # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
     h = np.array(

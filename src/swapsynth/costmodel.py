@@ -24,6 +24,7 @@ from .linalg import ContractViolation, _check_bound, phase_distance
 from .synthesis import (
     LocalOp,
     _cnot_circuit,
+    _number_field,
     _swap_circuit,
     evaluate_circuit,
     expand_cnots_to_swaps,
@@ -32,6 +33,7 @@ from .synthesis import (
 
 
 _POLICIES = ("fixed_pi", "proportional")
+_TIMING_FIELDS = ("rabi_frequency_hz", "pi_rotation_time_s", "swap_full_time_s")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +53,7 @@ class HardwareProfile:
     local_rotation_policy: str = "fixed_pi"
 
     def __post_init__(self):
-        for field in ("rabi_frequency_hz", "pi_rotation_time_s", "swap_full_time_s"):
+        for field in _TIMING_FIELDS:
             value = getattr(self, field)
             if not (np.isfinite(value) and value > 0):
                 raise ContractViolation(f"{field} must be positive, got {value}")
@@ -102,18 +104,16 @@ def profile_from_dict(doc):
     """
     if not isinstance(doc, dict):
         raise ContractViolation("profile document must be a JSON object")
-    try:
-        return HardwareProfile(
-            name=str(doc["name"]),
-            rabi_frequency_hz=float(doc["rabi_frequency_hz"]),
-            pi_rotation_time_s=float(doc["pi_rotation_time_s"]),
-            swap_full_time_s=float(doc["swap_full_time_s"]),
-            local_rotation_policy=str(doc.get("local_rotation_policy", "fixed_pi")),
-        )
-    except KeyError as exc:
-        raise ContractViolation(f"profile document missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"malformed profile document: {exc}") from None
+    for key in ("name", *_TIMING_FIELDS):
+        if key not in doc:
+            raise ContractViolation(f"profile document missing key {key!r}")
+    # A JSON number each, so neither "5e6" nor true passes.
+    timing = {key: float(_number_field(doc, key)) for key in _TIMING_FIELDS}
+    return HardwareProfile(
+        name=str(doc["name"]),
+        local_rotation_policy=str(doc.get("local_rotation_policy", "fixed_pi")),
+        **timing,
+    )
 
 
 class Layer(NamedTuple):

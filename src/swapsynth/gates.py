@@ -10,6 +10,7 @@ SWAP**1 = SWAP.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -41,12 +42,15 @@ CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 
 
 def _swap_exponent(alpha):
-    """The one admission rule for a SWAP exponent: a finite float, else ContractViolation."""
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise ContractViolation(f"swap exponent must be a number, got {alpha!r}") from None
-    if not np.isfinite(alpha):
+    """The one admission rule for a SWAP exponent: a finite real number, as a
+    float.  An int, float or numpy real scalar passes; a bool, a string or
+    None is a ContractViolation, as is a non-finite value."""
+    if isinstance(alpha, (bool, np.bool_)) or not isinstance(
+        alpha, (int, float, np.integer, np.floating)
+    ):
+        raise ContractViolation(f"swap exponent must be a real number, got {alpha!r}")
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
         raise ContractViolation(f"swap exponent must be finite, got {alpha}")
     return alpha
 

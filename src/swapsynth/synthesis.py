@@ -51,6 +51,8 @@ class GateOp:
 
     Every op has a readable ``kind`` string and these methods:
     ``unitary()`` is its 4x4 matrix, computed from its fields on each call;
+    ``apply(u)`` is ``unitary() @ u`` for a 4x4 u, bit for bit, which an op
+    may compute from its structure without forming the 4x4;
     ``to_dict()`` is its JSON entry; ``identity_phase(tol)`` is theta when
     the op acts as e^{i theta} I within tol, or None (the default) when it
     must be kept; ``duration_s(profile)`` is its time under a hardware
@@ -58,6 +60,9 @@ class GateOp:
     """
 
     kind: ClassVar[str]
+
+    def apply(self, u):
+        return self.unitary() @ u
 
     def identity_phase(self, tol):
         return None
@@ -76,6 +81,12 @@ class LocalOp(GateOp):
         if self.qubit == 1:
             return _kron(self.matrix, ID2)
         return _kron(ID2, self.matrix)
+
+    def apply(self, u):
+        # The 2x2 acts on the row index's qubit-1 (or qubit-2) digit only.
+        if self.qubit == 1:
+            return (self.matrix @ u.reshape(2, 8)).reshape(4, 4)
+        return (self.matrix @ u.reshape(2, 2, 4)).reshape(4, 4)
 
     def to_dict(self):
         return {
@@ -143,6 +154,10 @@ class CnotOp(GateOp):
         # A copy: CNOT is read-only, and like every op's unitary the result is the caller's.
         return (CNOT if self.control == 1 else CNOT_21).copy()
 
+    def apply(self, u):
+        # A CNOT permutes the rows: it flips the target where the control is 1.
+        return u[_CNOT_ROWS[self.control]]
+
     def to_dict(self):
         return {"kind": self.kind, "control": self.control}
 
@@ -153,6 +168,10 @@ class CnotOp(GateOp):
     def duration_s(self, profile):
         # Not a native exchange pulse: costed at the full-SWAP time.
         return profile.swap_full_time_s
+
+
+# Row order of CNOT @ u, by control qubit.
+_CNOT_ROWS = {1: _frozen(np.array([0, 1, 3, 2])), 2: _frozen(np.array([0, 3, 2, 1]))}
 
 
 def local_op(qubit, matrix, label=""):
@@ -454,7 +473,7 @@ def evaluate_circuit(circuit):
     """Multiply a circuit out to its 4x4 unitary, global phase included."""
     u = ID4 * np.exp(1j * float(circuit.declared_global_phase))
     for op in circuit.ops:
-        u = op.unitary() @ u
+        u = op.apply(u)
     return u
 
 

@@ -244,3 +244,8 @@ def test_chamber_move_conjugators_match_their_factors():
         assert np.array_equal(canonical._SHIFT_CONJ[k], np.kron(sigma, sigma))
         assert np.array_equal(canonical._SWAP_CONJ[k], np.kron(c, c))
         assert np.array_equal(canonical._FLIP_CONJ[k], np.kron(sigma, ID2))
+        assert np.array_equal(canonical._SWAP_CONJ_H[k], canonical._SWAP_CONJ[k].conj().T)
+    # A shift by n leaves the scalar (-i)^n; its phase is read from the table.
+    for n in range(-5, 6):
+        phase = canonical._SHIFT_PHASES[n % 4]
+        assert abs(np.exp(1j * phase) - (-1j) ** n) < 1e-15

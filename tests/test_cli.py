@@ -224,6 +224,23 @@ def test_cost_custom_profile(tmp_path, capsys):
     assert rep["total_time_s"] == pytest.approx(4 * 5.0e-8 + 1.0e-10, rel=1e-6)
 
 
+def test_cost_profile_with_string_field_exits_2(tmp_path, capsys):
+    prof = tmp_path / "prof.json"
+    prof.write_text(
+        json.dumps(
+            {
+                "name": "lab",
+                "rabi_frequency_hz": "5e6",
+                "pi_rotation_time_s": 1e-7,
+                "swap_full_time_s": 1e-9,
+            }
+        )
+    )
+    code, text, err = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", str(prof))
+    assert code == 2
+    assert text == "" and "rabi_frequency_hz must be a number" in err
+
+
 def test_cost_needs_circuit_or_compare(tmp_path, capsys):
     code, _, err = run(capsys, "cost", "--profile", "gaas")
     assert code == 2

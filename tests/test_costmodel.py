@@ -72,6 +72,14 @@ def test_profile_from_dict():
         profile_from_dict({"name": "incomplete"})
     with pytest.raises(ContractViolation):
         profile_from_dict("gaas")
+    with pytest.raises(ContractViolation, match="missing key 'swap_full_time_s'"):
+        profile_from_dict({k: v for k, v in doc.items() if k != "swap_full_time_s"})
+    # Each timing field is a JSON number: a string or a boolean is refused.
+    for key in ("rabi_frequency_hz", "pi_rotation_time_s", "swap_full_time_s"):
+        for bad in (str(doc[key]), True, None):
+            with pytest.raises(ContractViolation, match=f"{key} must be a number"):
+                profile_from_dict({**doc, key: bad})
+    assert profile_from_dict({**doc, "rabi_frequency_hz": 10_000_000}).rabi_frequency_hz == 1.0e7
 
 
 def test_schedule_empty():

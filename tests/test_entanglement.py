@@ -100,7 +100,7 @@ def test_appendix_terms_against_direct_traces():
 
 
 def test_closed_forms_reject_bad_exponent():
-    for bad in (float("nan"), float("inf"), "wide", None):
+    for bad in (float("nan"), float("inf"), "wide", "0.5", None, True, False, np.bool_(False)):
         with pytest.raises(ContractViolation):
             ep_closed_form_swap(bad)
         with pytest.raises(ContractViolation):
@@ -121,6 +121,25 @@ def test_monte_carlo_agrees_with_exact():
         exact = ep_exact(u)
         assert est.samples == 20000
         assert abs(est.mean - exact) < 4.0 * est.std_error, label
+
+
+def test_monte_carlo_sample_is_the_reduced_state_purity():
+    # One sample per call, so the mean is that sample's linear entropy.  The
+    # reference draws the same states in the same order (qubit 1, then
+    # qubit 2) and takes 1 - tr(rho1^2) of rho1 = tr_2 |psi><psi|.
+    def haar_qubit(rng):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        return z / np.linalg.norm(z)
+
+    for u in (CNOT, swap_pow(0.5), haar_random_unitary(4, seed=5)):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = haar_qubit(rng)
+            b = haar_qubit(rng)
+            psi = (u @ np.kron(a, b)).reshape(2, 2)
+            rho1 = psi @ psi.conj().T
+            entropy = 1.0 - np.trace(rho1 @ rho1).real
+            assert abs(ep_monte_carlo(u, samples=1, seed=seed).mean - entropy) < 1e-14
 
 
 def test_monte_carlo_swap_at_machine_noise():

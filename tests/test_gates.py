@@ -45,9 +45,12 @@ def test_reduce_exponent():
     # Pruning drops an even exponent as an identity, so it must evaluate as one.
     circuit = Circuit(ops=[swap_op(2**60)])
     assert np.max(np.abs(evaluate_circuit(circuit) - evaluate_circuit(prune_circuit(circuit)))) < 1e-14
-    for bad in (float("nan"), float("inf"), "wide", None):
+    for bad in (float("nan"), float("inf"), "wide", "0.5", None, True, np.bool_(True), np.float64("nan")):
         with pytest.raises(ContractViolation):
             swap_pow(bad)
+    # numpy real scalars pass, as analyze ep-curve hands them in.
+    for good in (np.float64(0.5), np.float32(0.5), np.int64(1)):
+        assert np.array_equal(swap_pow(good), swap_pow(float(good)))
 
 
 def test_swap_pow_endpoints():

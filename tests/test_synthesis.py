@@ -60,9 +60,10 @@ def test_op_factories_validate():
         local_op(3, ID2)
     with pytest.raises(ContractViolation):
         local_op(1, np.ones((2, 2)))
-    for alpha in ("wide", float("nan"), float("inf")):
+    for alpha in ("wide", "0.5", None, True, np.bool_(True), float("nan"), float("inf")):
         with pytest.raises(ContractViolation):
             swap_op(alpha)
+    assert swap_op(np.float64(0.25)).alpha == 0.25 and type(swap_op(np.int64(1)).alpha) is float
     with pytest.raises(ContractViolation):
         cnot_op(0)
 
