@@ -8,7 +8,6 @@ before; every comparison is on the bytes, not within a tolerance.
 """
 
 import numpy as np
-import pytest
 
 from swapsynth.gates import NAMED_GATES
 from swapsynth.linalg import ID4, haar_random_unitary
@@ -34,22 +33,13 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def targets():
-    for seed in range(200):
-        yield f"haar-{seed}", haar_random_unitary(4, seed=seed)
-    for name, gate in sorted(NAMED_GATES.items()):
-        if gate.shape == (4, 4):
-            yield name, gate
-
-
-TARGETS = list(targets())
-
-
-@pytest.mark.parametrize("name, u", TARGETS, ids=[name for name, _ in TARGETS])
-def test_evaluate_circuit_is_the_product_of_unitaries(name, u):
-    cnot = synthesize_cnot(u)
-    for circuit in (synthesize_swap(u), cnot, expand_cnots_to_swaps(cnot)):
-        assert same_bytes(evaluate_circuit(circuit), product_of_unitaries(circuit))
+def test_evaluate_circuit_is_the_product_of_unitaries():
+    named = [(name, gate) for name, gate in sorted(NAMED_GATES.items()) if gate.shape == (4, 4)]
+    haar = [(f"haar-{seed}", haar_random_unitary(4, seed=seed)) for seed in range(200)]
+    for name, u in named + haar:
+        cnot = synthesize_cnot(u)
+        for circuit in (synthesize_swap(u), cnot, expand_cnots_to_swaps(cnot)):
+            assert same_bytes(evaluate_circuit(circuit), product_of_unitaries(circuit)), name
 
 
 def test_each_apply_is_its_unitary_times_u():
