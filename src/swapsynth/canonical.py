@@ -28,7 +28,9 @@ through these four angles.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import functools
 import math
 from typing import NamedTuple
 
@@ -174,34 +176,68 @@ def _split_local_products(ls):
     k = ls.shape[0]
     members = np.arange(k)
     blocks = ls.reshape(k, 2, 2, 2, 2)
-    # The largest 2x2 block (p, q) of each member is a multiple of its b.
-    norms = np.sqrt((np.abs(blocks) ** 2).sum(axis=(2, 4))).reshape(k, 4)
-    pq = norms.argmax(axis=1)
-    p, q = np.divmod(pq, 2)
-    b_raw = blocks[members, p, :, q, :] * (np.sqrt(2.0) / norms[members, pq])[:, None, None]
+    # Block (p, q) is a[p, q] b.  For a unitary a, |a00| = |a11| and
+    # |a01| = |a10|, so the first block row holds a largest block, and
+    # taking the first of its two on a tie leaves rounding no choice.
+    norms = np.sqrt((np.abs(blocks[:, 0]) ** 2).sum(axis=(1, 3)))
+    q = norms.argmax(axis=1)
+    b_raw = blocks[members, 0, :, q, :] * (np.sqrt(2.0) / norms[members, q])[:, None, None]
     a_raw = np.einsum("kab,kiajb->kij", b_raw.conj(), blocks) / 2.0
     residual = np.abs(_kron(a_raw, b_raw) - ls).max()
     _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
     factors = np.array([a_raw, b_raw])
-    a, b = factors / np.sqrt(np.linalg.det(factors))[..., None, None]
-    overlap = _kron(a, b).conj().swapaxes(-1, -2) @ ls
-    psi = np.angle(overlap.trace(axis1=1, axis2=2))
+    dets = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
+    # a_raw (x) b_raw is the member, so it is e^{i psi} a (x) b with
+    # e^{i psi} the product of the two normalising roots.
+    roots = np.sqrt(dets)
+    a, b = factors / roots[..., None, None]
+    psi = np.angle(roots[0] * roots[1])
     return a, b, psi
+
+
+# Each chamber move by kind: its conjugator tables for the left of l1 and
+# for the right of l2 (None where the move leaves l2 alone).
+_MOVE_TABLES = {
+    "shift": (_SHIFT_CONJ, None),
+    "swap": (_SWAP_CONJ, _SWAP_CONJ_H),
+    "flip": (_FLIP_CONJ, _FLIP_CONJ),
+}
+
+
+@functools.cache
+def _move_conjugators(moves):
+    """The (2, 4, 4) stacks lhs, rhs that carry a chamber reduction.
+
+    moves is the tuple of the (kind, axis) pairs that
+    :meth:`_ReductionState.reduce` records.  With the magic-basis transforms
+    folded in, the reduced local products are lhs @ [o2, q^T] @ rhs: one
+    stacked product, however many moves fired.  Cached, and filled on first
+    use: a reduction records one of at most 384 sequences.
+    """
+    left = right = ID4
+    for kind, axis in moves:
+        left_table, right_table = _MOVE_TABLES[kind]
+        left = left_table[axis] @ left
+        if right_table is not None:
+            right = right @ right_table[axis]
+    lhs = np.array([MAGIC, left @ MAGIC])
+    rhs = np.array([_MAGIC_H @ right, _MAGIC_H])
+    return _frozen(lhs), _frozen(rhs)
 
 
 class _ReductionState:
     """Bookkeeping for chamber moves on u = e^{i phi} l2 E(h) l1.
 
-    Each move rewrites the factorization exactly: conjugators migrate into
-    the flanking local products l1, l2 and scalars into phi, so the product
-    is preserved to machine precision throughout.
+    Each move rewrites the factorization exactly: its conjugators migrate
+    into the flanking local products l1, l2 and scalars into phi.  The moves
+    are only recorded here, as (kind, axis) pairs in ``moves``; the products
+    are applied at once through :func:`_move_conjugators`.
     """
 
-    def __init__(self, phi, l2, h, l1):
+    def __init__(self, phi, h):
         self.phi = phi
-        self.l2 = l2
         self.h = h
-        self.l1 = l1
+        self.moves = []
 
     def shift(self, k, n):
         """h[k] -= n pi/2, compensated by a sigma_k (x) sigma_k factor."""
@@ -209,25 +245,21 @@ class _ReductionState:
             return
         self.h[k] -= n * np.pi / 2.0
         if n % 2:
-            self.l1 = _SHIFT_CONJ[k] @ self.l1
+            self.moves.append(("shift", k))
         self.phi += _SHIFT_PHASES[n % 4]
 
     def swap(self, j, k):
         """Exchange h[j] and h[k] via same-axis rotations on both qubits."""
         if j == k:
             return
-        axis = 3 - j - k
         self.h[j], self.h[k] = self.h[k], self.h[j]
-        self.l2 = self.l2 @ _SWAP_CONJ_H[axis]
-        self.l1 = _SWAP_CONJ[axis] @ self.l1
+        self.moves.append(("swap", 3 - j - k))
 
     def flip_pair(self, j, k):
         """Negate h[j] and h[k] via a single-qubit Pauli on qubit 1."""
-        g = _FLIP_CONJ[3 - j - k]
         self.h[j] = -self.h[j]
         self.h[k] = -self.h[k]
-        self.l2 = self.l2 @ g
-        self.l1 = g @ self.l1
+        self.moves.append(("flip", 3 - j - k))
 
     def reduce(self):
         """Drive h into the canonical chamber.
@@ -276,37 +308,35 @@ def kak_decompose(u):
     if np.linalg.det(q) < 0:
         q[:, 3] = -q[:, 3]
 
-    lam = -np.angle(d) / 2.0
-    o2 = (vm @ q) * np.exp(1j * lam)[np.newaxis, :]
+    angles = np.angle(d)
+    o2 = (vm @ q) * np.exp(-0.5j * angles)
     _check_bound(np.abs(o2.imag).max(), 1e-8, "second orthogonal factor has imaginary residue")
-    if np.linalg.det(o2).real < 0:
-        lam[0] += np.pi
-        o2[:, 0] = -o2[:, 0]
-
-    l2 = MAGIC @ o2 @ _MAGIC_H
-    l1 = MAGIC @ q.T.astype(complex) @ _MAGIC_H
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
     # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
-    h = np.array(
-        [
-            (lam[0] + lam[2]) / 2.0,
-            (lam[2] + lam[1]) / 2.0,
-            (lam[0] + lam[1]) / 2.0,
-        ]
-    )
+    l00, l10, l01, _ = (-angles / 2.0).tolist()
+    # det(vm) = det(q) = 1, so det(o2) = e^{i sum(lam)} = (-1)^n for the n
+    # turns that the eigenphases of m, whose product is 1, add up to.  An odd
+    # n is fixed by negating o2's first column and adding pi to lam[0].
+    if round(float(angles.sum()) / (2.0 * np.pi)) % 2:
+        l00 += np.pi
+        o2[:, 0] = -o2[:, 0]
+    h = np.array([(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0])
 
-    state = _ReductionState(phi, l2, h, l1)
+    state = _ReductionState(phi, h)
     state.reduce()
 
     params = CanonicalParams(*(float(v) for v in state.h))
     if not in_weyl_chamber(params):
         raise NumericalError(f"reduction left the chamber: {params}")
 
+    # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag, with the moves'
+    # conjugators applied.
+    lhs, rhs = _move_conjugators(tuple(state.moves))
     try:
-        (b1, f1), (b2, f2), (psi2, psi1) = _split_local_products(np.array([state.l2, state.l1]))
+        (b1, f1), (b2, f2), (psi2, psi1) = _split_local_products(lhs @ np.array([o2, q.T]) @ rhs)
     except ContractViolation as exc:
         raise NumericalError(f"kak_decompose, splitting the local factors: {exc}") from exc
-    total = float(np.angle(np.exp(1j * (state.phi + psi1 + psi2))))
+    total = cmath.phase(cmath.exp(1j * (state.phi + psi1 + psi2)))
     return CanonicalDecomposition(
         global_phase=total, front=(f1, f2), params=params, back=(b1, b2)
     )

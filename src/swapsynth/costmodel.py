@@ -108,7 +108,7 @@ def profile_from_dict(doc):
         if key not in doc:
             raise ContractViolation(f"profile document missing key {key!r}")
     # A JSON number each, so neither "5e6" nor true passes.
-    timing = {key: float(_number_field(doc, key)) for key in _TIMING_FIELDS}
+    timing = {key: _number_field(doc, key) for key in _TIMING_FIELDS}
     return HardwareProfile(
         name=str(doc["name"]),
         local_rotation_policy=str(doc.get("local_rotation_policy", "fixed_pi")),

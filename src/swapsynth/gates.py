@@ -44,15 +44,29 @@ CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 def _swap_exponent(alpha):
     """The one admission rule for a SWAP exponent: a finite real number, as a
     float.  An int, float or numpy real scalar passes; a bool, a string or
-    None is a ContractViolation, as is a non-finite value."""
+    None is a ContractViolation, as is a non-finite value or an int too large
+    for a float."""
     if isinstance(alpha, (bool, np.bool_)) or not isinstance(
         alpha, (int, float, np.integer, np.floating)
     ):
         raise ContractViolation(f"swap exponent must be a real number, got {alpha!r}")
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        raise ContractViolation("swap exponent is too large for a float") from None
     if not math.isfinite(alpha):
         raise ContractViolation(f"swap exponent must be finite, got {alpha}")
     return alpha
+
+
+def _swap_pow_block(alpha):
+    """The 2x2 that SWAP**alpha applies on the span of |01>, |10>.  The
+    exponent is admitted by :func:`_swap_exponent`."""
+    # Reduced by the period first: pi * alpha loses every digit once alpha is large.
+    e = np.exp(1j * np.pi * (_swap_exponent(alpha) % 2.0))
+    p = (1.0 + e) / 2.0
+    m = (1.0 - e) / 2.0
+    return np.array([[p, m], [m, p]])
 
 
 def swap_pow(alpha):
@@ -67,17 +81,8 @@ def swap_pow(alpha):
     Periodic in alpha with period 2.  alpha = 1/2 gives the square root
     of SWAP, the natural entangling primitive of an exchange pulse.
     """
-    # Reduced by the period first: pi * alpha loses every digit once alpha is large.
-    alpha = _swap_exponent(alpha) % 2.0
-    p = (1.0 + np.exp(1j * np.pi * alpha)) / 2.0
-    m = (1.0 - np.exp(1j * np.pi * alpha)) / 2.0
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = 1.0
-    u[3, 3] = 1.0
-    u[1, 1] = p
-    u[2, 2] = p
-    u[1, 2] = m
-    u[2, 1] = m
+    u = np.eye(4, dtype=complex)
+    u[1:3, 1:3] = _swap_pow_block(alpha)
     return u
 
 

@@ -9,6 +9,7 @@ procedure misses its tolerance.
 
 from __future__ import annotations
 
+import cmath
 import operator
 
 import numpy as np
@@ -129,7 +130,7 @@ def phase_distance(u, v):
     """
     u = assert_unitary(u, name="u")
     v = assert_unitary(v, name="v", dim=u.shape[0])
-    d = 1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0]
+    d = 1.0 - abs(np.vdot(u, v)) / u.shape[0]
     return max(d, 0.0)
 
 
@@ -196,7 +197,7 @@ def diagonalize_complex_symmetric_unitary(m):
 
     for r in _MIX_WEIGHTS:
         _, q = np.linalg.eigh(m.real + r * m.imag)
-        d = np.diagonal(q.T @ m @ q)
+        d = (q * (m @ q)).sum(axis=0)
         unimodular_dev = np.abs(np.abs(d) - 1.0).max()
         d = d / np.abs(d)
         recon_dev = np.abs((q * d) @ q.T - m).max()
@@ -207,11 +208,11 @@ def diagonalize_complex_symmetric_unitary(m):
     _check_bound(unimodular_dev, 1e-8, "non-unimodular eigenvalues: deviation")
     _check_bound(np.abs(q.T @ q - ID4).max(), 1e-10, "eigenvector matrix lost orthogonality:")
 
-    order = np.argsort(np.angle(d), kind="stable")
-    d = d[order]
-    q = q[:, order]
-    # Each column of the orthogonal q has an entry above 1e-8, and argmax
-    # picks the first one.
-    lead = q[np.argmax(np.abs(q) > 1e-8, axis=0), np.arange(4)]
-    q *= np.where(lead < 0, -1.0, 1.0)
-    return d, q
+    # Sorted and signed in Python: on four entries that costs less than the
+    # numpy calls.  The sort is stable, and each column of the orthogonal q
+    # has an entry above 1e-8, whose sign is made positive.
+    phases = [cmath.phase(z) for z in d.tolist()]
+    order = sorted(range(4), key=phases.__getitem__)
+    columns = q.T.tolist()
+    signs = [-1.0 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else 1.0 for j in order]
+    return d[order], q[:, order] * signs

@@ -29,7 +29,7 @@ from .canonical import (
     lambdas,
     split_local_product,
 )
-from .gates import CNOT, CNOT_21, _swap_exponent, rz, swap_pow
+from .gates import CNOT, CNOT_21, _swap_exponent, _swap_pow_block, rz, swap_pow
 from .linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -129,6 +129,12 @@ class SwapPowOp(GateOp):
     def unitary(self):
         return swap_pow(self.alpha)
 
+    def apply(self, u):
+        # SWAP**alpha mixes only the rows of |01> and |10>.
+        out = u.copy()
+        out[1:3] = _swap_pow_block(self.alpha) @ u[1:3]
+        return out
+
     def to_dict(self):
         return {"kind": self.kind, "alpha": float(self.alpha)}
 
@@ -200,11 +206,15 @@ def _int_field(entry, key, default=None):
 
 
 def _number_field(entry, key, default=None):
-    """A real field read from JSON: an int or a float, so neither true nor "0.5" passes."""
+    """A real field read from JSON, as a float: an int or a float, so neither
+    true nor "0.5" passes, nor an int too large for a float."""
     value = entry.get(key, default)
     if type(value) not in (int, float):
         raise ContractViolation(f"{key} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ContractViolation(f"{key} is too large for a float") from None
 
 
 # The one place a kind string is read from outside input.
@@ -543,7 +553,7 @@ def circuit_from_dict(doc):
         if op_class is None:
             raise ContractViolation(f"unknown op kind {kind!r}")
         ops.append(op_class.from_dict(entry))
-    phase = float(_number_field(doc, "global_phase", 0.0))
+    phase = _number_field(doc, "global_phase", 0.0)
     if not np.isfinite(phase):
         raise ContractViolation(f"global_phase must be finite, got {phase}")
     return Circuit(ops=ops, declared_global_phase=phase)

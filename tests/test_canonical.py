@@ -6,6 +6,8 @@ basis representation.  Matching invariants plus chamber uniqueness pins
 the coordinates without trusting the decomposition internals.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,65 @@ def test_chamber_move_conjugators_match_their_factors():
     for n in range(-5, 6):
         phase = canonical._SHIFT_PHASES[n % 4]
         assert abs(np.exp(1j * phase) - (-1j) ** n) < 1e-15
+
+
+def _move_sequences():
+    """Every move sequence _ReductionState.reduce can record, slot by slot:
+    odd shifts per axis, the two sorting swaps, the sign flip, the wall fix."""
+    shifts = [tuple(("shift", k) for k in range(3) if odd[k]) for odd in itertools.product((0, 1), repeat=3)]
+    first_swaps = [(), (("swap", 2),), (("swap", 1),)]
+    second_swaps = [(), (("swap", 0),)]
+    flips = [(), (("flip", 2),), (("flip", 1),), (("flip", 0),)]
+    walls = [(), (("shift", 0), ("flip", 1))]
+    return {
+        sum(parts, ())
+        for parts in itertools.product(shifts, first_swaps, second_swaps, flips, walls)
+    }
+
+
+def test_reduce_records_only_enumerated_sequences():
+    sequences = _move_sequences()
+    assert len(sequences) <= 384
+    rng = np.random.default_rng(5)
+    points = list(rng.uniform(-2 * np.pi, 2 * np.pi, size=(3000, 3)))
+    # The hx = pi/4 wall with hz < 0, and ties of magnitude.
+    points += [(PI4, 0.3, -0.1), (-PI4, 0.2, 0.1), (0.3, -0.3, 0.3), (0.0, 0.0, 0.0), (PI4, PI4, -PI4)]
+    for h in points:
+        state = canonical._ReductionState(0.0, np.array(h, dtype=float))
+        state.reduce()
+        assert tuple(state.moves) in sequences, h
+    for seed in range(300):
+        kak_decompose(haar_random_unitary(4, seed=seed))
+    assert canonical._move_conjugators.cache_info().currsize <= len(sequences)
+
+
+def test_folded_conjugators_match_sequential_products():
+    lefts = {"shift": canonical._SHIFT_CONJ, "swap": canonical._SWAP_CONJ, "flip": canonical._FLIP_CONJ}
+    rights = {"swap": canonical._SWAP_CONJ_H, "flip": canonical._FLIP_CONJ}
+    magic_h = MAGIC.conj().T
+    for moves in _move_sequences():
+        # l1 = MAGIC q^T MAGIC^dag and l2 = MAGIC o2 MAGIC^dag, one move at a time.
+        left, right = MAGIC, magic_h
+        for kind, axis in moves:
+            left = lefts[kind][axis] @ left
+            if kind in rights:
+                right = right @ rights[kind][axis]
+        lhs, rhs = canonical._move_conjugators(moves)
+        assert not lhs.flags.writeable and not rhs.flags.writeable
+        assert np.abs(lhs[0] - MAGIC).max() <= 1e-15
+        assert np.abs(rhs[1] - magic_h).max() <= 1e-15
+        assert np.abs(lhs[1] - left).max() <= 1e-15, moves
+        assert np.abs(rhs[0] - right).max() <= 1e-15, moves
+
+
+def test_kak_factors_do_not_turn_on_rounding():
+    """An ulp-level phase nudge of a generic target moves no factor's sign."""
+    for seed in range(300):
+        u = haar_random_unitary(4, seed=seed)
+        dec = kak_decompose(u)
+        for eps in (3e-16, -3e-16, 1e-15):
+            nudged = kak_decompose(u * np.exp(1j * eps))
+            for got, want in zip(nudged.front + nudged.back, dec.front + dec.back):
+                assert np.abs(got - want).max() <= 1e-12, (seed, eps)
+            turn = np.angle(np.exp(1j * (nudged.global_phase - dec.global_phase)))
+            assert abs(turn) <= 1e-12, (seed, eps)

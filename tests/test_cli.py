@@ -84,6 +84,8 @@ def test_verify_bad_circuit_file(tmp_path, capsys):
         {"ops": [], "global_phase": float("inf")},
         {"ops": [bool_qubit]},
         {"ops": [{"kind": "cnot", "control": 2.0}]},
+        {"ops": [{"kind": "swap_pow", "alpha": 10**400}]},
+        {"ops": [], "global_phase": 10**400},
     ):
         bad.write_text(json.dumps(doc))
         for argv in (("verify", str(bad), "--gate", "cnot"), ("cost", str(bad))):
@@ -239,6 +241,12 @@ def test_cost_profile_with_string_field_exits_2(tmp_path, capsys):
     code, text, err = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", str(prof))
     assert code == 2
     assert text == "" and "rabi_frequency_hz must be a number" in err
+    # A JSON integer too large for a float exits 2 too, without a traceback.
+    doc = json.loads(prof.read_text())
+    prof.write_text(json.dumps({**doc, "rabi_frequency_hz": 10**400}))
+    code, text, err = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", str(prof))
+    assert code == 2
+    assert text == "" and "rabi_frequency_hz is too large for a float" in err
 
 
 def test_cost_needs_circuit_or_compare(tmp_path, capsys):

@@ -79,6 +79,9 @@ def test_profile_from_dict():
         for bad in (str(doc[key]), True, None):
             with pytest.raises(ContractViolation, match=f"{key} must be a number"):
                 profile_from_dict({**doc, key: bad})
+        # A JSON integer too large for a float is refused, not an OverflowError.
+        with pytest.raises(ContractViolation, match=f"{key} is too large for a float"):
+            profile_from_dict({**doc, key: 10**400})
     assert profile_from_dict({**doc, "rabi_frequency_hz": 10_000_000}).rabi_frequency_hz == 1.0e7
 
 

@@ -45,7 +45,7 @@ def test_reduce_exponent():
     # Pruning drops an even exponent as an identity, so it must evaluate as one.
     circuit = Circuit(ops=[swap_op(2**60)])
     assert np.max(np.abs(evaluate_circuit(circuit) - evaluate_circuit(prune_circuit(circuit)))) < 1e-14
-    for bad in (float("nan"), float("inf"), "wide", "0.5", None, True, np.bool_(True), np.float64("nan")):
+    for bad in (float("nan"), float("inf"), "wide", "0.5", None, True, np.bool_(True), np.float64("nan"), 10**400):
         with pytest.raises(ContractViolation):
             swap_pow(bad)
     # numpy real scalars pass, as analyze ep-curve hands them in.

@@ -208,6 +208,26 @@ def test_named_targets_both_backends():
             assert phase_distance(evaluate_circuit(c), u) < 1e-10
 
 
+def test_pruned_counts_of_named_gates():
+    """Pruned (swap_pow, cnot, local) counts of every 4x4 named gate.  They
+    depend on the KAK's gauge at these degenerate classes, so they are
+    pinned on both backends."""
+    pinned = {
+        "cnot": ((2, 0, 6), (0, 3, 6)),
+        "cz": ((2, 0, 6), (0, 3, 6)),
+        "swap": ((1, 0, 5), (0, 3, 8)),
+        "sqrt_swap": ((1, 0, 5), (0, 3, 8)),
+        "identity4": ((0, 0, 4), (0, 3, 4)),
+        "iswap": ((3, 0, 6), (0, 3, 7)),
+    }
+    four = {name for name, gate in gates.NAMED_GATES.items() if gate.shape == (4, 4)}
+    assert four == set(pinned)
+    for name, counts in pinned.items():
+        u = named_gate(name)
+        got = tuple(gate_counts(prune_circuit(synth(u), 1e-9)) for synth in (synthesize_swap, synthesize_cnot))
+        assert got == counts, name
+
+
 def test_expand_cnots_exact():
     u = haar_random_unitary(4, seed=42)
     c = synthesize_cnot(u)
@@ -288,10 +308,10 @@ def test_circuit_from_dict_rejects_garbage():
     for control in (True, 2.0, "2", None):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [{"kind": "cnot", "control": control}]})
-    for alpha in ("0.5", True):
+    for alpha in ("0.5", True, 10**400):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [{"kind": "swap_pow", "alpha": alpha}]})
-    for phase in ("0.5", True):
+    for phase in ("0.5", True, 10**400):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [], "global_phase": phase})
 
