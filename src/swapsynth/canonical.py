@@ -24,13 +24,18 @@ The four Bell states diagonalize E(h); their phase angles
 
 sum to zero and determine h linearly.  All the synthesis backends work
 through these four angles.
+
+In the magic basis every single-qubit pair a (x) b is a real SO(4) matrix
+and every E(h) is diagonal.  So kak_decompose keeps its local factors real:
+the chamber reduction only reorders and negates their columns, and each
+factor splits into its two SU(2) parts in closed form, through unit
+quaternions.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from typing import NamedTuple
 
@@ -61,19 +66,30 @@ MAGIC = _frozen(BELL_BASIS * np.array([1, 1j, 1j, 1]))
 _MAGIC_H = _frozen(MAGIC.conj().T)
 _THREE_ID4 = _frozen(3.0 * ID4)
 
-_SIGMA = (PAULI_X, PAULI_Y, PAULI_Z)
-
-# Conjugators of the chamber moves, indexed by Pauli axis k (see
-# _ReductionState): sigma_k (x) sigma_k for shift, c_k (x) c_k with
-# c_k = (I - i sigma_k) / sqrt 2 for swap, and sigma_k (x) I for flip_pair.
-_SHIFT_CONJ = tuple(_frozen(_kron(s, s)) for s in _SIGMA)
-_SWAP_CONJ = tuple(
-    _frozen(_kron(c, c)) for c in ((ID2 - 1j * s) / np.sqrt(2.0) for s in _SIGMA)
+# The quaternion units s = (I, iX, iY, iZ): a = sum p_i s_i is in SU(2) for
+# every real unit 4-vector p.
+_QUATERNIONS = _frozen(np.array([ID2, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z]))
+# T_ij = MAGIC^dag (s_i (x) s_j) MAGIC is real with entries 0 and +-1, and
+# <T_ij, T_kl> = 4 d_ik d_jl.  So every real 4x4 o is sum m_ij T_ij with
+# m_ij = <T_ij, o> / 4, and m = p r^T exactly when o is the magic-basis form
+# of a (x) b.  This map takes o, flattened, to m, flattened.
+_TO_QUATERNION_PAIR = _frozen(
+    np.rint(
+        (_MAGIC_H @ np.array([_kron(a, b) for a in _QUATERNIONS for b in _QUATERNIONS]) @ MAGIC).real
+    ).reshape(16, 16).T.copy()
+    / 4.0
 )
-_FLIP_CONJ = tuple(_frozen(_kron(s, ID2)) for s in _SIGMA)
-# Their adjoints for swap, and the phase of the scalar (-i)^n a shift by n leaves.
-_SWAP_CONJ_H = tuple(_frozen(g.conj().T) for g in _SWAP_CONJ)
-_SHIFT_PHASES = tuple(float(a) for a in np.angle((1, -1j, -1, 1j)))
+
+# The chamber moves in the magic basis, where each conjugator is a signed
+# permutation of the four columns phi+, i phi-, i psi+, psi- (see _reduce).
+# A shift of h[k] by pi/2 multiplies the columns of q by the eigenvalues of
+# sigma_k (x) sigma_k on them, _BELL_SIGNS[k].  Swapping the two coordinates
+# other than k, or negating them, moves the columns of q and of o2 alike:
+# with t = _SWAP_SLOTS[k][i] (or _FLIP_SLOTS[k][i]), slot i takes what slot
+# t - 1 held when t > 0, and what slot -t - 1 held, negated, when t < 0.
+_BELL_SIGNS = ((1, -1, 1, -1), (-1, 1, 1, -1), (1, 1, -1, -1))
+_SWAP_SLOTS = ((3, 2, -1, 4), (1, -3, 2, 4), (2, -1, 3, 4))
+_FLIP_SLOTS = ((3, 4, -1, -2), (4, -3, 2, -1), (2, -1, -4, 3))
 
 _WALL_TOL = 1e-10
 _CHAMBER_TOL = 1e-9
@@ -141,7 +157,7 @@ def in_weyl_chamber(params):
     wall (where the two hz signs describe the same equivalence class).  A NaN
     coordinate is outside.
     """
-    hx, hy, hz = (float(v) for v in params)
+    hx, hy, hz = map(float, params)
     # Each bound is tested as holding, so that a NaN fails it.
     inside = (
         hx <= np.pi / 4.0 + _CHAMBER_TOL
@@ -156,132 +172,100 @@ def split_local_product(l):
     """Factor a 4x4 tensor product into SU(2) parts and a phase.
 
     Returns (a, b, psi) with l = e^{i psi} a (x) b, det a = det b = 1.
-    Raises NumericalError if l is further than 1e-8 from any tensor
-    product of single-qubit factors.
+    l must pass :func:`assert_unitary` and is split as its nearest unitary,
+    one Newton-Schulz step away, as in :func:`kak_decompose`.  Raises
+    NumericalError unless l is within 1e-8 of e^{i psi} a (x) b; the checks
+    run on l's real magic-basis form, with bounds that imply that one.
     """
     l = assert_unitary(l, name="local product", dim=4)
-    a, b, psi = _split_local_products(l[np.newaxis])
-    return a[0], b[0], float(psi[0])
+    l = l @ (_THREE_ID4 - l.conj().T @ l) / 2.0
+    # With det(a (x) b) = 1, l's magic-basis form over a fourth root of its
+    # determinant is i^n times a real SO(4) matrix.
+    root = complex(np.linalg.det(l)) ** 0.25
+    x = _MAGIC_H @ l @ MAGIC / root
+    turned = np.abs(x.imag).max() > np.abs(x.real).max()
+    o, residue = (x.imag, x.real) if turned else (x.real, x.imag)
+    _check_bound(np.abs(residue).max(), 1e-8, "not a single-qubit tensor product: residue")
+    a, b = _split_rotations(o[np.newaxis])
+    return a[0], b[0], cmath.phase(root * (1j if turned else 1.0))
 
 
-def _split_local_products(ls):
-    """:func:`split_local_product` of each member of a (k, 4, 4) stack at once.
+def _split_rotations(os):
+    """Factor each member o of a (k, 4, 4) stack of real SO(4) matrices.
 
-    Returns stacks a, b of shape (k, 2, 2) and the k phases psi, each member
-    bit for bit equal to a split on its own.  The stack is admitted under
-    the rule of assert_unitary, by name "local product".  Private, like
-    ``_kron``: kak_decompose splits both of its local products in one call.
+    Returns (k, 2, 2) stacks a, b in SU(2) with MAGIC o MAGIC^dag = a (x) b,
+    each member bit for bit what a stack of it alone gives.  The checks imply
+    those on l = MAGIC o MAGIC^dag, as the README derives: o o^T within
+    2.5e-11 of I puts l l^dag within 1e-10 of I (else the ContractViolation
+    of assert_unitary for "local product"), and m within 1.25e-9 of p r^T
+    puts l within 1e-8 of a (x) b (else NumericalError).
     """
-    ls = _check_unitary(ls, "local product")
-    k = ls.shape[0]
+    k = os.shape[0]
+    _check_unitary(os, "local product", atol=2.5e-11)
+    m = (os.reshape(k, 1, 16) @ _TO_QUATERNION_PAIR).reshape(k, 4, 4)
+    # m = p r^T with unit p and r: its largest column, normalised, is +-p,
+    # and then r = m^T p.  The first of equal columns wins.
+    norms = np.sqrt((m * m).sum(axis=1))
     members = np.arange(k)
-    blocks = ls.reshape(k, 2, 2, 2, 2)
-    # Block (p, q) is a[p, q] b.  For a unitary a, |a00| = |a11| and
-    # |a01| = |a10|, so the first block row holds a largest block, and
-    # taking the first of its two on a tie leaves rounding no choice.
-    norms = np.sqrt((np.abs(blocks[:, 0]) ** 2).sum(axis=(1, 3)))
-    q = norms.argmax(axis=1)
-    b_raw = blocks[members, 0, :, q, :] * (np.sqrt(2.0) / norms[members, q])[:, None, None]
-    a_raw = np.einsum("kab,kiajb->kij", b_raw.conj(), blocks) / 2.0
-    residual = np.abs(_kron(a_raw, b_raw) - ls).max()
+    j = norms.argmax(axis=1)
+    p = m[members, :, j] / norms[members, j, np.newaxis]
+    r = (p[:, np.newaxis, :] @ m)[:, 0]
+    # 8 max|m - p r^T| bounds max|l - a (x) b|.
+    residual = 8.0 * np.abs(m - p[:, :, np.newaxis] * r[:, np.newaxis, :]).max()
     _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
-    factors = np.array([a_raw, b_raw])
-    dets = factors[..., 0, 0] * factors[..., 1, 1] - factors[..., 0, 1] * factors[..., 1, 0]
-    # a_raw (x) b_raw is the member, so it is e^{i psi} a (x) b with
-    # e^{i psi} the product of the two normalising roots.
-    roots = np.sqrt(dets)
-    a, b = factors / roots[..., None, None]
-    psi = np.angle(roots[0] * roots[1])
-    return a, b, psi
+    a, b = (np.array([p, r])[..., np.newaxis, :] @ _QUATERNIONS.reshape(4, 4)).reshape(2, k, 2, 2)
+    return a, b
 
 
-# Each chamber move by kind: its conjugator tables for the left of l1 and
-# for the right of l2 (None where the move leaves l2 alone).
-_MOVE_TABLES = {
-    "shift": (_SHIFT_CONJ, None),
-    "swap": (_SWAP_CONJ, _SWAP_CONJ_H),
-    "flip": (_FLIP_CONJ, _FLIP_CONJ),
-}
+def _moved(cols, slots):
+    """Signed column references after a swap or a flip (see _SWAP_SLOTS)."""
+    return [cols[t - 1] if t > 0 else -cols[-t - 1] for t in slots]
 
 
-@functools.cache
-def _move_conjugators(moves):
-    """The (2, 4, 4) stacks lhs, rhs that carry a chamber reduction.
+def _reduce(h, o2_cols, q_cols):
+    """Drive the coordinates h into the canonical chamber, on Python floats.
 
-    moves is the tuple of the (kind, axis) pairs that
-    :meth:`_ReductionState.reduce` records.  With the magic-basis transforms
-    folded in, the reduced local products are lhs @ [o2, q^T] @ rhs: one
-    stacked product, however many moves fired.  Cached, and filled on first
-    use: a reduction records one of at most 384 sequences.
+    o2_cols and q_cols are signed column references of the two orthogonal
+    factors of u = e^{i phi} l2 E(h) l1, with l2 = MAGIC o2 MAGIC^dag and
+    l1 = MAGIC q^T MAGIC^dag: slot i of a factor holds its column |c| - 1,
+    negated when c < 0.  Each move rewrites u exactly; in the magic basis it
+    only reorders and negates those columns and turns the phase by a
+    multiple of pi/2.  Returns the reduced h, the two reference lists and
+    the number of quarter turns that phi gains.
     """
-    left = right = ID4
-    for kind, axis in moves:
-        left_table, right_table = _MOVE_TABLES[kind]
-        left = left_table[axis] @ left
-        if right_table is not None:
-            right = right @ right_table[axis]
-    lhs = np.array([MAGIC, left @ MAGIC])
-    rhs = np.array([_MAGIC_H @ right, _MAGIC_H])
-    return _frozen(lhs), _frozen(rhs)
-
-
-class _ReductionState:
-    """Bookkeeping for chamber moves on u = e^{i phi} l2 E(h) l1.
-
-    Each move rewrites the factorization exactly: its conjugators migrate
-    into the flanking local products l1, l2 and scalars into phi.  The moves
-    are only recorded here, as (kind, axis) pairs in ``moves``; the products
-    are applied at once through :func:`_move_conjugators`.
-    """
-
-    def __init__(self, phi, h):
-        self.phi = phi
-        self.h = h
-        self.moves = []
-
-    def shift(self, k, n):
-        """h[k] -= n pi/2, compensated by a sigma_k (x) sigma_k factor."""
-        if n == 0:
-            return
-        self.h[k] -= n * np.pi / 2.0
+    h = list(h)
+    turns = 0
+    # h[k] -= n pi/2 leaves the factor (-i sigma_k (x) sigma_k)^n on l1.
+    for k in range(3):
+        n = math.floor(h[k] / (np.pi / 2.0) + 0.5)
+        h[k] -= n * np.pi / 2.0
+        turns -= n
         if n % 2:
-            self.moves.append(("shift", k))
-        self.phi += _SHIFT_PHASES[n % 4]
-
-    def swap(self, j, k):
-        """Exchange h[j] and h[k] via same-axis rotations on both qubits."""
-        if j == k:
-            return
-        self.h[j], self.h[k] = self.h[k], self.h[j]
-        self.moves.append(("swap", 3 - j - k))
-
-    def flip_pair(self, j, k):
-        """Negate h[j] and h[k] via a single-qubit Pauli on qubit 1."""
-        self.h[j] = -self.h[j]
-        self.h[k] = -self.h[k]
-        self.moves.append(("flip", 3 - j - k))
-
-    def reduce(self):
-        """Drive h into the canonical chamber.
-
-        The moves decide on h as a list of Python floats: the same IEEE
-        arithmetic as numpy scalars, at a fraction of the call cost.
-        """
-        h = self.h = [float(v) for v in self.h]
-        for k in range(3):
-            self.shift(k, math.floor(h[k] / (np.pi / 2.0) + 0.5))
-        for i in range(2):
-            # The first of equal magnitudes wins, as with np.argmax.
-            self.swap(i, max(range(i, 3), key=lambda m: abs(h[m])))
-        if h[0] < 0 and h[1] < 0:
-            self.flip_pair(0, 1)
-        elif h[0] < 0:
-            self.flip_pair(0, 2)
-        elif h[1] < 0:
-            self.flip_pair(1, 2)
-        if h[0] >= np.pi / 4.0 - _WALL_TOL and h[2] < -1e-13:
-            self.shift(0, 1)
-            self.flip_pair(0, 2)
+            q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[k])]
+    # Sort by magnitude, exchanging two coordinates by same-axis quarter
+    # turns on both qubits.  The first of equal magnitudes wins, as with
+    # np.argmax.
+    moves = []
+    for i in range(2):
+        j = max(range(i, 3), key=lambda m: abs(h[m]))
+        if j != i:
+            h[i], h[j] = h[j], h[i]
+            moves.append(_SWAP_SLOTS[3 - i - j])
+    # Make hx, hy >= 0 by a Pauli sigma_k on qubit 1, which negates the two
+    # coordinates other than k.
+    if h[0] < 0 or h[1] < 0:
+        k = (2 if h[1] < 0 else 1) if h[0] < 0 else 0
+        h = [x if m == k else -x for m, x in enumerate(h)]
+        moves.append(_FLIP_SLOTS[k])
+    for slots in moves:
+        o2_cols, q_cols = _moved(o2_cols, slots), _moved(q_cols, slots)
+    # On the hx = pi/4 wall, shift hx by pi/2 and negate hx and hz: hz >= 0.
+    if h[0] >= np.pi / 4.0 - _WALL_TOL and h[2] < -1e-13:
+        h = [np.pi / 2.0 - h[0], h[1], -h[2]]
+        turns -= 1
+        q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[0])]
+        o2_cols, q_cols = _moved(o2_cols, _FLIP_SLOTS[1]), _moved(q_cols, _FLIP_SLOTS[1])
+    return h, o2_cols, q_cols, turns
 
 
 def kak_decompose(u):
@@ -304,39 +288,44 @@ def kak_decompose(u):
     vm = _MAGIC_H @ v @ MAGIC
     m = vm.T @ vm
 
+    # vm = o2 diag(e^{i angles / 2}) q^T, with q and o2 real orthogonal.
     d, q = diagonalize_complex_symmetric_unitary(m)
-    if np.linalg.det(q) < 0:
-        q[:, 3] = -q[:, 3]
-
     angles = np.angle(d)
     o2 = (vm @ q) * np.exp(-0.5j * angles)
     _check_bound(np.abs(o2.imag).max(), 1e-8, "second orthogonal factor has imaginary residue")
+    # Both factors must have determinant 1, so the reduction starts from
+    # signed column references (see _reduce) that fix it.  Negating q's
+    # column 3 negates o2's with it.  Then det(vm) = 1 gives det(o2) =
+    # e^{i sum(lam)} = (-1)^n for the n turns that the eigenphases of m,
+    # whose product is 1, add up to.  An odd n is fixed by negating o2's
+    # first column and adding pi to lam[0].
+    o2_cols, q_cols = [1, 2, 3, 4], [1, 2, 3, 4]
+    if np.linalg.det(q) < 0:
+        o2_cols[3] = q_cols[3] = -4
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
     # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
-    l00, l10, l01, _ = (-angles / 2.0).tolist()
-    # det(vm) = det(q) = 1, so det(o2) = e^{i sum(lam)} = (-1)^n for the n
-    # turns that the eigenphases of m, whose product is 1, add up to.  An odd
-    # n is fixed by negating o2's first column and adding pi to lam[0].
-    if round(float(angles.sum()) / (2.0 * np.pi)) % 2:
+    lam = (-angles / 2.0).tolist()
+    l00, l10, l01, _ = lam
+    if round(-sum(lam) / np.pi) % 2:
         l00 += np.pi
-        o2[:, 0] = -o2[:, 0]
-    h = np.array([(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0])
+        o2_cols[0] = -1
+    h = [(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0]
 
-    state = _ReductionState(phi, h)
-    state.reduce()
-
-    params = CanonicalParams(*(float(v) for v in state.h))
+    h, o2_cols, q_cols, turns = _reduce(h, o2_cols, q_cols)
+    params = CanonicalParams(*h)
     if not in_weyl_chamber(params):
         raise NumericalError(f"reduction left the chamber: {params}")
 
-    # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag, with the moves'
-    # conjugators applied.
-    lhs, rhs = _move_conjugators(tuple(state.moves))
+    # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag with their columns
+    # gathered: both are real, so they split with no phase left over.
+    order = [abs(c) - 1 for c in o2_cols]
+    rotations = np.array([o2.real, q])[:, :, order] * np.sign([o2_cols, q_cols])[:, np.newaxis]
+    rotations[1] = rotations[1].T
     try:
-        (b1, f1), (b2, f2), (psi2, psi1) = _split_local_products(lhs @ np.array([o2, q.T]) @ rhs)
+        (b1, f1), (b2, f2) = _split_rotations(rotations)
     except ContractViolation as exc:
         raise NumericalError(f"kak_decompose, splitting the local factors: {exc}") from exc
-    total = cmath.phase(cmath.exp(1j * (state.phi + psi1 + psi2)))
+    total = cmath.phase(cmath.exp(1j * (phi + turns * np.pi / 2.0)))
     return CanonicalDecomposition(
         global_phase=total, front=(f1, f2), params=params, back=(b1, b2)
     )

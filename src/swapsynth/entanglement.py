@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import SWAP, _swap_exponent, swap_pow
-from .linalg import ContractViolation, _rng, assert_unitary
+from .linalg import ContractViolation, _integer, _rng, assert_unitary
 
 
 def _trace_term(v):
@@ -98,7 +98,7 @@ def ep_monte_carlo(u, samples, seed):
     error (sample std / sqrt(n)), and the inputs.
     """
     u = assert_unitary(u, name="u", dim=4)
-    samples = int(samples)
+    samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     if samples < 1:
         raise ContractViolation(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
@@ -113,4 +113,4 @@ def ep_monte_carlo(u, samples, seed):
         std_error = float(np.std(ent, ddof=1) / np.sqrt(samples))
     else:
         std_error = 0.0
-    return EpEstimate(mean=mean, std_error=std_error, samples=samples, seed=int(seed))
+    return EpEstimate(mean=mean, std_error=std_error, samples=samples, seed=seed)

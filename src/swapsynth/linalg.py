@@ -70,6 +70,17 @@ def _kron(a, b):
     )
 
 
+def _integer(value, name):
+    """value as an int by ``operator.index``, bool refused, or ContractViolation
+    naming it: neither 2.5 nor "7" nor True passes."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{name} must be an integer, got {value!r}")
+
+
 def _rng(seed):
     """``np.random.default_rng(seed)``, raising ContractViolation on a seed it
     rejects, such as a negative integer."""
@@ -94,12 +105,12 @@ def assert_unitary(u, name="matrix", dim=None):
     return _check_unitary(u, name)
 
 
-def _check_unitary(u, name):
+def _check_unitary(u, name, atol=ATOL_UNITARY):
     """The unitarity half of :func:`assert_unitary`, for one square matrix or a
     ``(k, n, n)`` stack of them checked at once.
 
     Raises the ContractViolation of assert_unitary when any member is further
-    than ATOL_UNITARY from unitary; for a stack the message gives the largest
+    than atol from unitary; for a stack the message gives the largest
     deviation among its members.  Private, like ``_kron``: it checks matrices
     the library computed, several per target, in one call.
     """
@@ -107,10 +118,8 @@ def _check_unitary(u, name):
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
     dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max()
     # Written so that a NaN deviation fails the check too.
-    if not dev <= ATOL_UNITARY:
-        raise ContractViolation(
-            f"{name} is not unitary: max deviation {dev:.3e} exceeds {ATOL_UNITARY:.1e}"
-        )
+    if not dev <= atol:
+        raise ContractViolation(f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:.1e}")
     return u
 
 
@@ -141,10 +150,7 @@ def haar_random_unitary(dim, seed):
     phase of each diagonal factor of R, which makes the distribution exactly
     Haar rather than QR-convention biased.
     """
-    try:
-        dim = operator.index(dim)
-    except TypeError:
-        raise ContractViolation(f"dimension must be an integer, got {dim!r}") from None
+    dim = _integer(dim, "dimension")
     if dim not in (2, 4):
         raise ContractViolation(f"unsupported dimension {dim}, expected 2 or 4")
     rng = _rng(seed)

@@ -7,6 +7,7 @@ the coordinates without trusting the decomposition internals.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from swapsynth.canonical import (
     reconstruct,
     split_local_product,
 )
-from swapsynth.gates import CNOT, CZ, SWAP, swap_pow
+from swapsynth.gates import CNOT, CZ, SWAP, named_gate, swap_pow
 from swapsynth.linalg import (
     ContractViolation,
     ID2,
@@ -228,34 +229,107 @@ def test_split_local_product_round_trip():
     for seed in range(20):
         a = haar_random_unitary(2, seed=seed)
         b = haar_random_unitary(2, seed=seed + 500)
-        l = np.kron(a, b)
-        fa, fb, psi = split_local_product(l)
-        assert abs(np.linalg.det(fa) - 1) < 1e-12
-        assert abs(np.linalg.det(fb) - 1) < 1e-12
-        assert np.max(np.abs(np.exp(1j * psi) * np.kron(fa, fb) - l)) < 1e-10
+        # Each quarter turn of the phase leaves the magic-basis form real or
+        # imaginary; both must split.
+        for k in range(4):
+            l = 1j**k * np.kron(a, b)
+            fa, fb, psi = split_local_product(l)
+            assert abs(np.linalg.det(fa) - 1) < 1e-12
+            assert abs(np.linalg.det(fb) - 1) < 1e-12
+            assert np.max(np.abs(np.exp(1j * psi) * np.kron(fa, fb) - l)) < 1e-10
 
 
 def test_split_local_product_rejects_entangler():
-    with pytest.raises(NumericalError):
-        split_local_product(CNOT)
+    # SWAP is real orthogonal with determinant -1 in the magic basis.
+    for u in (CNOT, SWAP, named_gate("iswap"), named_gate("sqrt_swap")):
+        with pytest.raises(NumericalError):
+            split_local_product(u)
+
+
+# The chamber moves of the reduction, as two-qubit conjugators: a shift of
+# h[k] by pi/2 leaves sigma_k (x) sigma_k and the scalar -i, a swap of the
+# two coordinates other than k conjugates by c_k (x) c_k with
+# c_k = (I - i sigma_k) / sqrt 2, and negating them conjugates by
+# sigma_k (x) I.  The reduced l1 is left-multiplied by the conjugators, the
+# reduced l2 right-multiplied by their adjoints.
+_SIGMAS = (PAULI_X, PAULI_Y, PAULI_Z)
+_C = tuple((ID2 - 1j * s) / np.sqrt(2.0) for s in _SIGMAS)
+LEFT = {
+    "shift": tuple(np.kron(s, s) for s in _SIGMAS),
+    "swap": tuple(np.kron(c, c) for c in _C),
+    "flip": tuple(np.kron(s, ID2) for s in _SIGMAS),
+}
+RIGHT = {"shift": (ID4,) * 3, "swap": tuple(g.conj().T for g in LEFT["swap"]), "flip": LEFT["flip"]}
+
+
+def _signed_permutation(slots):
+    """The matrix that puts +-slot |t| - 1 in slot i, for t = slots[i]."""
+    out = np.zeros((4, 4))
+    for i, t in enumerate(slots):
+        out[i, abs(t) - 1] = np.sign(t)
+    return out
 
 
 def test_chamber_move_conjugators_match_their_factors():
-    for k, sigma in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
-        c = (ID2 - 1j * sigma) / np.sqrt(2.0)
-        assert np.array_equal(canonical._SHIFT_CONJ[k], np.kron(sigma, sigma))
-        assert np.array_equal(canonical._SWAP_CONJ[k], np.kron(c, c))
-        assert np.array_equal(canonical._FLIP_CONJ[k], np.kron(sigma, ID2))
-        assert np.array_equal(canonical._SWAP_CONJ_H[k], canonical._SWAP_CONJ[k].conj().T)
-    # A shift by n leaves the scalar (-i)^n; its phase is read from the table.
-    for n in range(-5, 6):
-        phase = canonical._SHIFT_PHASES[n % 4]
-        assert abs(np.exp(1j * phase) - (-1j) ** n) < 1e-15
+    """The module's magic-basis move tables are the images of the conjugators."""
+    magic_h = MAGIC.conj().T
+    for k in range(3):
+        image = magic_h @ LEFT["shift"][k] @ MAGIC
+        assert np.abs(image - np.diag(canonical._BELL_SIGNS[k])).max() <= 1e-15
+        image = magic_h @ LEFT["swap"][k] @ MAGIC
+        assert np.abs(image - _signed_permutation(canonical._SWAP_SLOTS[k])).max() <= 1e-15
+        image = magic_h @ LEFT["flip"][k] @ MAGIC
+        assert np.abs(image - 1j * _signed_permutation(canonical._FLIP_SLOTS[k])).max() <= 1e-15
+    # The quaternion-pair map reads the coefficients of o in the basis T_ij.
+    s = canonical._QUATERNIONS
+    for i, j in itertools.product(range(4), repeat=2):
+        t = magic_h @ np.kron(s[i], s[j]) @ MAGIC
+        m = (t.real.reshape(16) @ canonical._TO_QUATERNION_PAIR).reshape(4, 4)
+        assert np.abs(t.imag).max() <= 1e-15
+        assert np.abs(m - np.outer(np.eye(4)[i], np.eye(4)[j])).max() <= 1e-15
+
+
+def _reference_reduce(h):
+    """The chamber reduction, one move at a time: the reduced h, the moves as
+    (kind, axis) pairs, and the scalar the shifts leave."""
+    h = [float(v) for v in h]
+    moves, scalar = [], 1.0
+
+    def shift(k, n):
+        nonlocal scalar
+        h[k] -= n * np.pi / 2.0
+        scalar *= (-1j) ** n
+        if n % 2:
+            moves.append(("shift", k))
+
+    def swap(j, k):
+        if j != k:
+            h[j], h[k] = h[k], h[j]
+            moves.append(("swap", 3 - j - k))
+
+    def flip_pair(j, k):
+        h[j], h[k] = -h[j], -h[k]
+        moves.append(("flip", 3 - j - k))
+
+    for k in range(3):
+        shift(k, math.floor(h[k] / (np.pi / 2.0) + 0.5))
+    for i in range(2):
+        swap(i, max(range(i, 3), key=lambda m: abs(h[m])))
+    if h[0] < 0 and h[1] < 0:
+        flip_pair(0, 1)
+    elif h[0] < 0:
+        flip_pair(0, 2)
+    elif h[1] < 0:
+        flip_pair(1, 2)
+    if h[0] >= PI4 - 1e-10 and h[2] < -1e-13:
+        shift(0, 1)
+        flip_pair(0, 2)
+    return h, tuple(moves), scalar
 
 
 def _move_sequences():
-    """Every move sequence _ReductionState.reduce can record, slot by slot:
-    odd shifts per axis, the two sorting swaps, the sign flip, the wall fix."""
+    """Every move sequence the reduction can make, slot by slot: odd shifts
+    per axis, the two sorting swaps, the sign flip, the wall fix."""
     shifts = [tuple(("shift", k) for k in range(3) if odd[k]) for odd in itertools.product((0, 1), repeat=3)]
     first_swaps = [(), (("swap", 2),), (("swap", 1),)]
     second_swaps = [(), (("swap", 0),)]
@@ -267,39 +341,60 @@ def _move_sequences():
     }
 
 
-def test_reduce_records_only_enumerated_sequences():
-    sequences = _move_sequences()
-    assert len(sequences) <= 384
+def _reduction_points():
     rng = np.random.default_rng(5)
-    points = list(rng.uniform(-2 * np.pi, 2 * np.pi, size=(3000, 3)))
+    points = [tuple(p) for p in rng.uniform(-2 * np.pi, 2 * np.pi, size=(3000, 3))]
     # The hx = pi/4 wall with hz < 0, and ties of magnitude.
     points += [(PI4, 0.3, -0.1), (-PI4, 0.2, 0.1), (0.3, -0.3, 0.3), (0.0, 0.0, 0.0), (PI4, PI4, -PI4)]
-    for h in points:
-        state = canonical._ReductionState(0.0, np.array(h, dtype=float))
-        state.reduce()
-        assert tuple(state.moves) in sequences, h
-    for seed in range(300):
-        kak_decompose(haar_random_unitary(4, seed=seed))
-    assert canonical._move_conjugators.cache_info().currsize <= len(sequences)
+    points += [(-PI4, 0.2, -0.1), (3 * PI4, -0.3, 0.2), (0.2, PI4, -0.1), (-0.1, 0.3, PI4)]
+    return points
+
+
+def test_reduce_records_only_enumerated_sequences():
+    """The reduction makes one of the enumerated move sequences, and the
+    module's reduction gives the coordinates of the one-move-at-a-time one,
+    bit for bit."""
+    sequences = _move_sequences()
+    assert len(sequences) <= 384
+    walls = 0
+    for h in _reduction_points():
+        want, moves, _ = _reference_reduce(h)
+        assert moves in sequences, h
+        walls += moves[-2:] == (("shift", 0), ("flip", 1))
+        got, *_ = canonical._reduce(list(h), [1, 2, 3, 4], [1, 2, 3, 4])
+        assert got == want, h
+    assert walls >= 3
 
 
 def test_folded_conjugators_match_sequential_products():
-    lefts = {"shift": canonical._SHIFT_CONJ, "swap": canonical._SWAP_CONJ, "flip": canonical._FLIP_CONJ}
-    rights = {"swap": canonical._SWAP_CONJ_H, "flip": canonical._FLIP_CONJ}
+    """The reduced real factors equal the sequential products of the move
+    conjugators, up to the phase the reduction records: with the columns of
+    o2 and q gathered as the reduction says, MAGIC o2' MAGIC^dag and
+    MAGIC q'^T MAGIC^dag are l2 R and L l1 for the products R and L of the
+    moves' conjugators, times scalars whose product with the shifts' is
+    i^turns."""
     magic_h = MAGIC.conj().T
-    for moves in _move_sequences():
-        # l1 = MAGIC q^T MAGIC^dag and l2 = MAGIC o2 MAGIC^dag, one move at a time.
-        left, right = MAGIC, magic_h
+    seen = set()
+    for h in _reduction_points():
+        _, moves, scalar = _reference_reduce(h)
+        if moves in seen:
+            continue
+        seen.add(moves)
+        left, right = ID4, ID4
         for kind, axis in moves:
-            left = lefts[kind][axis] @ left
-            if kind in rights:
-                right = right @ rights[kind][axis]
-        lhs, rhs = canonical._move_conjugators(moves)
-        assert not lhs.flags.writeable and not rhs.flags.writeable
-        assert np.abs(lhs[0] - MAGIC).max() <= 1e-15
-        assert np.abs(rhs[1] - magic_h).max() <= 1e-15
-        assert np.abs(lhs[1] - left).max() <= 1e-15, moves
-        assert np.abs(rhs[0] - right).max() <= 1e-15, moves
+            left = LEFT[kind][axis] @ left
+            right = right @ RIGHT[kind][axis]
+        _, o2_cols, q_cols, turns = canonical._reduce(list(h), [1, 2, 3, 4], [1, 2, 3, 4])
+        # Gathering the columns of q (of o2) is q @ G for these G.
+        gather_q = _signed_permutation(q_cols).T
+        gather_o2 = _signed_permutation(o2_cols).T
+        # L l1 = MAGIC (L' q^T) MAGIC^dag with L' = MAGIC^dag L MAGIC = c1 G_q^T.
+        c1 = (magic_h @ left @ MAGIC)[0, abs(q_cols[0]) - 1] * np.sign(q_cols[0])
+        c2 = (magic_h @ right @ MAGIC)[abs(o2_cols[0]) - 1, 0] * np.sign(o2_cols[0])
+        assert np.abs(magic_h @ left @ MAGIC - c1 * gather_q.T).max() <= 1e-14, moves
+        assert np.abs(magic_h @ right @ MAGIC - c2 * gather_o2).max() <= 1e-14, moves
+        assert abs(scalar * c1 * c2 - 1j**turns) <= 1e-14, moves
+    assert len(seen) >= 150
 
 
 def test_kak_factors_do_not_turn_on_rounding():

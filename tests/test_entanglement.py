@@ -161,6 +161,18 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_validates_samples():
     with pytest.raises(ContractViolation):
         ep_monte_carlo(CNOT, samples=0, seed=0)
+    # Integers only, by operator.index with bool refused: no 2.5 run as 2
+    # samples, no "7" as 7, no True as 1, for samples and for seed alike.
+    for bad in (2.5, "7", True, None, 7.0):
+        with pytest.raises(ContractViolation, match=r"^samples must be an integer"):
+            ep_monte_carlo(CNOT, samples=bad, seed=0)
+    for bad in (True, 1.0, "3", None):
+        with pytest.raises(ContractViolation, match=r"^seed must be an integer"):
+            ep_monte_carlo(CNOT, samples=10, seed=bad)
+    est = ep_monte_carlo(CNOT, samples=np.int64(10), seed=np.uint8(3))
+    assert (est.samples, est.seed) == (10, 3)
+    assert type(est.samples) is int and type(est.seed) is int
+    assert est == ep_monte_carlo(CNOT, samples=10, seed=3)
 
 
 def test_monte_carlo_rejects_negative_seed():

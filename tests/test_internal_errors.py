@@ -28,9 +28,9 @@ def cli_exit(capsys, *argv):
 
 
 def test_split_of_computed_local_product(monkeypatch, capsys):
-    original = canonical._split_local_products
-    monkeypatch.setattr(canonical, "_split_local_products", lambda ls: original(ls * (1.0 + 1e-6)))
-    with pytest.raises(NumericalError, match=r"kak_decompose.*not unitary.*e-06 exceeds 1\.0e-10"):
+    original = canonical._split_rotations
+    monkeypatch.setattr(canonical, "_split_rotations", lambda os: original(os * (1.0 + 1e-6)))
+    with pytest.raises(NumericalError, match=r"kak_decompose.*not unitary.*e-06 exceeds 2\.5e-11"):
         kak_decompose(U)
     assert cli_exit(capsys) == 3
 
@@ -59,10 +59,13 @@ def test_local_op_on_computed_local(monkeypatch, capsys):
 
 
 def test_reduction_to_nan_coordinates(monkeypatch, capsys):
-    def to_nan(state):
-        state.h[:] = np.nan
+    original = canonical._reduce
 
-    monkeypatch.setattr(canonical._ReductionState, "reduce", to_nan)
+    def to_nan(h, o2_cols, q_cols):
+        _, o2_cols, q_cols, turns = original(h, o2_cols, q_cols)
+        return [np.nan] * 3, o2_cols, q_cols, turns
+
+    monkeypatch.setattr(canonical, "_reduce", to_nan)
     with pytest.raises(NumericalError, match=r"reduction left the chamber: .*nan"):
         kak_decompose(U)
     assert cli_exit(capsys) == 3
