@@ -31,12 +31,18 @@ from .entanglement import (
     ep_monte_carlo,
 )
 from .gates import named_gate, swap_pow
-from .linalg import ContractViolation, NumericalError, assert_unitary, haar_random_unitary, phase_distance
+from .linalg import (
+    ContractViolation,
+    NumericalError,
+    _integer,
+    assert_unitary,
+    haar_random_unitary,
+    phase_distance,
+)
 from .synthesis import (
     SwapPowOp,
     _cnot_circuit,
     _cnot_core_params,
-    _int_field,
     _matrix_from_json,
     _matrix_to_json,
     _swap_circuit,
@@ -61,7 +67,7 @@ def _format_time(seconds):
 def _matrix_from_doc(doc, name="matrix"):
     if not isinstance(doc, dict) or "dim" not in doc or "rows" not in doc:
         raise ContractViolation(f"{name}: expected a JSON object with keys 'dim' and 'rows'")
-    dim = _int_field(doc, "dim")
+    dim = _integer(doc["dim"], "dim")
     if dim != 4:
         raise ContractViolation(f"{name}: only dim 4 is supported, got {dim}")
     return _matrix_from_json(doc["rows"], 4, name)

@@ -17,14 +17,11 @@ import dataclasses
 import types
 from typing import NamedTuple
 
-import numpy as np
-
 from .canonical import kak_decompose
-from .linalg import ContractViolation, _check_bound, phase_distance
+from .linalg import ContractViolation, _check_bound, _real, phase_distance
 from .synthesis import (
     LocalOp,
     _cnot_circuit,
-    _number_field,
     _swap_circuit,
     evaluate_circuit,
     expand_cnots_to_swaps,
@@ -44,6 +41,7 @@ class HardwareProfile:
     fractional exponents scale it linearly.  ``local_rotation_policy``
     chooses between charging every single-qubit gate the pi-rotation time
     (fixed_pi) and scaling with the actual rotation angle (proportional).
+    Each timing field is a positive float, by ``linalg._real``.
     """
 
     name: str
@@ -54,9 +52,10 @@ class HardwareProfile:
 
     def __post_init__(self):
         for field in _TIMING_FIELDS:
-            value = getattr(self, field)
-            if not (np.isfinite(value) and value > 0):
+            value = _real(getattr(self, field), field)
+            if value <= 0:
                 raise ContractViolation(f"{field} must be positive, got {value}")
+            object.__setattr__(self, field, value)
         if self.local_rotation_policy not in _POLICIES:
             raise ContractViolation(
                 f"unknown local_rotation_policy {self.local_rotation_policy!r}; "
@@ -100,19 +99,18 @@ def profile_from_dict(doc):
     """Build a profile from its JSON form.
 
     Expected keys: name, rabi_frequency_hz, pi_rotation_time_s,
-    swap_full_time_s, and optionally local_rotation_policy.
+    swap_full_time_s, and optionally local_rotation_policy.  The timings go
+    to HardwareProfile as read, so neither "5e6" nor true nor 10**400 passes.
     """
     if not isinstance(doc, dict):
         raise ContractViolation("profile document must be a JSON object")
     for key in ("name", *_TIMING_FIELDS):
         if key not in doc:
             raise ContractViolation(f"profile document missing key {key!r}")
-    # A JSON number each, so neither "5e6" nor true passes.
-    timing = {key: _number_field(doc, key) for key in _TIMING_FIELDS}
     return HardwareProfile(
         name=str(doc["name"]),
         local_rotation_policy=str(doc.get("local_rotation_policy", "fixed_pi")),
-        **timing,
+        **{key: doc[key] for key in _TIMING_FIELDS},
     )
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import SWAP, _swap_exponent, swap_pow
-from .linalg import ContractViolation, _integer, _rng, assert_unitary
+from .gates import SWAP, swap_pow
+from .linalg import ContractViolation, _integer, _real, _rng, assert_unitary
 
 
 def _trace_term(v):
@@ -42,7 +42,7 @@ def ep_exact(u):
 
 def ep_closed_form_swap(alpha):
     """E_p(SWAP**alpha) = (1 - cos(2 pi alpha)) / 12, period 1 in alpha."""
-    return float(1.0 / 12.0 - np.cos(2.0 * np.pi * (_swap_exponent(alpha) % 2.0)) / 12.0)
+    return float(1.0 / 12.0 - np.cos(2.0 * np.pi * (_real(alpha, "swap exponent") % 2.0)) / 12.0)
 
 
 def appendix_a_terms(alpha):
@@ -55,7 +55,7 @@ def appendix_a_terms(alpha):
     t(SWAP**(alpha+1)) from :func:`ep_exact`; together they give
     E_p = 5/9 - (term2 + term3)/36, which collapses to the closed form.
     """
-    a = _swap_exponent(alpha) % 2.0
+    a = _real(alpha, "swap exponent") % 2.0
     base = 17.0 / 2.0 + 1.5 * np.cos(2.0 * np.pi * a)
     osc = 6.0 * np.cos(np.pi * a)
     return float(base + osc), float(base - osc)

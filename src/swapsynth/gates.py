@@ -10,7 +10,6 @@ SWAP**1 = SWAP.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     _frozen,
+    _real,
 )
 
 
@@ -41,29 +41,11 @@ CNOT = _frozen(np.array(
 CZ = _frozen(np.diag([1, 1, 1, -1]).astype(complex))
 
 
-def _swap_exponent(alpha):
-    """The one admission rule for a SWAP exponent: a finite real number, as a
-    float.  An int, float or numpy real scalar passes; a bool, a string or
-    None is a ContractViolation, as is a non-finite value or an int too large
-    for a float."""
-    if isinstance(alpha, (bool, np.bool_)) or not isinstance(
-        alpha, (int, float, np.integer, np.floating)
-    ):
-        raise ContractViolation(f"swap exponent must be a real number, got {alpha!r}")
-    try:
-        alpha = float(alpha)
-    except OverflowError:
-        raise ContractViolation("swap exponent is too large for a float") from None
-    if not math.isfinite(alpha):
-        raise ContractViolation(f"swap exponent must be finite, got {alpha}")
-    return alpha
-
-
 def _swap_pow_block(alpha):
     """The 2x2 that SWAP**alpha applies on the span of |01>, |10>.  The
-    exponent is admitted by :func:`_swap_exponent`."""
+    exponent is admitted by ``linalg._real``."""
     # Reduced by the period first: pi * alpha loses every digit once alpha is large.
-    e = np.exp(1j * np.pi * (_swap_exponent(alpha) % 2.0))
+    e = np.exp(1j * np.pi * (_real(alpha, "swap exponent") % 2.0))
     p = (1.0 + e) / 2.0
     m = (1.0 - e) / 2.0
     return np.array([[p, m], [m, p]])
@@ -134,15 +116,16 @@ class PulseSpec:
 
     ``integrated_coupling`` is the time integral of the exchange coupling
     J(t) in joule-seconds; it may be negative for reverse evolution.  Only
-    the integral matters for the final unitary, not the pulse shape.
+    the integral matters for the final unitary, not the pulse shape.  It is
+    stored as a float by ``linalg._real``, so a bool, a string or NaN is refused.
     """
 
     integrated_coupling: float
     label: str = ""
 
     def __post_init__(self):
-        if not np.isfinite(self.integrated_coupling):
-            raise ContractViolation("pulse integral must be finite")
+        coupling = _real(self.integrated_coupling, "integrated_coupling")
+        object.__setattr__(self, "integrated_coupling", coupling)
 
 
 def heisenberg_evolution(pulse):
@@ -162,10 +145,11 @@ def heisenberg_evolution(pulse):
     larger; this module consistently uses spin operators S = sigma/2.)
 
     Returns (u, alpha, theta) with u = e^{i theta} swap_pow(alpha), theta
-    reported on the principal branch (-pi, pi].
+    reported on the principal branch (-pi, pi].  A bare number is taken as
+    the integral of a PulseSpec.
     """
     if not isinstance(pulse, PulseSpec):
-        pulse = PulseSpec(float(pulse))
+        pulse = PulseSpec(pulse)
     phi = pulse.integrated_coupling / HBAR
     alpha = float((phi / np.pi) % 2.0)
     theta = float(np.angle(np.exp(-1j * phi / 4.0)))

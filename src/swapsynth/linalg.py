@@ -10,6 +10,7 @@ procedure misses its tolerance.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 
 import numpy as np
@@ -81,6 +82,21 @@ def _integer(value, name):
     raise ContractViolation(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name):
+    """value as a finite float, or ContractViolation naming it: an int, float
+    or numpy real scalar passes; a bool or np.bool_, a string or None does
+    not, nor an int too large for a float, nor NaN or an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+        raise ContractViolation(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ContractViolation(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ContractViolation(f"{name} must be finite, got {value}")
+    return value
+
+
 def _rng(seed):
     """``np.random.default_rng(seed)``, raising ContractViolation on a seed it
     rejects, such as a negative integer."""
@@ -119,7 +135,7 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max()
     # Written so that a NaN deviation fails the check too.
     if not dev <= atol:
-        raise ContractViolation(f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:.1e}")
+        raise ContractViolation(f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:g}")
     return u
 
 
@@ -127,7 +143,7 @@ def _check_bound(dev, bound, what):
     """Raise NumericalError unless an internal result's deviation dev is
     within bound.  Written so that a NaN deviation fails too."""
     if not dev <= bound:
-        raise NumericalError(f"{what} {dev:.3e} exceeds {bound:.1e}")
+        raise NumericalError(f"{what} {dev:.3e} exceeds {bound:g}")
 
 
 def phase_distance(u, v):
@@ -153,7 +169,7 @@ def haar_random_unitary(dim, seed):
     dim = _integer(dim, "dimension")
     if dim not in (2, 4):
         raise ContractViolation(f"unsupported dimension {dim}, expected 2 or 4")
-    rng = _rng(seed)
+    rng = _rng(_integer(seed, "seed"))
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     diag = np.diagonal(r)

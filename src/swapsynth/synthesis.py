@@ -29,7 +29,7 @@ from .canonical import (
     lambdas,
     split_local_product,
 )
-from .gates import CNOT, CNOT_21, _swap_exponent, _swap_pow_block, rz, swap_pow
+from .gates import CNOT, CNOT_21, _swap_pow_block, rz, swap_pow
 from .linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -41,7 +41,9 @@ from .linalg import (
     PAULI_Z,
     _check_unitary,
     _frozen,
+    _integer,
     _kron,
+    _real,
     assert_unitary,
 )
 
@@ -99,7 +101,7 @@ class LocalOp(GateOp):
     @staticmethod
     def from_dict(entry):
         matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
-        return local_op(_int_field(entry, "qubit"), matrix, str(entry.get("label", "")))
+        return local_op(entry.get("qubit"), matrix, str(entry.get("label", "")))
 
     def identity_phase(self, tol):
         theta = np.angle(np.trace(self.matrix) / 2.0)
@@ -140,7 +142,7 @@ class SwapPowOp(GateOp):
 
     @staticmethod
     def from_dict(entry):
-        return swap_op(_number_field(entry, "alpha"))
+        return swap_op(entry.get("alpha"))
 
     def identity_phase(self, tol):
         return 0.0 if self._even_distance() <= tol else None
@@ -169,7 +171,7 @@ class CnotOp(GateOp):
 
     @staticmethod
     def from_dict(entry):
-        return cnot_op(_int_field(entry, "control", 1))
+        return cnot_op(entry.get("control", 1))
 
     def duration_s(self, profile):
         # Not a native exchange pulse: costed at the full-SWAP time.
@@ -181,6 +183,9 @@ _CNOT_ROWS = {1: _frozen(np.array([0, 1, 3, 2])), 2: _frozen(np.array([0, 3, 2, 
 
 
 def local_op(qubit, matrix, label=""):
+    """A LocalOp: qubit 1 or 2 by ``linalg._integer``, stored as an int, so
+    neither True nor 1.0 passes; a 2x2 matrix by ``assert_unitary``."""
+    qubit = _integer(qubit, "qubit")
     if qubit not in (1, 2):
         raise ContractViolation(f"qubit must be 1 or 2, got {qubit}")
     matrix = assert_unitary(matrix, name="local matrix", dim=2)
@@ -188,33 +193,16 @@ def local_op(qubit, matrix, label=""):
 
 
 def swap_op(alpha):
-    return SwapPowOp(alpha=_swap_exponent(alpha))
+    """A SwapPowOp, its exponent a float by ``linalg._real``."""
+    return SwapPowOp(alpha=_real(alpha, "swap exponent"))
 
 
 def cnot_op(control=1):
+    """A CnotOp: control 1 or 2 by ``linalg._integer``, stored as an int."""
+    control = _integer(control, "control")
     if control not in (1, 2):
         raise ContractViolation(f"control must be 1 or 2, got {control}")
     return CnotOp(control=control)
-
-
-def _int_field(entry, key, default=None):
-    """An integer field read from JSON: an int, so neither true nor 2.0 nor "2" passes."""
-    value = entry.get(key, default)
-    if type(value) is not int:
-        raise ContractViolation(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number_field(entry, key, default=None):
-    """A real field read from JSON, as a float: an int or a float, so neither
-    true nor "0.5" passes, nor an int too large for a float."""
-    value = entry.get(key, default)
-    if type(value) not in (int, float):
-        raise ContractViolation(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ContractViolation(f"{key} is too large for a float") from None
 
 
 # The one place a kind string is read from outside input.
@@ -371,12 +359,13 @@ def build_core_cnot_circuit(params):
 
     Its locals rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2), with W the
     Hadamard, come from one stacked :func:`rz` and are admitted in one check.
+    Its CNOTs are exact, so they skip :func:`cnot_op`'s check.
     """
     m = rz(params)
     m[0] = m[0] @ HADAMARD
     m[2] = HADAMARD @ m[2]
     w1, r1, w2, r2 = _local_ops(m, _CORE_CNOT_SLOTS)
-    ops = [cnot_op(1), w1, r1, cnot_op(1), w2, r2, cnot_op(1)]
+    ops = [CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1)]
     return Circuit(ops=ops, declared_global_phase=0.0)
 
 
@@ -498,8 +487,12 @@ def prune_circuit(circuit, tol=1e-12):
 
     Identity-like locals contribute only a phase, which is folded into the
     declared global phase; swap_pow ops with exponent within tol of an even
-    integer are dropped outright.  CNOTs are never pruned.
+    integer are dropped outright.  CNOTs are never pruned.  tol is a real
+    number of at least 0, by ``linalg._real``.
     """
+    tol = _real(tol, "tol")
+    if tol < 0:
+        raise ContractViolation(f"tol must be >= 0, got {tol}")
     phase = float(circuit.declared_global_phase)
     ops = []
     for op in circuit.ops:
@@ -553,7 +546,5 @@ def circuit_from_dict(doc):
         if op_class is None:
             raise ContractViolation(f"unknown op kind {kind!r}")
         ops.append(op_class.from_dict(entry))
-    phase = _number_field(doc, "global_phase", 0.0)
-    if not np.isfinite(phase):
-        raise ContractViolation(f"global_phase must be finite, got {phase}")
+    phase = _real(doc.get("global_phase", 0.0), "global_phase")
     return Circuit(ops=ops, declared_global_phase=phase)

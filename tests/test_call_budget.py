@@ -1,4 +1,5 @@
-"""Call-count guard: one kak_decompose stays within a budget of Python-level calls.
+"""Call-count guards: one kak_decompose, synthesize_swap or synthesize_cnot
+stays within a budget of Python-level calls.
 
 Every per-target step pays Python call overhead on 4x4 matrices, so the
 number of calls that cProfile records for one decomposition is a cheap,
@@ -18,6 +19,7 @@ import pytest
 
 from swapsynth.canonical import kak_decompose
 from swapsynth.linalg import haar_random_unitary
+from swapsynth.synthesis import synthesize_cnot, synthesize_swap
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
@@ -35,3 +37,29 @@ def test_kak_decompose_call_budget():
     profile.disable()
     calls = pstats.Stats(profile).total_calls
     assert calls <= BUDGET < COMPLEX_FACTOR_CALLS, calls
+
+
+# Per code object, so that calls to functions sharing a (file, line, name)
+# label are all counted: every dataclass __init__ is compiled from "<string>"
+# at the same line, and pstats keeps only one of those rows, chosen by memory
+# layout.  The profiler's own disable() is not counted.  The parent counts
+# were 258 and 267; building the CNOT core's three exact CnotOps directly,
+# without cnot_op's admission, saves three calls.
+SYNTHESIS_BUDGETS = {synthesize_swap: 258, synthesize_cnot: 264}
+
+
+def _calls(func, u):
+    func(u)
+    profile = cProfile.Profile()
+    profile.enable()
+    func(u)
+    profile.disable()
+    return sum(e.callcount for e in profile.getstats() if "disable" not in str(e.code))
+
+
+@pytest.mark.parametrize("func", SYNTHESIS_BUDGETS, ids=lambda f: f.__name__)
+def test_synthesis_call_budget(func):
+    if np.__version__ != MEASURED_ON:
+        pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
+    calls = _calls(func, haar_random_unitary(4, seed=2))
+    assert calls <= SYNTHESIS_BUDGETS[func], calls

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from swapsynth.costmodel import (
@@ -82,7 +83,24 @@ def test_profile_from_dict():
         # A JSON integer too large for a float is refused, not an OverflowError.
         with pytest.raises(ContractViolation, match=f"{key} is too large for a float"):
             profile_from_dict({**doc, key: 10**400})
+        # A profile built in Python refuses the same values, with the same message.
+        for bad in (True, np.True_, 1.0, "1", None, float("nan"), float("inf"), -float("inf"), 10**400):
+            built = _outcome(lambda: HardwareProfile(**{**doc, key: bad}))
+            assert built == _outcome(lambda: profile_from_dict({**doc, key: bad}))
+            # 1.0 is a number, so only the 10% consistency check may refuse it.
+            assert type(bad) is float and bad == 1.0 or built.startswith(f"refused: {key} ")
     assert profile_from_dict({**doc, "rabi_frequency_hz": 10_000_000}).rabi_frequency_hz == 1.0e7
+    # Timing fields are stored as floats, whichever real type they came as.
+    p = HardwareProfile(**{**doc, "rabi_frequency_hz": np.int64(10_000_000)})
+    assert type(p.rabi_frequency_hz) is float and p == profile_from_dict(doc)
+
+
+def _outcome(call):
+    """The profile call() builds, or the message of the ContractViolation it raises."""
+    try:
+        return call()
+    except ContractViolation as exc:
+        return f"refused: {exc}"
 
 
 def test_schedule_empty():

@@ -125,6 +125,15 @@ def test_pulse_spec_validation():
     assert p.label == "probe"
     with pytest.raises(ContractViolation):
         PulseSpec(integrated_coupling=float("inf"))
+    # A PulseSpec and a bare integral are admitted by one rule, and refuse alike.
+    for bad in (True, np.True_, "1e-34", "abc", None, float("nan"), float("inf"), -float("inf"), 10**400):
+        for build in (PulseSpec, heisenberg_evolution):
+            with pytest.raises(ContractViolation, match="^integrated_coupling "):
+                build(bad)
+    for value in (np.float64(1e-34), np.int64(0), 0):
+        assert type(PulseSpec(value).integrated_coupling) is float
+    u, alpha, theta = heisenberg_evolution(np.float64(PLANCK_H / 4.0))
+    assert (alpha, theta) == heisenberg_evolution(PulseSpec(PLANCK_H / 4.0))[1:]
 
 
 def test_heisenberg_zero_pulse():

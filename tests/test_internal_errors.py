@@ -12,9 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swapsynth import canonical, cli, costmodel, synthesis
+from swapsynth import canonical, cli, costmodel, linalg, synthesis
 from swapsynth.canonical import kak_decompose
-from swapsynth.linalg import NumericalError, haar_random_unitary
+from swapsynth.linalg import ContractViolation, NumericalError, haar_random_unitary
 from swapsynth.synthesis import synthesize_cnot, synthesize_swap
 
 U = haar_random_unitary(4, seed=17)
@@ -48,9 +48,9 @@ def test_local_op_on_computed_local(monkeypatch, capsys):
 
             for module in (synthesis, costmodel, cli):
                 monkeypatch.setattr(module, "kak_decompose", skewed)
-            with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1\.0e-10"):
+            with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1e-10"):
                 synthesize_swap(U)
-            with pytest.raises(NumericalError, match=r"cnot synthesis.*not unitary.*exceeds 1\.0e-10"):
+            with pytest.raises(NumericalError, match=r"cnot synthesis.*not unitary.*exceeds 1e-10"):
                 synthesize_cnot(U)
             assert cli_exit(capsys, "--backend", "swap") == 3
             assert cli_exit(capsys, "--backend", "cnot") == 3
@@ -101,6 +101,14 @@ def test_nan_eigenvalue_of_joint_diagonalization(monkeypatch, capsys):
         return d, q
 
     monkeypatch.setattr(canonical, "diagonalize_complex_symmetric_unitary", one_nan)
-    with pytest.raises(NumericalError, match=r"imaginary residue nan exceeds 1\.0e-08"):
+    with pytest.raises(NumericalError, match=r"imaginary residue nan exceeds 1e-08"):
         kak_decompose(U)
     assert cli_exit(capsys) == 3
+
+
+def test_bounds_print_exactly():
+    # A bound that is not a round number is printed as given, not rounded to 1.3e-09.
+    with pytest.raises(NumericalError, match=r"^residual 2\.000e-09 exceeds 1\.25e-09$"):
+        linalg._check_bound(2e-9, 1.25e-9, "residual")
+    with pytest.raises(ContractViolation, match=r"exceeds 1\.25e-09$"):
+        linalg._check_unitary(np.eye(2) * (1.0 + 1e-8), "m", atol=1.25e-9)

@@ -106,6 +106,11 @@ def test_haar_rejects_negative_seed():
     for seed in (-1, -3):
         with pytest.raises(ContractViolation):
             haar_random_unitary(4, seed=seed)
+    # An integer, as ep_monte_carlo's seed: True is not seed 1.
+    for seed in (True, np.True_, 1.0, "1", None):
+        with pytest.raises(ContractViolation, match=r"^seed must be an integer"):
+            haar_random_unitary(4, seed=seed)
+    assert np.array_equal(haar_random_unitary(4, seed=np.int64(1)), haar_random_unitary(4, seed=1))
 
 
 def test_private_kron_matches_numpy_bit_for_bit():

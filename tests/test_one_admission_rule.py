@@ -1,10 +1,16 @@
-"""No function in src/swapsynth/ checks the shape of a matrix it admits.
+"""Each admission rule lives in ``linalg``, and nowhere else in src/swapsynth/.
 
 ``linalg.assert_unitary(u, name, dim)`` owns the whole admission rule for a
-unitary argument, its size included.  This AST scan flags any function that
-binds a name from an ``assert_unitary(...)`` call, or passes a name to one,
-and compares that name's ``.shape`` or ``.shape[i]``: such a check belongs
-in the ``dim`` argument, where it raises the same error for every caller.
+unitary argument, its size included.  The first AST scan flags any function
+that binds a name from an ``assert_unitary(...)`` call, or passes a name to
+one, and compares that name's ``.shape`` or ``.shape[i]``: such a check
+belongs in the ``dim`` argument, where it raises the same error for every
+caller.
+
+``linalg._integer`` and ``linalg._real`` own the rules for an integer and a
+real scalar.  The second scan flags, outside ``linalg.py``, every name that
+a scalar rule of its own would need: ``isfinite``, ``OverflowError`` and
+``operator.index``.
 """
 
 import ast
@@ -86,3 +92,53 @@ def test_scanner_finds_shape_checks_on_admitted_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_shape_check_after_admission(path):
     assert admitted_shape_checks(path.read_text(encoding="utf-8")) == []
+
+
+# Names only a scalar admission rule needs.
+SCALAR_RULE_NAMES = {"isfinite", "OverflowError"}
+
+
+def scalar_rule_names(source):
+    """Lines that name isfinite, OverflowError or operator.index."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named = node.id in SCALAR_RULE_NAMES
+        elif isinstance(node, ast.Attribute):
+            named = node.attr in SCALAR_RULE_NAMES or (
+                node.attr == "index" and isinstance(node.value, ast.Name) and node.value.id == "operator"
+            )
+        elif isinstance(node, ast.ImportFrom):
+            named = any(
+                alias.name in SCALAR_RULE_NAMES or (node.module == "operator" and alias.name == "index")
+                for alias in node.names
+            )
+        else:
+            continue
+        if named:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_scanner_finds_scalar_rules():
+    source = (
+        "import math, operator\n"
+        "from math import isfinite\n"
+        "from operator import index\n"
+        "def f(x, items):\n"
+        "    try:\n"
+        "        x = float(x)\n"
+        "    except OverflowError:\n"
+        "        pass\n"
+        "    ok = np.isfinite(x) and math.isfinite(x)\n"
+        "    n = operator.index(x)\n"
+        "    return items.index(x)\n"
+    )
+    assert scalar_rule_names(source) == [2, 3, 7, 9, 10]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "linalg.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_scalar_rule_outside_linalg(path):
+    assert scalar_rule_names(path.read_text(encoding="utf-8")) == []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from swapsynth.synthesis import (
     BELL_EXCHANGE,
     Circuit,
     CnotPhaseParams,
+    LocalOp,
     _core_swap,
     build_core_cnot_circuit,
     circuit_from_dict,
@@ -66,6 +69,11 @@ def test_op_factories_validate():
     assert swap_op(np.float64(0.25)).alpha == 0.25 and type(swap_op(np.int64(1)).alpha) is float
     with pytest.raises(ContractViolation):
         cnot_op(0)
+    # Integers only: each of these was admitted, and wrote a file the reader refused.
+    for build in (lambda: cnot_op(2.0), lambda: cnot_op(True), lambda: local_op(1.0, ID2)):
+        with pytest.raises(ContractViolation, match=r"^(control|qubit) must be an integer"):
+            build()
+    assert type(local_op(np.int64(2), ID2).qubit) is int and type(cnot_op(np.int8(2)).control) is int
 
 
 def test_swap_angles_examples():
@@ -274,14 +282,44 @@ def test_prune_keeps_real_work():
     assert phase_distance(evaluate_circuit(pruned), u) < 1e-10
 
 
+def _fields(op):
+    return {k: v for k, v in vars(op).items() if k != "matrix"}
+
+
 def test_circuit_json_round_trip():
     u = haar_random_unitary(4, seed=101)
+    # Every way the library builds an op, numpy scalars for every field included.
+    by_hand = Circuit(
+        ops=[
+            local_op(np.int64(2), PAULI_X, "x"),
+            local_op(np.uint8(1), ID2),
+            cnot_op(np.int64(2)),
+            cnot_op(),
+            swap_op(np.float64(0.3)),
+            swap_op(np.float32(0.7)),
+            swap_op(np.int64(3)),
+            swap_op(-1),
+        ],
+        declared_global_phase=0.25,
+    )
+    circuits = [by_hand, expand_cnots_to_swaps(by_hand)]
     for synth in (synthesize_swap, synthesize_cnot):
         c = synth(u)
         doc = circuit_to_dict(c)
         back = circuit_from_dict(doc)
         assert gate_counts(back) == gate_counts(c)
         assert np.max(np.abs(evaluate_circuit(back) - evaluate_circuit(c))) < 1e-12
+        circuits += [c, prune_circuit(c, 1e-9), expand_cnots_to_swaps(c)]
+    # Each rebuilds exactly from its JSON text: fields, their types and the phase.
+    for c in circuits:
+        back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(c))))
+        assert back.declared_global_phase == c.declared_global_phase
+        assert [type(op) for op in back.ops] == [type(op) for op in c.ops]
+        for op, op_back in zip(c.ops, back.ops):
+            assert _fields(op_back) == _fields(op)
+            assert [type(v) for v in _fields(op).values()] == [type(v) for v in _fields(op_back).values()]
+            if isinstance(op, LocalOp):
+                assert np.array_equal(op_back.matrix, op.matrix)
 
 
 def test_circuit_from_dict_rejects_garbage():
@@ -314,6 +352,43 @@ def test_circuit_from_dict_rejects_garbage():
     for phase in ("0.5", True, 10**400):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [], "global_phase": phase})
+    # The op constructors and the reader refuse each bad scalar alike, with one message.
+    for bad in (True, np.True_, 1.0, "1", None, float("nan"), float("inf"), -float("inf"), 10**400):
+        # 1.0 is the one real among them: a swap exponent or phase, but no qubit.
+        real = type(bad) is float and bad == 1.0
+        pairs = [
+            (lambda: local_op(bad, ID2), {"kind": "local", "qubit": bad, "matrix": identity}, False),
+            (lambda: cnot_op(bad), {"kind": "cnot", "control": bad}, False),
+            (lambda: swap_op(bad), {"kind": "swap_pow", "alpha": bad}, real),
+        ]
+        for build, entry, admitted in pairs:
+            built = _outcome(build)
+            assert built == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
+            assert built.startswith("refused: ") != admitted
+        if not real:
+            with pytest.raises(ContractViolation, match="^global_phase "):
+                circuit_from_dict({"ops": [], "global_phase": bad})
+
+
+def _outcome(call):
+    """The JSON entry of the op call() builds, or the message of the
+    ContractViolation it raises."""
+    try:
+        return str(call().to_dict())
+    except ContractViolation as exc:
+        return f"refused: {exc}"
+
+
+def test_prune_admits_tol():
+    c = Circuit(ops=[swap_op(1e-14), local_op(1, ID2)])
+    assert gate_counts(prune_circuit(c, 0)) == (1, 0, 0)
+    assert gate_counts(prune_circuit(c, np.float64(1e-12))) == (0, 0, 0)
+    for tol in (float("nan"), float("inf"), "x", None, True, 10**400):
+        with pytest.raises(ContractViolation, match="^tol "):
+            prune_circuit(c, tol)
+    for tol in (-1, -1e-12):
+        with pytest.raises(ContractViolation, match="^tol must be >= 0"):
+            prune_circuit(c, tol)
 
 
 def test_shared_constants_are_read_only():
