@@ -42,9 +42,9 @@ def test_kak_decompose_call_budget():
 # Per code object, so that calls to functions sharing a (file, line, name)
 # label are all counted: every dataclass __init__ is compiled from "<string>"
 # at the same line, and pstats keeps only one of those rows, chosen by memory
-# layout.  The profiler's own disable() is not counted.  The parent counts
-# were 258 and 267; building the CNOT core's three exact CnotOps directly,
-# without cnot_op's admission, saves three calls.
+# layout.  The profiler's own disable() is not counted.  synthesize_cnot made
+# 267 calls while the CNOT core built its three exact CnotOps through
+# cnot_op's admission; building them directly saves three.
 SYNTHESIS_BUDGETS = {synthesize_swap: 258, synthesize_cnot: 264}
 
 
