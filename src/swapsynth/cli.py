@@ -99,11 +99,56 @@ def _resolve_profile(name_or_path):
     return profile_from_dict(_load_json(name_or_path))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc, sort_keys=False):
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=sort_keys)``, built with one join per container.
+
+    The stdlib's C encoder serves only ``indent=None``, so an indented dumps
+    runs its pure-Python generator, one small chunk at a time.  Containers
+    are told apart by ``isinstance`` as there (a tuple is a list); a finite
+    float is its ``float.__repr__``, an int its ``int.__repr__`` and a
+    string its ASCII-escaped form, as there; every other scalar, and every
+    non-string key, goes to the C encoder of ``json.dumps``, whose rule it is.
+    """
+
+    def text(o, indent):
+        if isinstance(o, float) and o - o == 0.0:
+            return float.__repr__(o)
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = indent + "  "
+            return "[" + inner + ("," + inner).join([text(v, inner) for v in o]) + indent + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = indent + "  "
+            items = sorted(o.items()) if sort_keys else o.items()
+            pairs = [key(k) + ": " + text(v, inner) for k, v in items]
+            return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+        if o.__class__ is int:
+            # json's own rule for an int, without the microsecond a dumps call costs.
+            return int.__repr__(o)
+        return json.dumps(o)
+
+    def key(k):
+        # A non-string key as json writes it: '{"1": 0}' less its '{' and ': 0}'.
+        return _encode_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+
+    return text(doc, "\n")
+
+
 def _write_json(path, doc):
+    """Write doc, indented, to path.  It is encoded before the file is opened,
+    so a document that cannot be encoded leaves path as it was."""
+    text = _json_text(doc) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise ContractViolation(f"cannot write {path}: {exc}") from None
 
@@ -432,7 +477,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if ns.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report, sort_keys=True))
     else:
         for line in lines:
             print(line)

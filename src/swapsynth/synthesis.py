@@ -506,7 +506,8 @@ def prune_circuit(circuit, tol=1e-12):
 
 def _matrix_to_json(m):
     """Rows of [re, im] pairs: the one matrix layout of every JSON file."""
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def _matrix_from_json(rows, dim, name):
@@ -530,7 +531,7 @@ def _matrix_from_json(rows, dim, name):
 def circuit_to_dict(circuit):
     """JSON-ready dict: {"global_phase": float, "ops": [...]}"""
     return {
-        "global_phase": float(circuit.declared_global_phase),
+        "global_phase": _real(circuit.declared_global_phase, "global_phase"),
         "ops": [op.to_dict() for op in circuit.ops],
     }
 

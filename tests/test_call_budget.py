@@ -9,10 +9,15 @@ claim, and it is tied to the installed numpy, whose Python wrappers
 was measured on numpy 2.4.6, and on any other version the test is skipped.
 With complex local factors and complex move conjugators the KAK made 218
 calls on this target; with real factors gathered by column it makes 206.
+
+Every budget is a count per code object: the sum of ``callcount`` over the
+entries of ``cProfile.Profile.getstats()``, less the profiler's own
+``disable()``.  ``pstats.Stats(...).total_calls`` is not used: it keeps one
+row per (file, line, name) label, so calls to functions sharing a label,
+such as every dataclass ``__init__``, are dropped by memory layout.
 """
 
 import cProfile
-import pstats
 
 import numpy as np
 import pytest
@@ -26,35 +31,26 @@ COMPLEX_FACTOR_CALLS = 218
 BUDGET = 206
 
 
-def test_kak_decompose_call_budget():
-    if np.__version__ != MEASURED_ON:
-        pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
-    u = haar_random_unitary(4, seed=2)
-    kak_decompose(u)
-    profile = cProfile.Profile()
-    profile.enable()
-    kak_decompose(u)
-    profile.disable()
-    calls = pstats.Stats(profile).total_calls
-    assert calls <= BUDGET < COMPLEX_FACTOR_CALLS, calls
-
-
-# Per code object, so that calls to functions sharing a (file, line, name)
-# label are all counted: every dataclass __init__ is compiled from "<string>"
-# at the same line, and pstats keeps only one of those rows, chosen by memory
-# layout.  The profiler's own disable() is not counted.  synthesize_cnot made
-# 267 calls while the CNOT core built its three exact CnotOps through
-# cnot_op's admission; building them directly saves three.
+# synthesize_cnot made 267 calls while the CNOT core built its three exact
+# CnotOps through cnot_op's admission; building them directly saves three.
 SYNTHESIS_BUDGETS = {synthesize_swap: 258, synthesize_cnot: 264}
 
 
 def _calls(func, u):
+    """Calls per code object of a second func(u), after one to warm caches."""
     func(u)
     profile = cProfile.Profile()
     profile.enable()
     func(u)
     profile.disable()
     return sum(e.callcount for e in profile.getstats() if "disable" not in str(e.code))
+
+
+def test_kak_decompose_call_budget():
+    if np.__version__ != MEASURED_ON:
+        pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
+    calls = _calls(kak_decompose, haar_random_unitary(4, seed=2))
+    assert calls <= BUDGET < COMPLEX_FACTOR_CALLS, calls
 
 
 @pytest.mark.parametrize("func", SYNTHESIS_BUDGETS, ids=lambda f: f.__name__)

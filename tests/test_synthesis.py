@@ -352,8 +352,9 @@ def test_circuit_from_dict_rejects_garbage():
     for phase in ("0.5", True, 10**400):
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [], "global_phase": phase})
-    # The op constructors and the reader refuse each bad scalar alike, with one message.
-    for bad in (True, np.True_, 1.0, "1", None, float("nan"), float("inf"), -float("inf"), 10**400):
+    # The op constructors and the reader refuse each bad scalar alike, with one
+    # message, and the writer refuses it as a circuit's phase.
+    for bad in (True, np.True_, 1.0, "1", "x", None, float("nan"), float("inf"), -float("inf"), 10**400):
         # 1.0 is the one real among them: a swap exponent or phase, but no qubit.
         real = type(bad) is float and bad == 1.0
         pairs = [
@@ -368,6 +369,8 @@ def test_circuit_from_dict_rejects_garbage():
         if not real:
             with pytest.raises(ContractViolation, match="^global_phase "):
                 circuit_from_dict({"ops": [], "global_phase": bad})
+            with pytest.raises(ContractViolation, match="^global_phase "):
+                circuit_to_dict(Circuit([], bad))
 
 
 def _outcome(call):
