@@ -111,6 +111,8 @@ def _json_text(doc, sort_keys=False):
     float is its ``float.__repr__``, an int its ``int.__repr__`` and a
     string its ASCII-escaped form, as there; every other scalar, and every
     non-string key, goes to the C encoder of ``json.dumps``, whose rule it is.
+    The one difference: a document that contains itself raises RecursionError
+    here, where json.dumps reports a circular reference.  The CLI builds none.
     """
 
     def text(o, indent):
