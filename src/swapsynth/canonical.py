@@ -129,7 +129,7 @@ class CanonicalDecomposition:
 
 def lambdas(params):
     """Bell-state phase angles of E(params).  Their sum is exactly zero."""
-    hx, hy, hz = (float(v) for v in params)
+    hx, hy, hz = map(float, params)
     return BellPhases(
         l00=hx - hy + hz,
         l01=hx + hy - hz,

@@ -35,6 +35,7 @@ from .linalg import (
     ContractViolation,
     NumericalError,
     _integer,
+    _real,
     assert_unitary,
     haar_random_unitary,
     phase_distance,
@@ -81,6 +82,10 @@ def _load_json(path):
         raise ContractViolation(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ContractViolation(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ContractViolation(f"{path} nests its JSON too deeply to read") from None
 
 
 def _resolve_target(ns):
@@ -156,7 +161,7 @@ def _write_json(path, doc):
 
 
 def _check_tolerance(tolerance):
-    if not 0.0 <= tolerance < np.inf:
+    if _real(tolerance, "--tolerance") < 0.0:
         raise ContractViolation(f"--tolerance must be finite and nonnegative, got {tolerance}")
 
 
@@ -232,7 +237,7 @@ def cmd_verify(ns):
 
 
 def cmd_analyze_ep_curve(ns):
-    if ns.points < 1:
+    if _integer(ns.points, "--points") < 1:
         raise ContractViolation("--points must be at least 1")
     alphas = np.arange(ns.points) * (2.0 / ns.points)
     closed = np.array([ep_closed_form_swap(a) for a in alphas])
@@ -252,7 +257,7 @@ def cmd_analyze_ep_curve(ns):
         f"cross-check:     max |closed form - exact| = {report['max_residual_vs_exact']:.3e}",
     ]
     if ns.target_ep is not None:
-        if not 0.0 <= ns.target_ep <= 1.0 / 6.0:
+        if not 0.0 <= _real(ns.target_ep, "--target-ep") <= 1.0 / 6.0:
             raise ContractViolation("--target-ep must lie in [0, 1/6]")
         alpha = float(np.arccos(1.0 - 12.0 * ns.target_ep) / (2.0 * np.pi))
         report["inverse"] = {"target_ep": float(ns.target_ep), "alpha": alpha}
@@ -348,9 +353,9 @@ def cmd_cost(ns):
 
 
 def cmd_random(ns):
-    if ns.count < 0:
+    if _integer(ns.count, "--count") < 0:
         raise ContractViolation("--count must be nonnegative")
-    if ns.seed < 0:
+    if _integer(ns.seed, "--seed") < 0:
         raise ContractViolation("--seed must be nonnegative")
     out_dir = ns.out_dir or "."
     try:

@@ -142,17 +142,20 @@ def schedule_circuit(circuit, profile):
     since a CNOT is not a native pulse on an exchange-only device.
     """
     layers = []
+    # Qubits of the last layer while it holds only single-qubit gates.
+    open_qubits = ()
     for idx, op in enumerate(circuit.ops):
         duration = op.duration_s(profile)
-        prev = [circuit.ops[i] for i in layers[-1].op_indices] if layers else []
-        if isinstance(op, LocalOp) and prev and all(
-            isinstance(p, LocalOp) and p.qubit != op.qubit for p in prev
-        ):
-            last = layers.pop()
-            duration = max(last.duration_s, duration)
-            layers.append(Layer(duration, last.op_indices + (idx,), op.kind))
+        if not isinstance(op, LocalOp):
+            layers.append(Layer(duration, (idx,), op.kind))
+            open_qubits = ()
+        elif open_qubits and op.qubit not in open_qubits:
+            last = layers[-1]
+            layers[-1] = Layer(max(last.duration_s, duration), last.op_indices + (idx,), op.kind)
+            open_qubits += (op.qubit,)
         else:
             layers.append(Layer(duration, (idx,), op.kind))
+            open_qubits = (op.qubit,)
     total = float(sum(layer.duration_s for layer in layers))
     return Schedule(layers=tuple(layers), total_time_s=total, profile_name=profile.name)
 

@@ -100,8 +100,9 @@ class LocalOp(GateOp):
 
     @staticmethod
     def from_dict(entry):
+        # Unitarity is left to circuit_from_dict, which checks every local of a document at once.
         matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
-        return local_op(entry.get("qubit"), matrix, str(entry.get("label", "")))
+        return LocalOp(_qubit_index(entry.get("qubit"), "qubit"), matrix, str(entry.get("label", "")))
 
     def identity_phase(self, tol):
         theta = np.angle(np.trace(self.matrix) / 2.0)
@@ -182,12 +183,18 @@ class CnotOp(GateOp):
 _CNOT_ROWS = {1: _frozen(np.array([0, 1, 3, 2])), 2: _frozen(np.array([0, 3, 2, 1]))}
 
 
+def _qubit_index(value, name):
+    """value as the int 1 or 2 by ``linalg._integer``, or ContractViolation naming it."""
+    value = _integer(value, name)
+    if value not in (1, 2):
+        raise ContractViolation(f"{name} must be 1 or 2, got {value}")
+    return value
+
+
 def local_op(qubit, matrix, label=""):
     """A LocalOp: qubit 1 or 2 by ``linalg._integer``, stored as an int, so
     neither True nor 1.0 passes; a 2x2 matrix by ``assert_unitary``."""
-    qubit = _integer(qubit, "qubit")
-    if qubit not in (1, 2):
-        raise ContractViolation(f"qubit must be 1 or 2, got {qubit}")
+    qubit = _qubit_index(qubit, "qubit")
     matrix = assert_unitary(matrix, name="local matrix", dim=2)
     return LocalOp(qubit=qubit, matrix=matrix, label=label)
 
@@ -199,10 +206,7 @@ def swap_op(alpha):
 
 def cnot_op(control=1):
     """A CnotOp: control 1 or 2 by ``linalg._integer``, stored as an int."""
-    control = _integer(control, "control")
-    if control not in (1, 2):
-        raise ContractViolation(f"control must be 1 or 2, got {control}")
-    return CnotOp(control=control)
+    return CnotOp(control=_qubit_index(control, "control"))
 
 
 # The one place a kind string is read from outside input.
@@ -330,7 +334,7 @@ def cnot_phase_params(phases):
         zeta1 = zeta2 = (l00 + l01)/4
         xi1 + xi2 = (l00 - l01)/2,  xi2 - xi1 = (l10 - l11)/2.
     """
-    l00, l01, l10, l11 = (float(phases[i]) for i in range(4))
+    l00, l01, l10, l11 = map(float, phases)
     total = l00 + l01 + l10 + l11
     if not abs(total) <= 1e-9:
         raise ContractViolation(f"Bell phases must sum to 0 within 1e-9, got {total:.3e}")
@@ -349,6 +353,15 @@ def cnot_phase_params(phases):
 _CORE_CNOT_SLOTS = ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2"))
 
 
+def _core_cnot_locals(params):
+    """The (4, 2, 2) stack rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2) of the
+    CNOT core's two phase layers, W the Hadamard, from one stacked :func:`rz`."""
+    m = rz(params)
+    m[0] = m[0] @ HADAMARD
+    m[2] = HADAMARD @ m[2]
+    return m
+
+
 def build_core_cnot_circuit(params):
     """Three CNOTs with two merged phase layers: the parametric core.
 
@@ -358,13 +371,10 @@ def build_core_cnot_circuit(params):
     the matching coordinates h.
 
     Its locals rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2), with W the
-    Hadamard, come from one stacked :func:`rz` and are admitted in one check.
-    Its CNOTs are exact, so they skip :func:`cnot_op`'s check.
+    Hadamard, are admitted in one check.  Its CNOTs are exact, so they skip
+    :func:`cnot_op`'s check.
     """
-    m = rz(params)
-    m[0] = m[0] @ HADAMARD
-    m[2] = HADAMARD @ m[2]
-    w1, r1, w2, r2 = _local_ops(m, _CORE_CNOT_SLOTS)
+    w1, r1, w2, r2 = _local_ops(_core_cnot_locals(params), _CORE_CNOT_SLOTS)
     ops = [CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1)]
     return Circuit(ops=ops, declared_global_phase=0.0)
 
@@ -396,6 +406,12 @@ _CORE_P, _CORE_Q, _CORE_PSI = split_local_product(
 )
 _frozen(_CORE_P)
 _frozen(_CORE_Q)
+# The front locals of every CNOT circuit absorb p^dag and q^dag.
+_CORE_P_DAG = _frozen(_CORE_P.conj().T)
+_CORE_Q_DAG = _frozen(_CORE_Q.conj().T)
+
+# Qubit and label of the eight locals of a CNOT circuit, in stack order.
+_CNOT_SLOTS = ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1"), (2, "back-q2"))
 
 
 def _cnot_core_params(dec):
@@ -404,18 +420,21 @@ def _cnot_core_params(dec):
 
 
 def _cnot_circuit(dec):
-    """The :func:`synthesize_cnot` circuit for an already decomposed target."""
-    a1, b1 = dec.front
-    a2, b2 = dec.back
+    """The :func:`synthesize_cnot` circuit for an already decomposed target.
+
+    Its eight locals, the dressed front and back pairs and the core's phase
+    layers, are one stack admitted in one check.
+    """
+    m = np.empty((8, 2, 2), dtype=complex)
+    m[0] = _CORE_P_DAG @ dec.front[0]
+    m[1] = _CORE_Q_DAG @ dec.front[1]
+    m[6:] = dec.back
     try:
-        core = build_core_cnot_circuit(_cnot_core_params(dec))
-        front_q1, front_q2, back_q1, back_q2 = _local_ops(
-            np.array([_CORE_P.conj().T @ a1, _CORE_Q.conj().T @ b1, a2, b2]),
-            ((1, "front-q1"), (2, "front-q2"), (1, "back-q1"), (2, "back-q2")),
-        )
-        ops = [front_q1, front_q2, *core.ops, back_q1, back_q2]
+        m[2:6] = _core_cnot_locals(_cnot_core_params(dec))
+        f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
     except ContractViolation as exc:
         raise NumericalError(f"cnot synthesis: {exc}") from exc
+    ops = [f1, f2, CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1), b1, b2]
     return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))
 
 
@@ -536,16 +555,41 @@ def circuit_to_dict(circuit):
     }
 
 
+def _admit_locals(ops):
+    """Admit the matrices of the LocalOps among ops as one stack, under
+    :func:`local_op`'s rule.  A failing stack is checked again member by
+    member, so the error is the one local_op raises for its first failure."""
+    matrices = [op.matrix for op in ops if isinstance(op, LocalOp)]
+    if matrices:
+        try:
+            _check_unitary(np.array(matrices), "local matrix")
+        except ContractViolation:
+            for m in matrices:
+                _check_unitary(m, "local matrix")
+            raise
+
+
 def circuit_from_dict(doc):
-    """Inverse of :func:`circuit_to_dict`, validating every op."""
+    """Inverse of :func:`circuit_to_dict`, validating every op.
+
+    Each entry is read by the ``from_dict`` of its kind, and the matrices
+    of all its local ops are then admitted in one check.  It raises the
+    error of the first faulty op, as if each op were admitted on its own.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ContractViolation("circuit document must be a dict with an 'ops' list")
     ops = []
-    for entry in doc["ops"]:
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        op_class = _OP_KINDS.get(kind) if isinstance(kind, str) else None
-        if op_class is None:
-            raise ContractViolation(f"unknown op kind {kind!r}")
-        ops.append(op_class.from_dict(entry))
+    try:
+        for entry in doc["ops"]:
+            kind = entry.get("kind") if isinstance(entry, dict) else None
+            op_class = _OP_KINDS.get(kind) if isinstance(kind, str) else None
+            if op_class is None:
+                raise ContractViolation(f"unknown op kind {kind!r}")
+            ops.append(op_class.from_dict(entry))
+    except ContractViolation:
+        # A non-unitary local ahead of the faulty entry is the first fault.
+        _admit_locals(ops)
+        raise
+    _admit_locals(ops)
     phase = _real(doc.get("global_phase", 0.0), "global_phase")
     return Circuit(ops=ops, declared_global_phase=phase)

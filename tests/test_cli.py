@@ -1,10 +1,12 @@
 """End-to-end command line tests, run in-process through main(argv)."""
 
+import argparse
 import json
 
 import pytest
 
-from swapsynth.cli import main
+from swapsynth.cli import cmd_analyze_ep_curve, cmd_random, cmd_synth, main
+from swapsynth.linalg import ContractViolation
 from swapsynth.gates import CNOT
 from swapsynth.linalg import phase_distance
 from swapsynth.synthesis import circuit_from_dict, evaluate_circuit
@@ -342,6 +344,57 @@ def test_bad_tolerance_exits_2(tmp_path, capsys):
             code, text, err = run(capsys, *argv, f"--tolerance={value}")
             assert code == 2, (argv, value)
             assert "--tolerance" in err and text == "", (argv, value)
+
+
+def test_scalar_options_exit_2_naming_the_option(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(out))
+    for argv, message in (
+        (("synth", "--gate", "cnot", "--tolerance", "nan"), "--tolerance must be finite, got nan"),
+        (("synth", "--gate", "cnot", "--tolerance", "inf"), "--tolerance must be finite, got inf"),
+        (("verify", str(out), "--gate", "cnot", "--tolerance", "nan"), "--tolerance must be finite, got nan"),
+        (("verify", str(out), "--gate", "cnot", "--tolerance", "inf"), "--tolerance must be finite, got inf"),
+        (("synth", "--gate", "cnot", "--tolerance", "-1"), "--tolerance must be finite and nonnegative, got -1.0"),
+        (("analyze", "ep-curve", "--target-ep", "nan"), "--target-ep must be finite, got nan"),
+        (("analyze", "ep-curve", "--target-ep", "0.2"), "--target-ep must lie in [0, 1/6]"),
+        (("analyze", "ep-curve", "--points", "0"), "--points must be at least 1"),
+        (("random", "--count", "-1", "--out", str(tmp_path)), "--count must be nonnegative"),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert (code, text, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_scalar_options_are_admitted_by_the_scalar_rules():
+    # argparse hands these commands an int or a float; called directly, they
+    # refuse any other value by linalg's rules, under the option's name.
+    for command, fields, message in (
+        (cmd_synth, {"tolerance": True}, "--tolerance must be a number, got True"),
+        (cmd_analyze_ep_curve, {"points": 2.5, "target_ep": None}, "--points must be an integer, got 2.5"),
+        (cmd_analyze_ep_curve, {"points": 3, "target_ep": "0.1"}, "--target-ep must be a number, got '0.1'"),
+        (cmd_random, {"count": 1.0, "seed": 0, "out_dir": None}, "--count must be an integer, got 1.0"),
+        (cmd_random, {"count": 0, "seed": True, "out_dir": None}, "--seed must be an integer, got True"),
+    ):
+        with pytest.raises(ContractViolation) as exc:
+            command(argparse.Namespace(**fields))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf8", "nested-200000-deep"]
+)
+def test_unreadable_input_files_exit_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    circuit = tmp_path / "c.json"
+    run(capsys, "synth", "--gate", "cnot", "--out", str(circuit))
+    for argv in (
+        ("synth", "--matrix", str(bad)),
+        ("verify", str(bad), "--gate", "cnot"),
+        ("cost", str(circuit), "--profile", str(bad)),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert text == "" and err.startswith(f"error: {bad} ") and err.count("\n") == 1, (argv, err)
 
 
 def test_synth_and_verify_share_the_tolerance_gate(tmp_path, capsys):

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swapsynth.costmodel import (
     HardwareProfile,
+    Layer,
     builtin_profile,
     compare_backends,
     profile_from_dict,
     schedule_circuit,
 )
-from swapsynth.gates import CNOT, SWAP
+from swapsynth.gates import CNOT, SWAP, rz
 from swapsynth.linalg import ContractViolation, ID2, PAULI_X, haar_random_unitary
 from swapsynth.synthesis import (
     Circuit,
+    LocalOp,
+    cnot_op,
     local_op,
     swap_op,
     synthesize_swap,
@@ -167,6 +171,47 @@ def test_proportional_policy():
     assert schedule_circuit(
         Circuit(ops=[local_op(1, ID2)]), fixed
     ).total_time_s == pytest.approx(80e-9)
+
+
+def _layers_by_rescan(circuit, profile):
+    """schedule_circuit's layering as it was: for every op, the ops of the
+    last layer are looked up and tested again."""
+    layers = []
+    for idx, op in enumerate(circuit.ops):
+        duration = op.duration_s(profile)
+        prev = [circuit.ops[i] for i in layers[-1].op_indices] if layers else []
+        if isinstance(op, LocalOp) and prev and all(
+            isinstance(p, LocalOp) and p.qubit != op.qubit for p in prev
+        ):
+            last = layers.pop()
+            duration = max(last.duration_s, duration)
+            layers.append(Layer(duration, last.op_indices + (idx,), op.kind))
+        else:
+            layers.append(Layer(duration, (idx,), op.kind))
+    return tuple(layers)
+
+
+PROPORTIONAL = HardwareProfile("prop", 6.2e6, 80e-9, 50e-12, local_rotation_policy="proportional")
+# Locals of varied rotation angle, so that a merged layer's maximum matters.
+schedule_ops = st.lists(
+    st.one_of(
+        st.builds(lambda q, t: local_op(q, rz(t)), st.sampled_from((1, 2)), st.floats(-4.0, 4.0)),
+        st.builds(swap_op, st.floats(-3.0, 3.0)),
+        st.builds(cnot_op, st.sampled_from((1, 2))),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ops=schedule_ops, profile=st.sampled_from((builtin_profile("si"), PROPORTIONAL)))
+def test_one_pass_schedule_matches_the_rescan(ops, profile):
+    circuit = Circuit(ops=ops)
+    sched = schedule_circuit(circuit, profile)
+    expected = _layers_by_rescan(circuit, profile)
+    assert sched.layers == expected
+    assert [type(layer) for layer in sched.layers] == [Layer] * len(expected)
+    assert sched.total_time_s == float(sum(layer.duration_s for layer in expected))
 
 
 def test_schedule_layers_cover_all_ops():

@@ -1,0 +1,233 @@
+"""Every circuit the library builds or reads admits its locals as one stack.
+
+``_cnot_circuit`` stacks its eight single-qubit matrices, the dressed front
+and back pairs and the core's two phase layers, and admits them in one
+check.  ``circuit_from_dict`` admits the matrices of all local ops of a
+document in one check after reading every entry.  Both must behave exactly
+as the per-part admissions they replace: the builder returns the same
+circuit bit for bit, and the reader raises the same error for every
+document, whatever its faults and their order.
+"""
+
+import dataclasses
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from swapsynth import gates, synthesis
+from swapsynth.canonical import kak_decompose
+from swapsynth.gates import NAMED_GATES
+from swapsynth.linalg import (
+    HADAMARD,
+    ContractViolation,
+    NumericalError,
+    _real,
+    haar_random_unitary,
+)
+from swapsynth.synthesis import (
+    Circuit,
+    CnotOp,
+    LocalOp,
+    _cnot_circuit,
+    _cnot_core_params,
+    _local_ops,
+    _matrix_from_json,
+    _matrix_to_json,
+    circuit_from_dict,
+    circuit_to_dict,
+    local_op,
+    synthesize_cnot,
+    synthesize_swap,
+)
+
+P, Q, PSI = synthesis._CORE_P, synthesis._CORE_Q, synthesis._CORE_PSI
+
+
+def _two_admission_cnot_circuit(dec):
+    """The CNOT builder as it was: the core's locals admitted inside its own
+    circuit, the four dressed locals in a second stack."""
+    a1, b1 = dec.front
+    a2, b2 = dec.back
+    try:
+        m = synthesis.rz(_cnot_core_params(dec))
+        m[0] = m[0] @ HADAMARD
+        m[2] = HADAMARD @ m[2]
+        w1, r1, w2, r2 = _local_ops(m, ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2")))
+        core = [CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1)]
+        front_q1, front_q2, back_q1, back_q2 = _local_ops(
+            np.array([P.conj().T @ a1, Q.conj().T @ b1, a2, b2]),
+            ((1, "front-q1"), (2, "front-q2"), (1, "back-q1"), (2, "back-q2")),
+        )
+        ops = [front_q1, front_q2, *core, back_q1, back_q2]
+    except ContractViolation as exc:
+        raise NumericalError(f"cnot synthesis: {exc}") from exc
+    return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - PSI))
+
+
+def _per_op_reader(doc):
+    """circuit_from_dict as it was: each local op admitted on its own by local_op."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
+        raise ContractViolation("circuit document must be a dict with an 'ops' list")
+    ops = []
+    for entry in doc["ops"]:
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        op_class = synthesis._OP_KINDS.get(kind) if isinstance(kind, str) else None
+        if op_class is None:
+            raise ContractViolation(f"unknown op kind {kind!r}")
+        if op_class is LocalOp:
+            matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
+            ops.append(local_op(entry.get("qubit"), matrix, str(entry.get("label", ""))))
+        else:
+            ops.append(op_class.from_dict(entry))
+    phase = _real(doc.get("global_phase", 0.0), "global_phase")
+    return Circuit(ops=ops, declared_global_phase=phase)
+
+
+def _fingerprint(circuit):
+    """Every field of every op, matrices as raw bytes, and the phase's repr."""
+    out = [repr(circuit.declared_global_phase)]
+    for op in circuit.ops:
+        fields = dataclasses.asdict(op)
+        if isinstance(op, LocalOp):
+            fields["matrix"] = (op.matrix.dtype.str, op.matrix.shape, op.matrix.tobytes())
+        out.append((type(op).__name__, sorted(fields.items())))
+    return out
+
+
+def _outcome(read, doc):
+    try:
+        return ("ok", _fingerprint(read(doc)))
+    except Exception as exc:  # the class and message are what is compared
+        return (type(exc).__name__, str(exc))
+
+
+FOUR_BY_FOUR = sorted(name for name, g in NAMED_GATES.items() if g.shape == (4, 4))
+
+
+def test_cnot_builder_matches_the_two_admission_builder():
+    targets = [NAMED_GATES[name] for name in FOUR_BY_FOUR]
+    targets += [haar_random_unitary(4, seed=seed) for seed in range(300)]
+    for u in targets:
+        dec = kak_decompose(u)
+        assert _fingerprint(_cnot_circuit(dec)) == _fingerprint(_two_admission_cnot_circuit(dec))
+
+
+def test_cnot_builder_admits_every_local_once(monkeypatch):
+    calls = []
+    original = synthesis._check_unitary
+
+    def counting(u, name):
+        calls.append(u.shape)
+        return original(u, name)
+
+    monkeypatch.setattr(synthesis, "_check_unitary", counting)
+    circuit = synthesize_cnot(haar_random_unitary(4, seed=5))
+    assert calls == [(8, 2, 2)]
+    assert [op.label for op in circuit.ops if isinstance(op, LocalOp)] == [
+        "front-q1", "front-q2", "rz1·W", "rz1", "W·rz2", "rz2", "back-q1", "back-q2"
+    ]
+
+
+@pytest.mark.parametrize("half", ["front", "core", "back"])
+def test_cnot_builder_refuses_a_non_unitary_member(half, monkeypatch):
+    dec = kak_decompose(haar_random_unitary(4, seed=6))
+    if half == "core":
+        monkeypatch.setattr(synthesis, "rz", lambda angles: 1.001 * gates.rz(angles))
+    else:
+        f1, f2 = getattr(dec, half)
+        dec = dataclasses.replace(dec, **{half: (f1, 1.001 * f2)})
+    for build in (_cnot_circuit, _two_admission_cnot_circuit):
+        with pytest.raises(NumericalError, match=r"^cnot synthesis: local matrix is not unitary: "):
+            build(dec)
+    assert _outcome(_cnot_circuit, dec) == _outcome(_two_admission_cnot_circuit, dec)
+
+
+def test_conjugated_core_factors_are_frozen_constants():
+    for name, factor in (("_CORE_P_DAG", P), ("_CORE_Q_DAG", Q)):
+        constant = getattr(synthesis, name)
+        assert not constant.flags.writeable, name
+        assert constant.tobytes() == factor.conj().T.tobytes(), name
+
+
+def _local_entry(matrix, qubit=1):
+    return {"kind": "local", "qubit": qubit, "label": "", "matrix": _matrix_to_json(matrix)}
+
+
+NAN_ROWS = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+IDENTITY_ROWS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+# One entry per kind of fault; the two unitarity faults differ in their deviation.
+FAULTS = {
+    "non-unitary local": _local_entry(2.0 * np.eye(2), qubit=2),
+    "nan entry": {"kind": "local", "qubit": 1, "matrix": NAN_ROWS},
+    "bad qubit": {"kind": "local", "qubit": 3, "matrix": IDENTITY_ROWS},
+    "unknown kind": {"kind": "warp", "factor": 9},
+    "bad alpha": {"kind": "swap_pow", "alpha": "0.5"},
+    "malformed rows": {"kind": "local", "qubit": 2, "matrix": [[1.0]]},
+}
+
+GOOD = [
+    _local_entry(haar_random_unitary(2, seed=1), qubit=1),
+    {"kind": "swap_pow", "alpha": 0.3},
+    {"kind": "cnot", "control": 2},
+    _local_entry(haar_random_unitary(2, seed=2), qubit=2),
+]
+
+
+def _document(faults, phase):
+    """The good ops with the given faults threaded between them."""
+    ops = [GOOD[0]]
+    for i, fault in enumerate(faults):
+        ops += [FAULTS[fault], GOOD[(i + 1) % len(GOOD)]]
+    # Through JSON text, as a file would give it.
+    return json.loads(json.dumps({"ops": ops, "global_phase": phase}))
+
+
+@pytest.mark.parametrize("phase", [0.25, "x"])
+def test_reader_raises_the_per_op_error_for_every_fault_order(phase):
+    documents = 0
+    for k in range(0, len(FAULTS) + 1):
+        for faults in itertools.permutations(FAULTS, k):
+            doc = _document(faults, phase)
+            expected = _outcome(_per_op_reader, doc)
+            assert _outcome(circuit_from_dict, doc) == expected, faults
+            if faults:
+                assert expected[0] == "ContractViolation", faults
+            documents += 1
+    assert documents == 1957
+
+
+def test_reader_reads_synthesized_circuits_as_the_per_op_reader():
+    for seed in range(20):
+        u = haar_random_unitary(4, seed=seed)
+        for circuit in (synthesize_swap(u), synthesize_cnot(u)):
+            doc = json.loads(json.dumps(circuit_to_dict(circuit)))
+            assert _outcome(circuit_from_dict, doc) == _outcome(_per_op_reader, doc)
+            # A small non-unitary nudge to any one local is refused as before.
+            for i, entry in enumerate(doc["ops"]):
+                if entry["kind"] == "local":
+                    bad = json.loads(json.dumps(doc))
+                    bad["ops"][i]["matrix"][0][0][0] += 1e-6 * (i + 1)
+                    expected = _outcome(_per_op_reader, bad)
+                    assert expected[0] == "ContractViolation"
+                    assert _outcome(circuit_from_dict, bad) == expected
+
+
+def test_reader_admits_the_locals_once(monkeypatch):
+    calls = []
+    original = synthesis._check_unitary
+
+    def counting(u, name):
+        calls.append(u.shape)
+        return original(u, name)
+
+    monkeypatch.setattr(synthesis, "_check_unitary", counting)
+    doc = circuit_to_dict(synthesize_cnot(haar_random_unitary(4, seed=7)))
+    calls.clear()
+    circuit_from_dict(doc)
+    assert calls == [(8, 2, 2)]
+    calls.clear()
+    circuit_from_dict({"ops": [{"kind": "cnot"}]})
+    assert calls == []
