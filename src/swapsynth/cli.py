@@ -17,7 +17,6 @@ import numpy as np
 
 from .canonical import kak_decompose
 from .costmodel import (
-    BUILTIN_PROFILES,
     builtin_profile,
     compare_backends,
     profile_from_dict,
@@ -99,9 +98,11 @@ def _resolve_target(ns):
 
 
 def _resolve_profile(name_or_path):
-    if name_or_path.lower() in BUILTIN_PROFILES:
+    """The built-in profile that builtin_profile finds by name, else the profile file at the path."""
+    try:
         return builtin_profile(name_or_path)
-    return profile_from_dict(_load_json(name_or_path))
+    except ContractViolation:
+        return profile_from_dict(_load_json(name_or_path))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -239,6 +240,8 @@ def cmd_verify(ns):
 def cmd_analyze_ep_curve(ns):
     if _integer(ns.points, "--points") < 1:
         raise ContractViolation("--points must be at least 1")
+    if ns.target_ep is not None and not 0.0 <= _real(ns.target_ep, "--target-ep") <= 1.0 / 6.0:
+        raise ContractViolation("--target-ep must lie in [0, 1/6]")
     alphas = np.arange(ns.points) * (2.0 / ns.points)
     closed = np.array([ep_closed_form_swap(a) for a in alphas])
     exact = np.array([ep_exact(swap_pow(a)) for a in alphas])
@@ -257,8 +260,6 @@ def cmd_analyze_ep_curve(ns):
         f"cross-check:     max |closed form - exact| = {report['max_residual_vs_exact']:.3e}",
     ]
     if ns.target_ep is not None:
-        if not 0.0 <= _real(ns.target_ep, "--target-ep") <= 1.0 / 6.0:
-            raise ContractViolation("--target-ep must lie in [0, 1/6]")
         alpha = float(np.arccos(1.0 - 12.0 * ns.target_ep) / (2.0 * np.pi))
         report["inverse"] = {"target_ep": float(ns.target_ep), "alpha": alpha}
         lines.append(f"inverse:         E_p = {ns.target_ep:.9f} at alpha = {alpha:.9f}")

@@ -18,7 +18,7 @@ import types
 from typing import NamedTuple
 
 from .canonical import kak_decompose
-from .linalg import ContractViolation, _check_bound, _real, phase_distance
+from .linalg import ContractViolation, _check_bound, _real, _text, phase_distance
 from .synthesis import (
     LocalOp,
     _cnot_circuit,
@@ -41,7 +41,8 @@ class HardwareProfile:
     fractional exponents scale it linearly.  ``local_rotation_policy``
     chooses between charging every single-qubit gate the pi-rotation time
     (fixed_pi) and scaling with the actual rotation angle (proportional).
-    Each timing field is a positive float, by ``linalg._real``.
+    Each timing field is a positive float, by ``linalg._real``, and the
+    name and policy are strings, by ``linalg._text``.
     """
 
     name: str
@@ -51,12 +52,13 @@ class HardwareProfile:
     local_rotation_policy: str = "fixed_pi"
 
     def __post_init__(self):
+        _text(self.name, "name")
         for field in _TIMING_FIELDS:
             value = _real(getattr(self, field), field)
             if value <= 0:
                 raise ContractViolation(f"{field} must be positive, got {value}")
             object.__setattr__(self, field, value)
-        if self.local_rotation_policy not in _POLICIES:
+        if _text(self.local_rotation_policy, "local_rotation_policy") not in _POLICIES:
             raise ContractViolation(
                 f"unknown local_rotation_policy {self.local_rotation_policy!r}; "
                 f"expected one of {_POLICIES}"
@@ -99,8 +101,9 @@ def profile_from_dict(doc):
     """Build a profile from its JSON form.
 
     Expected keys: name, rabi_frequency_hz, pi_rotation_time_s,
-    swap_full_time_s, and optionally local_rotation_policy.  The timings go
-    to HardwareProfile as read, so neither "5e6" nor true nor 10**400 passes.
+    swap_full_time_s, and optionally local_rotation_policy.  Every value goes
+    to HardwareProfile as read, so neither "5e6" nor true nor 10**400 passes
+    as a timing, nor null as the name.
     """
     if not isinstance(doc, dict):
         raise ContractViolation("profile document must be a JSON object")
@@ -108,8 +111,8 @@ def profile_from_dict(doc):
         if key not in doc:
             raise ContractViolation(f"profile document missing key {key!r}")
     return HardwareProfile(
-        name=str(doc["name"]),
-        local_rotation_policy=str(doc.get("local_rotation_policy", "fixed_pi")),
+        name=doc["name"],
+        local_rotation_policy=doc.get("local_rotation_policy", "fixed_pi"),
         **{key: doc[key] for key in _TIMING_FIELDS},
     )
 

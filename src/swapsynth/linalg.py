@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on the fixed dimensions 2, 4 and 16.
+"""Dense complex linear algebra on 2x2 and 4x4 matrices and stacks of them.
 
 Everything here works on plain ``numpy`` arrays of complex128.  Instead of
 wrapping matrices in classes, functions validate their contracts on entry
@@ -97,6 +97,15 @@ def _real(value, name):
     return value
 
 
+def _text(value, name):
+    """value if it is a str, or ContractViolation naming it: None, a number, a
+    bool or a list is refused, not turned into text as ``str()`` would."""
+    # An exact str, as every label a reader reads is, skips the isinstance call.
+    if value.__class__ is str or isinstance(value, str):
+        return value
+    raise ContractViolation(f"{name} must be a string, got {value!r}")
+
+
 def _rng(seed):
     """``np.random.default_rng(seed)``, raising ContractViolation on a seed it
     rejects, such as a negative integer."""
@@ -126,16 +135,19 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     ``(k, n, n)`` stack of them checked at once.
 
     Raises the ContractViolation of assert_unitary when any member is further
-    than atol from unitary; for a stack the message gives the largest
-    deviation among its members.  Private, like ``_kron``: it checks matrices
-    the library computed, several per target, in one call.
+    than atol from unitary.  For a stack it names the first such member's own
+    deviation, so the message is the one a check of that member alone gives.
+    Private, like ``_kron``: it checks matrices the library computed, several
+    per target, in one call.
     """
     n = u.shape[-1]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
-    dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max()
+    dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye)
     # Written so that a NaN deviation fails the check too.
-    if not dev <= atol:
-        raise ContractViolation(f"{name} is not unitary: max deviation {dev:.3e} exceeds {atol:g}")
+    if not dev.max() <= atol:
+        worst = dev.reshape(-1, n * n).max(axis=1)
+        worst = worst[~(worst <= atol)][0]
+        raise ContractViolation(f"{name} is not unitary: max deviation {worst:.3e} exceeds {atol:g}")
     return u
 
 

@@ -44,6 +44,7 @@ from .linalg import (
     _integer,
     _kron,
     _real,
+    _text,
     assert_unitary,
 )
 
@@ -53,8 +54,8 @@ class GateOp:
 
     Every op has a readable ``kind`` string and these methods:
     ``unitary()`` is its 4x4 matrix, computed from its fields on each call;
-    ``apply(u)`` is ``unitary() @ u`` for a 4x4 u, bit for bit, which an op
-    may compute from its structure without forming the 4x4;
+    ``apply(u)`` is ``unitary() @ u`` for a 4x4 u, bit for bit, which each
+    kind computes from its structure without forming the 4x4;
     ``to_dict()`` is its JSON entry; ``identity_phase(tol)`` is theta when
     the op acts as e^{i theta} I within tol, or None (the default) when it
     must be kept; ``duration_s(profile)`` is its time under a hardware
@@ -62,9 +63,6 @@ class GateOp:
     """
 
     kind: ClassVar[str]
-
-    def apply(self, u):
-        return self.unitary() @ u
 
     def identity_phase(self, tol):
         return None
@@ -102,7 +100,8 @@ class LocalOp(GateOp):
     def from_dict(entry):
         # Unitarity is left to circuit_from_dict, which checks every local of a document at once.
         matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
-        return LocalOp(_qubit_index(entry.get("qubit"), "qubit"), matrix, str(entry.get("label", "")))
+        qubit = _qubit_index(entry.get("qubit"), "qubit")
+        return LocalOp(qubit, matrix, _text(entry.get("label", ""), "label"))
 
     def identity_phase(self, tol):
         theta = np.angle(np.trace(self.matrix) / 2.0)
@@ -193,10 +192,11 @@ def _qubit_index(value, name):
 
 def local_op(qubit, matrix, label=""):
     """A LocalOp: qubit 1 or 2 by ``linalg._integer``, stored as an int, so
-    neither True nor 1.0 passes; a 2x2 matrix by ``assert_unitary``."""
+    neither True nor 1.0 passes; a 2x2 matrix by ``assert_unitary``; a label
+    by ``linalg._text``, so None does not pass."""
     qubit = _qubit_index(qubit, "qubit")
     matrix = assert_unitary(matrix, name="local matrix", dim=2)
-    return LocalOp(qubit=qubit, matrix=matrix, label=label)
+    return LocalOp(qubit=qubit, matrix=matrix, label=_text(label, "label"))
 
 
 def swap_op(alpha):
@@ -530,21 +530,17 @@ def _matrix_to_json(m):
 
 
 def _matrix_from_json(rows, dim, name):
-    """Inverse of :func:`_matrix_to_json` for a dim x dim matrix."""
+    """Inverse of :func:`_matrix_to_json` for a dim x dim matrix: rows of
+    exact [re, im] pairs of real numbers, bools refused."""
     try:
-        m = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError, KeyError):
-        raise ContractViolation(
-            f"{name}: rows must be {dim}x{dim} nested [re, im] pairs"
-        ) from None
-    if m.shape != (dim, dim):
-        raise ContractViolation(
-            f"{name}: rows have shape {m.shape}, expected ({dim}, {dim})"
-        )
-    return m
+        m = np.array(rows)
+    except ValueError:  # ragged nesting
+        m = None
+    if m is None or m.dtype.kind not in "iuf" or m.shape[2:] != (2,):
+        raise ContractViolation(f"{name}: rows must be {dim}x{dim} nested [re, im] pairs")
+    if m.shape != (dim, dim, 2):
+        raise ContractViolation(f"{name}: rows have shape {m.shape[:2]}, expected ({dim}, {dim})")
+    return m.astype(float).view(complex)[..., 0]
 
 
 def circuit_to_dict(circuit):
@@ -557,16 +553,11 @@ def circuit_to_dict(circuit):
 
 def _admit_locals(ops):
     """Admit the matrices of the LocalOps among ops as one stack, under
-    :func:`local_op`'s rule.  A failing stack is checked again member by
-    member, so the error is the one local_op raises for its first failure."""
+    :func:`local_op`'s rule: the error is the one local_op raises for the
+    first failing matrix."""
     matrices = [op.matrix for op in ops if isinstance(op, LocalOp)]
     if matrices:
-        try:
-            _check_unitary(np.array(matrices), "local matrix")
-        except ContractViolation:
-            for m in matrices:
-                _check_unitary(m, "local matrix")
-            raise
+        _check_unitary(np.array(matrices), "local matrix")
 
 
 def circuit_from_dict(doc):

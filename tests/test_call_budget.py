@@ -1,6 +1,6 @@
 """Call-count guards: one kak_decompose, synthesize_swap or synthesize_cnot,
-and one circuit_from_dict of a CNOT circuit, stays within a budget of
-Python-level calls.
+one circuit_from_dict of a CNOT circuit, and one matrix read from JSON,
+stays within a budget of Python-level calls.
 
 Every per-target step pays Python call overhead on 4x4 matrices, so the
 number of calls that cProfile records for one decomposition is a cheap,
@@ -19,13 +19,21 @@ such as every dataclass ``__init__``, are dropped by memory layout.
 """
 
 import cProfile
+import json
 
 import numpy as np
 import pytest
 
 from swapsynth.canonical import kak_decompose
 from swapsynth.linalg import haar_random_unitary
-from swapsynth.synthesis import circuit_from_dict, circuit_to_dict, synthesize_cnot, synthesize_swap
+from swapsynth.synthesis import (
+    _matrix_from_json,
+    _matrix_to_json,
+    circuit_from_dict,
+    circuit_to_dict,
+    synthesize_cnot,
+    synthesize_swap,
+)
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
@@ -40,8 +48,14 @@ SYNTHESIS_BUDGETS = {synthesize_swap: 258, synthesize_cnot: 244}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked
-# check per document takes 221.
+# check per document took 221.  Reading each matrix as one array instead of
+# entry by entry saves one call per local (213), and admitting each label by
+# linalg._text spends one (221): a per-entry parse would read 229.
 READER_BUDGET = 221
+
+# One 4x4 _matrix_from_json, the lambda that calls it included: one array
+# conversion, one cast and one view.  Parsed entry by entry it made 8.
+CODEC_BUDGET = 5
 
 
 def _calls(func, u):
@@ -75,3 +89,11 @@ def test_circuit_reader_call_budget():
     doc = circuit_to_dict(synthesize_cnot(haar_random_unitary(4, seed=2)))
     calls = _calls(circuit_from_dict, doc)
     assert calls <= READER_BUDGET, calls
+
+
+def test_matrix_reader_call_budget():
+    if np.__version__ != MEASURED_ON:
+        pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
+    rows = json.loads(json.dumps(_matrix_to_json(haar_random_unitary(4, seed=2))))
+    calls = _calls(lambda r: _matrix_from_json(r, 4, "matrix"), rows)
+    assert calls <= CODEC_BUDGET, calls

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from swapsynth import cli
 from swapsynth.cli import cmd_analyze_ep_curve, cmd_random, cmd_synth, main
 from swapsynth.linalg import ContractViolation
 from swapsynth.gates import CNOT
@@ -294,6 +295,56 @@ def test_corrupt_matrix_file(tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--matrix", str(odd))
         assert code == 2, dim
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+IDENTITY4_ROWS = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+IDENTITY2_ROWS = [[[1.0 if i == j else 0.0, 0.0] for j in range(2)] for i in range(2)]
+
+
+def _huge_entry(rows):
+    rows = json.loads(json.dumps(rows))
+    rows[0][0][0] = 10**400
+    return rows
+
+
+def _triples(rows):
+    return [[[re, im, 0.0] for re, im in row] for row in rows]
+
+
+def _bools(rows):
+    return [[[re == 1.0, False] for re, _ in row] for row in rows]
+
+
+@pytest.mark.parametrize("spoil", [_huge_entry, _triples, _bools], ids=["401-digit", "triple", "bool"])
+def test_matrix_entries_must_be_real_pairs(tmp_path, capsys, spoil):
+    # Each of these was read before: a 401-digit integer raised OverflowError
+    # out of main, a triple lost its third number, and true read as 1.
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"dim": 4, "rows": spoil(IDENTITY4_ROWS)}))
+    code, text, err = run(capsys, "synth", "--matrix", str(matrix))
+    assert (code, text, err) == (2, "", f"error: {matrix}: rows must be 4x4 nested [re, im] pairs\n")
+    circuit = tmp_path / "c.json"
+    local = {"kind": "local", "qubit": 1, "label": "", "matrix": spoil(IDENTITY2_ROWS)}
+    circuit.write_text(json.dumps({"global_phase": 0.0, "ops": [local]}))
+    code, text, err = run(capsys, "verify", str(circuit), "--gate", "identity4")
+    assert (code, text, err) == (2, "", "error: local matrix: rows must be 2x2 nested [re, im] pairs\n")
+
+
+def test_bad_target_ep_exits_before_the_curve(capsys, monkeypatch):
+    def refuse(u):
+        raise AssertionError("ep_exact ran before --target-ep was checked")
+
+    monkeypatch.setattr(cli, "ep_exact", refuse)
+    for value, message in (("0.9", "--target-ep must lie in [0, 1/6]"), ("nan", "--target-ep must be finite, got nan")):
+        code, text, err = run(capsys, "analyze", "ep-curve", "--points", "20000", "--target-ep", value)
+        assert (code, text, err) == (2, "", f"error: {message}\n"), value
+
+
+def test_profile_name_is_normalised_as_builtin_profile_does(capsys):
+    code, expected, _ = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", "gaas")
+    assert code == 0
+    for name in (" gaas", "GaAs ", "\tgaas\n"):
+        assert run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", name) == (0, expected, ""), name
 
 
 def test_prune_flag(tmp_path, capsys):

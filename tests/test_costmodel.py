@@ -97,6 +97,13 @@ def test_profile_from_dict():
     # Timing fields are stored as floats, whichever real type they came as.
     p = HardwareProfile(**{**doc, "rabi_frequency_hz": np.int64(10_000_000)})
     assert type(p.rabi_frequency_hz) is float and p == profile_from_dict(doc)
+    # The name and the policy are strings, kept as they are: null or a number
+    # is refused, not turned into "None" or "5".
+    for key in ("name", "local_rotation_policy"):
+        for bad in (None, 5, True, ["lab"]):
+            built = _outcome(lambda: HardwareProfile(**{**doc, key: bad}))
+            assert built == _outcome(lambda: profile_from_dict({**doc, key: bad}))
+            assert built == f"refused: {key} must be a string, got {bad!r}"
 
 
 def _outcome(call):

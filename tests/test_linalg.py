@@ -13,6 +13,7 @@ from swapsynth.linalg import (
     PAULI_Z,
     PHI_PLUS,
     PSI_MINUS,
+    _check_unitary,
     _kron,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
@@ -54,6 +55,31 @@ def test_assert_unitary_rejects():
     # A NaN entry makes the deviation NaN, which must fail the check too.
     with pytest.raises(ContractViolation):
         assert_unitary(np.diag([np.nan, 1.0]))
+
+
+def _refusal(u, atol=1e-10):
+    with pytest.raises(ContractViolation) as exc:
+        _check_unitary(u, "m", atol=atol)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_check_names_its_first_failing_member(dim):
+    good = [haar_random_unitary(dim, seed=seed) for seed in range(4)]
+    small = good[0] * (1.0 + 1e-6)
+    large = good[1] * 2.0
+    nan = good[2].copy()
+    nan[0, 0] = np.nan
+    for failing in ((small, large), (large, small), (nan, large), (small, nan)):
+        stack = np.array([good[3], failing[0], good[2], failing[1], good[0]])
+        # The first failing member's own deviation, byte for byte, not the stack's largest.
+        assert _refusal(stack) == _refusal(failing[0])
+        assert _refusal(stack[3:]) == _refusal(failing[1])
+    assert _refusal(small) == "m is not unitary: max deviation 2.000e-06 exceeds 1e-10"
+    assert _refusal(nan).startswith("m is not unitary: max deviation nan exceeds ")
+    # A member that passes a looser bound is not named by it.
+    assert _refusal(np.array([small, large]), atol=1e-3) == _refusal(large, atol=1e-3)
+    assert _check_unitary(np.array(good), "m") is not None
 
 
 def test_phase_distance_basics():

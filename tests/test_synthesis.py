@@ -371,6 +371,61 @@ def test_circuit_from_dict_rejects_garbage():
                 circuit_from_dict({"ops": [], "global_phase": bad})
             with pytest.raises(ContractViolation, match="^global_phase "):
                 circuit_to_dict(Circuit([], bad))
+    # A label is a string, kept as it is: null, a number or a list is refused,
+    # not turned into "None", "5" or "[1]", by the constructor and the reader alike.
+    for bad in (None, 5, 1.5, True, [1], {"a": 1}):
+        built = _outcome(lambda: local_op(1, ID2, bad))
+        entry = {"kind": "local", "qubit": 1, "label": bad, "matrix": identity}
+        assert built == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
+        assert built == f"refused: label must be a string, got {bad!r}"
+    for label in ("", "u1", "v4'·X", "é"):
+        entry = {"kind": "local", "qubit": 2, "label": label, "matrix": identity}
+        assert circuit_from_dict({"ops": [entry]}).ops[0].label == label
+
+
+def test_matrix_codec_is_byte_exact():
+    # The reader returns the writer's matrices bit for bit, signed zeros included.
+    signed = np.array([[-0.0 - 0.0j, 1.0 - 0.0j], [complex(-0.0, 1.0), -1e-300 + 5e-324j]])
+    targets = [named_gate(name) for name in sorted(gates.NAMED_GATES)] + [signed]
+    targets += [haar_random_unitary(4, seed=seed) for seed in range(50)]
+    for m in targets:
+        dim = m.shape[0]
+        back = synthesis._matrix_from_json(json.loads(json.dumps(synthesis._matrix_to_json(m))), dim, "m")
+        assert back.dtype == complex and back.shape == m.shape
+        assert back.tobytes() == np.asarray(m, dtype=complex).tobytes()
+    # JSON integers read as the floats they name.
+    ints = synthesis._matrix_from_json([[[1, 0], [0, 0]], [[0, 0], [-1, 2**63]]], 2, "m")
+    assert ints.tobytes() == np.array([[1, 0], [0, complex(-1, 2**63)]]).tobytes()
+
+
+def test_matrix_codec_refuses_all_but_real_pairs():
+    pairs = "m: rows must be 2x2 nested [re, im] pairs"
+    one = [[1.0, 0.0], [0.0, 0.0]]
+    for rows in (
+        [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # too large for a float
+        [[[1.0, 0.0, 7.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],  # triples
+        [[[True, False], [False, False]], [[False, False], [True, False]]],  # bools
+        [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],  # strings
+        [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[1.0, 0.0], [0.0, 1.0]],  # no pairs
+        [[[1.0], [0.0]], [[0.0], [1.0]]],
+        [one, [[0.0, 0.0], [1.0]]],  # ragged
+        [[one], [one]],  # one level too deep
+        [[{"re": 1.0, "im": 0.0}] * 2] * 2,
+        [],
+        [[]],
+        None,
+        "rows",
+        {"0": one},
+        np.eye(2, dtype=complex),
+    ):
+        with pytest.raises(ContractViolation) as exc:
+            synthesis._matrix_from_json(rows, 2, "m")
+        assert str(exc.value) == pairs, rows
+    for rows, shape in (([one], (1, 2)), ([one] * 3, (3, 2)), ([[[1.0, 0.0]] * 3] * 3, (3, 3))):
+        with pytest.raises(ContractViolation) as exc:
+            synthesis._matrix_from_json(rows, 2, "m")
+        assert str(exc.value) == f"m: rows have shape {shape}, expected (2, 2)"
 
 
 def _outcome(call):
