@@ -2,7 +2,8 @@
 
 Subcommands: synth, verify, analyze, cost, random.  Exit codes: 0 on
 success, 1 when a verification tolerance is exceeded, 2 on bad input,
-3 when a numerical routine fails to converge.
+3 when a numerical routine fails to converge; the executable exits 141
+when its standard output is a pipe that the reader closed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -150,13 +152,32 @@ def _json_text(doc, sort_keys=False):
     return text(doc, "\n")
 
 
+def _open_in_place(path, flags):
+    """``os.open`` as ``open(path, "w")`` calls it, less ``O_TRUNC``: a new file
+    gets mode 0o666 less the umask, and an existing one keeps its bytes until
+    they are overwritten."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_json(path, doc):
-    """Write doc, indented, to path.  It is encoded before the file is opened,
-    so a document that cannot be encoded leaves path as it was."""
-    text = _json_text(doc) + "\n"
+    """Write doc, indented, to path, overwriting a file in place.
+
+    The text is encoded before the file is opened, so a document that cannot
+    be encoded leaves path as it was.  The file is opened without truncation,
+    written, and then cut to the length written when it is a regular file:
+    ext4 flushes a file replaced through truncation (or rename) on close,
+    which costs more than the write itself.  A symlink is written through,
+    and an existing file keeps its inode, owner and mode.  As with a plain
+    ``open(path, "w")``, the write is neither atomic nor synced; a reader
+    racing it may see the new bytes ahead of the old file's tail.
+    """
+    data = (_json_text(doc) + "\n").encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb", opener=_open_in_place) as fh:
+            fh.write(data)
+            # A device or a FIFO has no length to cut: truncate would fail there.
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ContractViolation(f"cannot write {path}: {exc}") from None
 
@@ -493,4 +514,19 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """The ``swapsynth`` executable: main() on sys.argv, exiting with its code.
+
+    A reader that closes standard output early (``swapsynth ... | head``)
+    ends the run with exit code 141, as SIGPIPE would, rather than a
+    traceback and the 1 that means a verification failure.
+    """
+    try:
+        code = main()
+        # Flushed here, so a closed pipe fails inside this try, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; let that flush go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE, the code a shell reports for a pipe death
+    sys.exit(code)

@@ -136,7 +136,8 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
 
     Raises the ContractViolation of assert_unitary when any member is further
     than atol from unitary.  For a stack it names the first such member's own
-    deviation, so the message is the one a check of that member alone gives.
+    deviation, so the message is the one a check of that member alone gives,
+    and the error's ``member`` is that member's index (0 for one matrix).
     Private, like ``_kron``: it checks matrices the library computed, several
     per target, in one call.
     """
@@ -146,8 +147,11 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     # Written so that a NaN deviation fails the check too.
     if not dev.max() <= atol:
         worst = dev.reshape(-1, n * n).max(axis=1)
-        worst = worst[~(worst <= atol)][0]
-        raise ContractViolation(f"{name} is not unitary: max deviation {worst:.3e} exceeds {atol:g}")
+        member = int(np.flatnonzero(~(worst <= atol))[0])
+        message = f"{name} is not unitary: max deviation {worst[member]:.3e} exceeds {atol:g}"
+        exc = ContractViolation(message)
+        exc.member = member
+        raise exc
     return u
 
 

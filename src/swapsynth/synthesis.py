@@ -537,6 +537,13 @@ def _matrix_from_json(rows, dim, name):
     except ValueError:  # ragged nesting
         m = None
     if m is None or m.dtype.kind not in "iuf" or m.shape[2:] != (2,):
+        # numpy holds an int outside int64 and uint64 only as an object.
+        if m is not None and m.dtype.kind == "O":
+            if any(type(x) is int and not -(2**63) <= x < 2**64 for x in m.flat):
+                raise ContractViolation(
+                    f"{name}: an integer entry lies outside [-2**63, 2**64), "
+                    "the range numpy stores as a number"
+                )
         raise ContractViolation(f"{name}: rows must be {dim}x{dim} nested [re, im] pairs")
     if m.shape != (dim, dim, 2):
         raise ContractViolation(f"{name}: rows have shape {m.shape[:2]}, expected ({dim}, {dim})")
@@ -554,10 +561,14 @@ def circuit_to_dict(circuit):
 def _admit_locals(ops):
     """Admit the matrices of the LocalOps among ops as one stack, under
     :func:`local_op`'s rule: the error is the one local_op raises for the
-    first failing matrix."""
+    first failing matrix, prefixed with that op's ``ops[i]: ``."""
     matrices = [op.matrix for op in ops if isinstance(op, LocalOp)]
     if matrices:
-        _check_unitary(np.array(matrices), "local matrix")
+        try:
+            _check_unitary(np.array(matrices), "local matrix")
+        except ContractViolation as exc:
+            slots = [i for i, op in enumerate(ops) if isinstance(op, LocalOp)]
+            raise ContractViolation(f"ops[{slots[exc.member]}]: {exc}") from None
 
 
 def circuit_from_dict(doc):
@@ -565,7 +576,8 @@ def circuit_from_dict(doc):
 
     Each entry is read by the ``from_dict`` of its kind, and the matrices
     of all its local ops are then admitted in one check.  It raises the
-    error of the first faulty op, as if each op were admitted on its own.
+    error of the first faulty op, as if each op were admitted on its own,
+    with ``ops[i]: `` naming that op.
     """
     if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ContractViolation("circuit document must be a dict with an 'ops' list")
@@ -577,10 +589,10 @@ def circuit_from_dict(doc):
             if op_class is None:
                 raise ContractViolation(f"unknown op kind {kind!r}")
             ops.append(op_class.from_dict(entry))
-    except ContractViolation:
+    except ContractViolation as exc:
         # A non-unitary local ahead of the faulty entry is the first fault.
         _admit_locals(ops)
-        raise
+        raise ContractViolation(f"ops[{len(ops)}]: {exc}") from None
     _admit_locals(ops)
     phase = _real(doc.get("global_phase", 0.0), "global_phase")
     return Circuit(ops=ops, declared_global_phase=phase)

@@ -2,6 +2,12 @@
 
 import argparse
 import json
+import os
+import pathlib
+import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +17,9 @@ from swapsynth.linalg import ContractViolation
 from swapsynth.gates import CNOT
 from swapsynth.linalg import phase_distance
 from swapsynth.synthesis import circuit_from_dict, evaluate_circuit
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -301,10 +310,13 @@ IDENTITY4_ROWS = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in ran
 IDENTITY2_ROWS = [[[1.0 if i == j else 0.0, 0.0] for j in range(2)] for i in range(2)]
 
 
-def _huge_entry(rows):
-    rows = json.loads(json.dumps(rows))
-    rows[0][0][0] = 10**400
-    return rows
+def _huge_entry(value):
+    def spoil(rows):
+        rows = json.loads(json.dumps(rows))
+        rows[0][0][0] = value
+        return rows
+
+    return spoil
 
 
 def _triples(rows):
@@ -315,19 +327,34 @@ def _bools(rows):
     return [[[re == 1.0, False] for re, _ in row] for row in rows]
 
 
-@pytest.mark.parametrize("spoil", [_huge_entry, _triples, _bools], ids=["401-digit", "triple", "bool"])
-def test_matrix_entries_must_be_real_pairs(tmp_path, capsys, spoil):
+PAIRS = "rows must be {0}x{0} nested [re, im] pairs"
+OUT_OF_RANGE = "an integer entry lies outside [-2**63, 2**64), the range numpy stores as a number"
+
+
+@pytest.mark.parametrize(
+    "spoil, cause",
+    [
+        (_huge_entry(10**400), OUT_OF_RANGE),
+        (_huge_entry(2**70), OUT_OF_RANGE),
+        (_huge_entry(-(2**63) - 1), OUT_OF_RANGE),
+        (_triples, PAIRS),
+        (_bools, PAIRS),
+    ],
+    ids=["401-digit", "2**70", "below-int64", "triple", "bool"],
+)
+def test_matrix_entries_must_be_real_pairs(tmp_path, capsys, spoil, cause):
     # Each of these was read before: a 401-digit integer raised OverflowError
-    # out of main, a triple lost its third number, and true read as 1.
+    # out of main, a triple lost its third number, and true read as 1.  An
+    # integer numpy cannot hold as a number is named as the cause.
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps({"dim": 4, "rows": spoil(IDENTITY4_ROWS)}))
     code, text, err = run(capsys, "synth", "--matrix", str(matrix))
-    assert (code, text, err) == (2, "", f"error: {matrix}: rows must be 4x4 nested [re, im] pairs\n")
+    assert (code, text, err) == (2, "", f"error: {matrix}: {cause.format(4)}\n")
     circuit = tmp_path / "c.json"
     local = {"kind": "local", "qubit": 1, "label": "", "matrix": spoil(IDENTITY2_ROWS)}
     circuit.write_text(json.dumps({"global_phase": 0.0, "ops": [local]}))
     code, text, err = run(capsys, "verify", str(circuit), "--gate", "identity4")
-    assert (code, text, err) == (2, "", "error: local matrix: rows must be 2x2 nested [re, im] pairs\n")
+    assert (code, text, err) == (2, "", f"error: ops[0]: local matrix: {cause.format(2)}\n")
 
 
 def test_bad_target_ep_exits_before_the_curve(capsys, monkeypatch):
@@ -375,6 +402,105 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         code, text, err = run(capsys, *argv)
         assert code == 2, argv
         assert text == "" and err.startswith("error: "), argv
+
+
+def _fresh_bytes(tmp_path, capsys, argv, path):
+    """What argv writes to path when path does not exist yet."""
+    assert not path.exists()
+    assert run(capsys, *argv)[0] == 0
+    data = path.read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode(), argv
+    return data
+
+
+def test_out_replaces_longer_and_shorter_files(tmp_path, capsys):
+    circuit, matrix = tmp_path / "c.json", tmp_path / "random_000004.json"
+    for argv, path in (
+        (("synth", "--gate", "cnot", "--out", str(circuit)), circuit),
+        (("synth", "--gate", "iswap", "--backend", "cnot", "--out", str(circuit)), circuit),
+        (("random", "--seed", "4", "--out", str(tmp_path)), matrix),
+    ):
+        fresh = _fresh_bytes(tmp_path, capsys, argv, path)
+        for stale in (b"x" * (2 * len(fresh)), b"{}"):
+            path.write_bytes(stale)
+            assert run(capsys, *argv)[0] == 0, argv
+            assert path.read_bytes() == fresh, (argv, len(stale))
+        path.unlink()
+
+
+def test_out_writes_through_links_and_keeps_the_file(tmp_path, capsys):
+    argv = ("analyze", "appendix-a", "--alpha", "0.3", "--out")
+    expected = _fresh_bytes(tmp_path, capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
+    real, hard, link = tmp_path / "real.json", tmp_path / "hard.json", tmp_path / "link.json"
+    real.write_bytes(b" " * 5000)
+    real.chmod(0o600)
+    os.link(real, hard)
+    link.symlink_to(real)
+    inode = real.stat().st_ino
+    assert run(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink()
+    info = real.stat()
+    assert (info.st_ino, info.st_nlink, stat.S_IMODE(info.st_mode)) == (inode, 2, 0o600)
+    assert real.read_bytes() == hard.read_bytes() == expected
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        code = run(capsys, "synth", "--gate", "cnot", "--out", str(tmp_path / "c.json"))[0]
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "c.json").stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_to_a_device_or_a_fifo(tmp_path, capsys):
+    argv = ("analyze", "appendix-a", "--out")
+    expected = _fresh_bytes(tmp_path, capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
+    assert run(capsys, *argv, os.devnull) == (0, run(capsys, "analyze", "appendix-a")[1], "")
+    assert run(capsys, "synth", "--gate", "cnot", "--out", os.devnull)[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = run(capsys, *argv, str(fifo))[0]
+    reader.join(timeout=30)
+    assert (code, received) == (0, [expected])
+
+
+def test_unencodable_document_leaves_the_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        cli._write_json(str(path), {"x": object()})
+    assert path.read_text() == "old"
+
+
+def test_out_is_never_opened_with_truncation(tmp_path, capsys, monkeypatch):
+    # ext4 flushes a file replaced through O_TRUNC when it is closed, which
+    # costs more than the write: each target is overwritten in place instead.
+    flags = {}
+    os_open = os.open
+
+    def recording(path, mode, *args, **kwargs):
+        flags.setdefault(os.fspath(path), []).append(mode)
+        return os_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    circuit, report = str(tmp_path / "c.json"), str(tmp_path / "r.json")
+    for _ in range(2):  # a new file, then an existing one
+        assert run(capsys, "synth", "--gate", "cnot", "--out", circuit)[0] == 0
+        assert run(capsys, "cost", circuit, "--out", report)[0] == 0
+        assert run(capsys, "random", "--seed", "3", "--out", str(tmp_path))[0] == 0
+    matrix = str(tmp_path / "random_000003.json")
+    assert {path: len(modes) for path, modes in flags.items() if path in (circuit, report, matrix)} == {
+        circuit: 2,
+        report: 2,
+        matrix: 2,
+    }
+    assert not any(mode & os.O_TRUNC for modes in flags.values() for mode in modes)
 
 
 def test_random_out_names_a_file(tmp_path, capsys):
@@ -477,3 +603,20 @@ def test_report_out_matches_json_report(tmp_path, capsys):
         assert json.loads(rep.read_text()) == json.loads(text), argv
         code, text, _ = run(capsys, *argv)
         assert code == 0 and text and not text.startswith("{"), argv
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path):
+    # Exit 1 means a verification failure; a reader that stops early is not one.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swapsynth", "analyze", "ep-curve", "--points", "20000"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141, err
+    assert head.startswith(b"alpha") and b"Traceback" not in err, err

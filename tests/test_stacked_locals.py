@@ -67,20 +67,24 @@ def _two_admission_cnot_circuit(dec):
 
 
 def _per_op_reader(doc):
-    """circuit_from_dict as it was: each local op admitted on its own by local_op."""
+    """circuit_from_dict as it was, each local op admitted on its own by
+    local_op, with an op's error prefixed by its index."""
     if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ContractViolation("circuit document must be a dict with an 'ops' list")
     ops = []
-    for entry in doc["ops"]:
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        op_class = synthesis._OP_KINDS.get(kind) if isinstance(kind, str) else None
-        if op_class is None:
-            raise ContractViolation(f"unknown op kind {kind!r}")
-        if op_class is LocalOp:
-            matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
-            ops.append(local_op(entry.get("qubit"), matrix, str(entry.get("label", ""))))
-        else:
-            ops.append(op_class.from_dict(entry))
+    for i, entry in enumerate(doc["ops"]):
+        try:
+            kind = entry.get("kind") if isinstance(entry, dict) else None
+            op_class = synthesis._OP_KINDS.get(kind) if isinstance(kind, str) else None
+            if op_class is None:
+                raise ContractViolation(f"unknown op kind {kind!r}")
+            if op_class is LocalOp:
+                matrix = _matrix_from_json(entry.get("matrix"), 2, name="local matrix")
+                ops.append(local_op(entry.get("qubit"), matrix, str(entry.get("label", ""))))
+            else:
+                ops.append(op_class.from_dict(entry))
+        except ContractViolation as exc:
+            raise ContractViolation(f"ops[{i}]: {exc}") from None
     phase = _real(doc.get("global_phase", 0.0), "global_phase")
     return Circuit(ops=ops, declared_global_phase=phase)
 
@@ -231,3 +235,37 @@ def test_reader_admits_the_locals_once(monkeypatch):
     calls.clear()
     circuit_from_dict({"ops": [{"kind": "cnot"}]})
     assert calls == []
+
+
+PAIRS = "rows must be 2x2 nested [re, im] pairs"
+
+
+def test_reader_errors_name_the_op_at_fault():
+    # The 9-op swap circuit of CNOT, its op 7 (a local) nudged off unitarity.
+    doc = json.loads(json.dumps(circuit_to_dict(synthesize_swap(NAMED_GATES["cnot"]))))
+    assert len(doc["ops"]) == 9 and doc["ops"][7]["kind"] == "local"
+    doc["ops"][7]["matrix"][0][0][0] += 1e-6
+    with pytest.raises(ContractViolation) as exc:
+        circuit_from_dict(doc)
+    assert str(exc.value) == "ops[7]: local matrix is not unitary: max deviation 1.000e-06 exceeds 1e-10"
+    # An earlier non-unitary local still wins over a later one.
+    doc["ops"][3]["matrix"][0][0][0] += 2e-6
+    with pytest.raises(ContractViolation) as exc:
+        circuit_from_dict(doc)
+    assert str(exc.value).startswith("ops[3]: local matrix is not unitary: max deviation 2.000e-06 ")
+    # An entry that fails while it is read is named by its place, one case per field.
+    for entry, message in (
+        ({"kind": "warp"}, "unknown op kind 'warp'"),
+        ({"kind": "local", "qubit": 3, "matrix": IDENTITY_ROWS}, "qubit must be 1 or 2, got 3"),
+        ({"kind": "local", "qubit": 1, "label": 5, "matrix": IDENTITY_ROWS}, "label must be a string, got 5"),
+        ({"kind": "local", "qubit": 1, "matrix": [[1.0]]}, f"local matrix: {PAIRS}"),
+        ({"kind": "swap_pow", "alpha": "0.5"}, "swap exponent must be a number, got '0.5'"),
+        ({"kind": "cnot", "control": 3}, "control must be 1 or 2, got 3"),
+    ):
+        with pytest.raises(ContractViolation) as exc:
+            circuit_from_dict({"ops": [*GOOD[:3], entry, GOOD[3]]})
+        assert str(exc.value) == f"ops[3]: {message}", entry
+        # A non-unitary local ahead of it is the first fault.
+        with pytest.raises(ContractViolation) as exc:
+            circuit_from_dict({"ops": [GOOD[0], FAULTS["non-unitary local"], GOOD[1], entry]})
+        assert str(exc.value).startswith("ops[1]: local matrix is not unitary: "), entry

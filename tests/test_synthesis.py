@@ -353,7 +353,8 @@ def test_circuit_from_dict_rejects_garbage():
         with pytest.raises(ContractViolation):
             circuit_from_dict({"ops": [], "global_phase": phase})
     # The op constructors and the reader refuse each bad scalar alike, with one
-    # message, and the writer refuses it as a circuit's phase.
+    # message that the reader prefixes with the op's index, and the writer
+    # refuses it as a circuit's phase.
     for bad in (True, np.True_, 1.0, "1", "x", None, float("nan"), float("inf"), -float("inf"), 10**400):
         # 1.0 is the one real among them: a swap exponent or phase, but no qubit.
         real = type(bad) is float and bad == 1.0
@@ -364,7 +365,8 @@ def test_circuit_from_dict_rejects_garbage():
         ]
         for build, entry, admitted in pairs:
             built = _outcome(build)
-            assert built == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
+            read = built.replace("refused: ", "refused: ops[0]: ", 1)
+            assert read == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
             assert built.startswith("refused: ") != admitted
         if not real:
             with pytest.raises(ContractViolation, match="^global_phase "):
@@ -376,7 +378,9 @@ def test_circuit_from_dict_rejects_garbage():
     for bad in (None, 5, 1.5, True, [1], {"a": 1}):
         built = _outcome(lambda: local_op(1, ID2, bad))
         entry = {"kind": "local", "qubit": 1, "label": bad, "matrix": identity}
-        assert built == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
+        assert _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0]) == (
+            f"refused: ops[0]: label must be a string, got {bad!r}"
+        )
         assert built == f"refused: label must be a string, got {bad!r}"
     for label in ("", "u1", "v4'·X", "é"):
         entry = {"kind": "local", "qubit": 2, "label": label, "matrix": identity}
@@ -402,7 +406,6 @@ def test_matrix_codec_refuses_all_but_real_pairs():
     pairs = "m: rows must be 2x2 nested [re, im] pairs"
     one = [[1.0, 0.0], [0.0, 0.0]]
     for rows in (
-        [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # too large for a float
         [[[1.0, 0.0, 7.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],  # triples
         [[[True, False], [False, False]], [[False, False], [True, False]]],  # bools
         [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],  # strings
@@ -422,6 +425,13 @@ def test_matrix_codec_refuses_all_but_real_pairs():
         with pytest.raises(ContractViolation) as exc:
             synthesis._matrix_from_json(rows, 2, "m")
         assert str(exc.value) == pairs, rows
+    # An integer numpy cannot hold as a number is named as the cause, not the layout.
+    for big in (10**400, 2**70, 2**64, -(2**63) - 1):
+        with pytest.raises(ContractViolation) as exc:
+            synthesis._matrix_from_json([[[big, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 2, "m")
+        assert str(exc.value) == (
+            "m: an integer entry lies outside [-2**63, 2**64), the range numpy stores as a number"
+        ), big
     for rows, shape in (([one], (1, 2)), ([one] * 3, (3, 2)), ([[[1.0, 0.0]] * 3] * 3, (3, 3))):
         with pytest.raises(ContractViolation) as exc:
             synthesis._matrix_from_json(rows, 2, "m")
