@@ -404,7 +404,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert text == "" and err.startswith("error: "), argv
 
 
-def _fresh_bytes(tmp_path, capsys, argv, path):
+def _fresh_bytes(capsys, argv, path):
     """What argv writes to path when path does not exist yet."""
     assert not path.exists()
     assert run(capsys, *argv)[0] == 0
@@ -414,13 +414,14 @@ def _fresh_bytes(tmp_path, capsys, argv, path):
 
 
 def test_out_replaces_longer_and_shorter_files(tmp_path, capsys):
-    circuit, matrix = tmp_path / "c.json", tmp_path / "random_000004.json"
+    circuit, matrix, report = tmp_path / "c.json", tmp_path / "random_000004.json", tmp_path / "r.json"
     for argv, path in (
         (("synth", "--gate", "cnot", "--out", str(circuit)), circuit),
         (("synth", "--gate", "iswap", "--backend", "cnot", "--out", str(circuit)), circuit),
         (("random", "--seed", "4", "--out", str(tmp_path)), matrix),
+        (("analyze", "ep-curve", "--points", "5", "--out", str(report)), report),
     ):
-        fresh = _fresh_bytes(tmp_path, capsys, argv, path)
+        fresh = _fresh_bytes(capsys, argv, path)
         for stale in (b"x" * (2 * len(fresh)), b"{}"):
             path.write_bytes(stale)
             assert run(capsys, *argv)[0] == 0, argv
@@ -430,7 +431,7 @@ def test_out_replaces_longer_and_shorter_files(tmp_path, capsys):
 
 def test_out_writes_through_links_and_keeps_the_file(tmp_path, capsys):
     argv = ("analyze", "appendix-a", "--alpha", "0.3", "--out")
-    expected = _fresh_bytes(tmp_path, capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
+    expected = _fresh_bytes(capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
     real, hard, link = tmp_path / "real.json", tmp_path / "hard.json", tmp_path / "link.json"
     real.write_bytes(b" " * 5000)
     real.chmod(0o600)
@@ -444,7 +445,7 @@ def test_out_writes_through_links_and_keeps_the_file(tmp_path, capsys):
     assert real.read_bytes() == hard.read_bytes() == expected
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o077])
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
 def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys, umask):
     old = os.umask(umask)
     try:
@@ -457,7 +458,7 @@ def test_new_out_file_gets_the_mode_open_gives(tmp_path, capsys, umask):
 
 def test_out_to_a_device_or_a_fifo(tmp_path, capsys):
     argv = ("analyze", "appendix-a", "--out")
-    expected = _fresh_bytes(tmp_path, capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
+    expected = _fresh_bytes(capsys, (*argv, str(tmp_path / "fresh.json")), tmp_path / "fresh.json")
     assert run(capsys, *argv, os.devnull) == (0, run(capsys, "analyze", "appendix-a")[1], "")
     assert run(capsys, "synth", "--gate", "cnot", "--out", os.devnull)[0] == 0
     fifo = tmp_path / "fifo"
