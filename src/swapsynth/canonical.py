@@ -211,10 +211,29 @@ def _split_rotations(os):
     p = m[members, :, j] / norms[members, j, np.newaxis]
     r = (p[:, np.newaxis, :] @ m)[:, 0]
     # 8 max|m - p r^T| bounds max|l - a (x) b|.
-    residual = 8.0 * np.abs(m - p[:, :, np.newaxis] * r[:, np.newaxis, :]).max()
+    deviation = np.abs(m - p[:, :, np.newaxis] * r[:, np.newaxis, :])
+    residual = 8.0 * np.maximum.reduce(deviation, axis=None)
     _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
     a, b = (np.array([p, r])[..., np.newaxis, :] @ _QUATERNIONS.reshape(4, 4)).reshape(2, k, 2, 2)
     return a, b
+
+
+def _eigen_gauge(d, q):
+    """Signed column references (see _reduce) that fix the gauge of the
+    eigenpairs d, q of :func:`diagonalize_complex_symmetric_unitary`.
+
+    Slot i names the eigenpair of the i-th smallest phase of d in (-pi, pi],
+    the first of equal phases first, and negates its column when the
+    column's first entry above 1e-8 is negative.  Every column of the
+    orthogonal q has such an entry.  Sorted and signed in Python: on four
+    entries that costs less than the numpy calls.
+    """
+    phases = [cmath.phase(z) for z in d.tolist()]
+    columns = q.T.tolist()
+    return [
+        -j - 1 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else j + 1
+        for j in sorted(range(4), key=phases.__getitem__)
+    ]
 
 
 def _moved(cols, slots):
@@ -238,10 +257,11 @@ def _reduce(h, o2_cols, q_cols):
     # h[k] -= n pi/2 leaves the factor (-i sigma_k (x) sigma_k)^n on l1.
     for k in range(3):
         n = math.floor(h[k] / (np.pi / 2.0) + 0.5)
-        h[k] -= n * np.pi / 2.0
-        turns -= n
-        if n % 2:
-            q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[k])]
+        if n:
+            h[k] -= n * np.pi / 2.0
+            turns -= n
+            if n % 2:
+                q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[k])]
     # Sort by magnitude, exchanging two coordinates by same-axis quarter
     # turns on both qubits.  The first of equal magnitudes wins, as with
     # np.argmax.
@@ -288,27 +308,36 @@ def kak_decompose(u):
     vm = _MAGIC_H @ v @ MAGIC
     m = vm.T @ vm
 
-    # vm = o2 diag(e^{i angles / 2}) q^T, with q and o2 real orthogonal.
+    # vm = o2 diag(e^{i angles / 2}) q^T, with q and o2 real orthogonal, in
+    # the eigensolver's column order: the gauge below only names columns.
     d, q = diagonalize_complex_symmetric_unitary(m)
     angles = np.angle(d)
     o2 = (vm @ q) * np.exp(-0.5j * angles)
-    _check_bound(np.abs(o2.imag).max(), 1e-8, "second orthogonal factor has imaginary residue")
-    # Both factors must have determinant 1, so the reduction starts from
-    # signed column references (see _reduce) that fix it.  Negating q's
-    # column 3 negates o2's with it.  Then det(vm) = 1 gives det(o2) =
-    # e^{i sum(lam)} = (-1)^n for the n turns that the eigenphases of m,
-    # whose product is 1, add up to.  An odd n is fixed by negating o2's
-    # first column and adding pi to lam[0].
-    o2_cols, q_cols = [1, 2, 3, 4], [1, 2, 3, 4]
-    if np.linalg.det(q) < 0:
-        o2_cols[3] = q_cols[3] = -4
+    residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
+    _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
+    # The reduction starts from the gauge's signed column references (see
+    # _reduce), the same for both factors, since a column of q carries its
+    # column of o2.  Both factors must have determinant 1: det(q) times the
+    # parity of the references' order and the product of their signs.  A
+    # negative one is fixed by negating slot 3 of both.  Then det(vm) = 1
+    # gives det(o2) = e^{i sum(lam)} = (-1)^n for the n turns that the
+    # eigenphases of m, whose product is 1, add up to.  An odd n is fixed by
+    # negating o2's slot 0 and adding pi to lam[0].
+    cols = _eigen_gauge(d, q)
+    order = [abs(c) - 1 for c in cols]
+    inversions = [1 for i, j in enumerate(order) for k in order[i + 1:] if j > k]
+    negated = [c for c in cols if c < 0]
+    if (np.linalg.det(q) < 0) != (len(inversions) + len(negated)) % 2:
+        cols[3] = -cols[3]
+    o2_cols, q_cols = cols, cols[:]
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
     # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
-    lam = (-angles / 2.0).tolist()
+    half = (-angles / 2.0).tolist()
+    lam = [half[j] for j in order]
     l00, l10, l01, _ = lam
     if round(-sum(lam) / np.pi) % 2:
         l00 += np.pi
-        o2_cols[0] = -1
+        o2_cols[0] = -o2_cols[0]
     h = [(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0]
 
     h, o2_cols, q_cols, turns = _reduce(h, o2_cols, q_cols)

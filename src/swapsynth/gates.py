@@ -9,6 +9,7 @@ SWAP**1 = SWAP.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -45,7 +46,7 @@ def _swap_pow_block(alpha):
     """The 2x2 that SWAP**alpha applies on the span of |01>, |10>.  The
     exponent is admitted by ``linalg._real``."""
     # Reduced by the period first: pi * alpha loses every digit once alpha is large.
-    e = np.exp(1j * np.pi * (_real(alpha, "swap exponent") % 2.0))
+    e = cmath.exp(1j * np.pi * (_real(alpha, "swap exponent") % 2.0))
     p = (1.0 + e) / 2.0
     m = (1.0 - e) / 2.0
     return np.array([[p, m], [m, p]])

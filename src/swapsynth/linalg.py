@@ -9,7 +9,6 @@ procedure misses its tolerance.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 
@@ -144,8 +143,9 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     n = u.shape[-1]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
     dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye)
-    # Written so that a NaN deviation fails the check too.
-    if not dev.max() <= atol:
+    # Written so that a NaN deviation fails the check too.  The ufunc's own
+    # reduce skips the Python wrapper behind ndarray.max.
+    if not np.maximum.reduce(dev, axis=None) <= atol:
         worst = dev.reshape(-1, n * n).max(axis=1)
         member = int(np.flatnonzero(~(worst <= atol))[0])
         message = f"{name} is not unitary: max deviation {worst[member]:.3e} exceeds {atol:g}"
@@ -222,12 +222,13 @@ def diagonalize_complex_symmetric_unitary(m):
     cos t + r sin t, so for a generic r the combination separates every pair
     of distinct eigenvalues of m, while equal eigenvalues of m may share any
     basis of their eigenspace.  The weights in ``_MIX_WEIGHTS`` are tried in
-    order until the reconstruction residual is below 1e-9.  Eigenpairs are
-    sorted by the phase of d in (-pi, pi], and each eigenvector's first
-    component above 1e-8 is made positive.
+    order until the reconstruction residual is below 1e-9.  The eigenpairs
+    come in ``eigh``'s own order and signs: the gauge, a sort by the phase of
+    d and a sign per column, is chosen where they are used, in
+    ``canonical._eigen_gauge``.
     """
     m = assert_unitary(m, name="m", dim=4)
-    sym_dev = np.abs(m - m.T).max()
+    sym_dev = np.maximum.reduce(np.abs(m - m.T), axis=None)
     if sym_dev > ATOL_UNITARY:
         raise ContractViolation(
             f"matrix is not symmetric: max deviation {sym_dev:.3e}"
@@ -236,21 +237,15 @@ def diagonalize_complex_symmetric_unitary(m):
     for r in _MIX_WEIGHTS:
         _, q = np.linalg.eigh(m.real + r * m.imag)
         d = (q * (m @ q)).sum(axis=0)
-        unimodular_dev = np.abs(np.abs(d) - 1.0).max()
-        d = d / np.abs(d)
-        recon_dev = np.abs((q * d) @ q.T - m).max()
+        size = np.abs(d)
+        unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
+        d = d / size
+        recon_dev = np.maximum.reduce(np.abs((q * d) @ q.T - m), axis=None)
         if recon_dev <= 1e-9:
             break
     else:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
     _check_bound(unimodular_dev, 1e-8, "non-unimodular eigenvalues: deviation")
-    _check_bound(np.abs(q.T @ q - ID4).max(), 1e-10, "eigenvector matrix lost orthogonality:")
-
-    # Sorted and signed in Python: on four entries that costs less than the
-    # numpy calls.  The sort is stable, and each column of the orthogonal q
-    # has an entry above 1e-8, whose sign is made positive.
-    phases = [cmath.phase(z) for z in d.tolist()]
-    order = sorted(range(4), key=phases.__getitem__)
-    columns = q.T.tolist()
-    signs = [-1.0 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else 1.0 for j in order]
-    return d[order], q[:, order] * signs
+    orthogonality_dev = np.maximum.reduce(np.abs(q.T @ q - ID4), axis=None)
+    _check_bound(orthogonality_dev, 1e-10, "eigenvector matrix lost orthogonality:")
+    return d, q

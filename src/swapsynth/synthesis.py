@@ -15,6 +15,7 @@ knows its own unitary, JSON entry, prune rule and schedule cost.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import dataclasses
 from typing import ClassVar, NamedTuple
@@ -91,8 +92,8 @@ class LocalOp(GateOp):
     def to_dict(self):
         return {
             "kind": self.kind,
-            "qubit": self.qubit,
-            "label": self.label,
+            "qubit": _qubit_index(self.qubit, "qubit"),
+            "label": _text(self.label, "label"),
             "matrix": _matrix_to_json(self.matrix),
         }
 
@@ -138,7 +139,7 @@ class SwapPowOp(GateOp):
         return out
 
     def to_dict(self):
-        return {"kind": self.kind, "alpha": float(self.alpha)}
+        return {"kind": self.kind, "alpha": _real(self.alpha, "swap exponent")}
 
     @staticmethod
     def from_dict(entry):
@@ -167,7 +168,7 @@ class CnotOp(GateOp):
         return u[_CNOT_ROWS[self.control]]
 
     def to_dict(self):
-        return {"kind": self.kind, "control": self.control}
+        return {"kind": self.kind, "control": _qubit_index(self.control, "control")}
 
     @staticmethod
     def from_dict(entry):
@@ -299,13 +300,15 @@ def _local_ops(matrices, slots):
 
 def _swap_circuit(dec):
     """The :func:`synthesize_swap` circuit for an already decomposed target."""
-    f1, f2 = dec.front
     b1, b2 = dec.back
+    m = np.empty((4, 2, 2), dtype=complex)
+    m[0], m[1] = dec.front
     try:
         (*core, z, x), phase = _core_swap(dec.params)
+        np.matmul(b1, z.matrix, out=m[2])
+        np.matmul(b2, x.matrix, out=m[3])
         u1, v1, u4, v4 = _local_ops(
-            np.array([f1, f2, b1 @ z.matrix, b2 @ x.matrix]),
-            ((1, "u1"), (2, "v1"), (1, f"u4'·{z.label}"), (2, f"v4'·{x.label}")),
+            m, ((1, "u1"), (2, "v1"), (1, f"u4'·{z.label}"), (2, f"v4'·{x.label}"))
         )
     except ContractViolation as exc:
         raise NumericalError(f"swap synthesis: {exc}") from exc
@@ -428,7 +431,7 @@ def _cnot_circuit(dec):
     m = np.empty((8, 2, 2), dtype=complex)
     m[0] = _CORE_P_DAG @ dec.front[0]
     m[1] = _CORE_Q_DAG @ dec.front[1]
-    m[6:] = dec.back
+    m[6], m[7] = dec.back
     try:
         m[2:6] = _core_cnot_locals(_cnot_core_params(dec))
         f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
@@ -489,7 +492,7 @@ def expand_cnots_to_swaps(circuit):
 
 def evaluate_circuit(circuit):
     """Multiply a circuit out to its 4x4 unitary, global phase included."""
-    u = ID4 * np.exp(1j * float(circuit.declared_global_phase))
+    u = ID4 * cmath.exp(1j * float(circuit.declared_global_phase))
     for op in circuit.ops:
         u = op.apply(u)
     return u
@@ -551,11 +554,20 @@ def _matrix_from_json(rows, dim, name):
 
 
 def circuit_to_dict(circuit):
-    """JSON-ready dict: {"global_phase": float, "ops": [...]}"""
-    return {
-        "global_phase": _real(circuit.declared_global_phase, "global_phase"),
-        "ops": [op.to_dict() for op in circuit.ops],
-    }
+    """JSON-ready dict: {"global_phase": float, "ops": [...]}
+
+    Each op's fields are admitted by the rules its reader applies, so a
+    hand-built op that :func:`circuit_from_dict` would refuse is refused
+    here, with the reader's message and its ``ops[i]: `` prefix.
+    """
+    phase = _real(circuit.declared_global_phase, "global_phase")
+    ops = []
+    try:
+        for op in circuit.ops:
+            ops.append(op.to_dict())
+    except ContractViolation as exc:
+        raise ContractViolation(f"ops[{len(ops)}]: {exc}") from None
+    return {"global_phase": phase, "ops": ops}
 
 
 def _admit_locals(ops):

@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from swapsynth.canonical import _eigen_gauge
 from swapsynth.linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -197,6 +200,15 @@ def test_diagonalize_round_trips():
         assert np.max(np.abs(q.imag)) == 0.0
         assert np.max(np.abs(q @ q.T - ID4)) < 1e-9
         assert sorted(np.angle(d)) == pytest.approx(sorted(angles), abs=1e-7)
+        # The gauge canonical._eigen_gauge picks, gathered: phases in (-pi, pi]
+        # that do not decrease, each column's first entry above 1e-8 positive.
+        cols = _eigen_gauge(d, q)
+        slots = [abs(c) - 1 for c in cols]
+        d_g, q_g = d[slots], q[:, slots] * np.sign(cols)
+        phases = [cmath.phase(z) for z in d_g]
+        assert phases == sorted(phases)
+        assert all(next(x for x in col if abs(x) > 1e-8) > 0 for col in q_g.T)
+        assert np.max(np.abs(q_g @ np.diag(d_g) @ q_g.T - m)) < 5e-9
 
 
 def test_diagonalize_rejects_nonsymmetric():

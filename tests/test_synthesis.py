@@ -26,8 +26,10 @@ from swapsynth.linalg import (
 from swapsynth.synthesis import (
     BELL_EXCHANGE,
     Circuit,
+    CnotOp,
     CnotPhaseParams,
     LocalOp,
+    SwapPowOp,
     _core_swap,
     build_core_cnot_circuit,
     circuit_from_dict,
@@ -354,19 +356,26 @@ def test_circuit_from_dict_rejects_garbage():
             circuit_from_dict({"ops": [], "global_phase": phase})
     # The op constructors and the reader refuse each bad scalar alike, with one
     # message that the reader prefixes with the op's index, and the writer
-    # refuses it as a circuit's phase.
+    # refuses it as a circuit's phase, and in a hand-built op with the
+    # reader's message.
     for bad in (True, np.True_, 1.0, "1", "x", None, float("nan"), float("inf"), -float("inf"), 10**400):
         # 1.0 is the one real among them: a swap exponent or phase, but no qubit.
         real = type(bad) is float and bad == 1.0
         pairs = [
-            (lambda: local_op(bad, ID2), {"kind": "local", "qubit": bad, "matrix": identity}, False),
-            (lambda: cnot_op(bad), {"kind": "cnot", "control": bad}, False),
-            (lambda: swap_op(bad), {"kind": "swap_pow", "alpha": bad}, real),
+            (
+                lambda: local_op(bad, ID2),
+                LocalOp(bad, ID2),
+                {"kind": "local", "qubit": bad, "matrix": identity},
+                False,
+            ),
+            (lambda: cnot_op(bad), CnotOp(bad), {"kind": "cnot", "control": bad}, False),
+            (lambda: swap_op(bad), SwapPowOp(bad), {"kind": "swap_pow", "alpha": bad}, real),
         ]
-        for build, entry, admitted in pairs:
+        for build, hand_built, entry, admitted in pairs:
             built = _outcome(build)
             read = built.replace("refused: ", "refused: ops[0]: ", 1)
             assert read == _outcome(lambda: circuit_from_dict({"ops": [entry]}).ops[0])
+            assert read == _written(hand_built)
             assert built.startswith("refused: ") != admitted
         if not real:
             with pytest.raises(ContractViolation, match="^global_phase "):
@@ -382,6 +391,11 @@ def test_circuit_from_dict_rejects_garbage():
             f"refused: ops[0]: label must be a string, got {bad!r}"
         )
         assert built == f"refused: label must be a string, got {bad!r}"
+        assert _written(LocalOp(1, ID2, bad)) == f"refused: ops[0]: label must be a string, got {bad!r}"
+    # A numpy integer qubit or control is written as the int the reader reads.
+    doc = circuit_to_dict(Circuit([LocalOp(np.int64(2), ID2), CnotOp(np.int64(1))]))
+    assert json.loads(json.dumps(doc)) == circuit_to_dict(circuit_from_dict(doc))
+    assert [type(op.get("qubit", op.get("control"))) for op in doc["ops"]] == [int, int]
     for label in ("", "u1", "v4'·X", "é"):
         entry = {"kind": "local", "qubit": 2, "label": label, "matrix": identity}
         assert circuit_from_dict({"ops": [entry]}).ops[0].label == label
@@ -443,6 +457,15 @@ def _outcome(call):
     ContractViolation it raises."""
     try:
         return str(call().to_dict())
+    except ContractViolation as exc:
+        return f"refused: {exc}"
+
+
+def _written(op):
+    """The JSON entry that circuit_to_dict writes for a circuit of op alone,
+    or the message of the ContractViolation it raises."""
+    try:
+        return str(circuit_to_dict(Circuit([op]))["ops"][0])
     except ContractViolation as exc:
         return f"refused: {exc}"
 
