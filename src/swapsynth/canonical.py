@@ -205,7 +205,7 @@ def _split_rotations(os):
     m = (os.reshape(k, 1, 16) @ _TO_QUATERNION_PAIR).reshape(k, 4, 4)
     # m = p r^T with unit p and r: its largest column, normalised, is +-p,
     # and then r = m^T p.  The first of equal columns wins.
-    norms = np.sqrt((m * m).sum(axis=1))
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
     members = np.arange(k)
     j = norms.argmax(axis=1)
     p = m[members, :, j] / norms[members, j, np.newaxis]
@@ -218,9 +218,10 @@ def _split_rotations(os):
     return a, b
 
 
-def _eigen_gauge(d, q):
+def _eigen_gauge(d, columns):
     """Signed column references (see _reduce) that fix the gauge of the
-    eigenpairs d, q of :func:`diagonalize_complex_symmetric_unitary`.
+    eigenpairs d, q of :func:`diagonalize_complex_symmetric_unitary`, given
+    q's columns as lists of floats.
 
     Slot i names the eigenpair of the i-th smallest phase of d in (-pi, pi],
     the first of equal phases first, and negates its column when the
@@ -229,11 +230,25 @@ def _eigen_gauge(d, q):
     entries that costs less than the numpy calls.
     """
     phases = [cmath.phase(z) for z in d.tolist()]
-    columns = q.T.tolist()
     return [
         -j - 1 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else j + 1
         for j in sorted(range(4), key=phases.__getitem__)
     ]
+
+
+def _det4(rows):
+    """Determinant of a 4x4 matrix given as four lists of floats, expanded
+    along its first two rows.  On Python floats it costs a fraction of
+    ``np.linalg.det``, whose wrapper dominates on a 4x4."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = rows
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * e3 - c3 * e2)
+        - (a0 * b2 - a2 * b0) * (c1 * e3 - c3 * e1)
+        + (a0 * b3 - a3 * b0) * (c1 * e2 - c2 * e1)
+        + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
+        - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
+        + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0)
+    )
 
 
 def _moved(cols, slots):
@@ -317,17 +332,18 @@ def kak_decompose(u):
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
     # The reduction starts from the gauge's signed column references (see
     # _reduce), the same for both factors, since a column of q carries its
-    # column of o2.  Both factors must have determinant 1: det(q) times the
-    # parity of the references' order and the product of their signs.  A
-    # negative one is fixed by negating slot 3 of both.  Then det(vm) = 1
-    # gives det(o2) = e^{i sum(lam)} = (-1)^n for the n turns that the
-    # eigenphases of m, whose product is 1, add up to.  An odd n is fixed by
-    # negating o2's slot 0 and adding pi to lam[0].
-    cols = _eigen_gauge(d, q)
+    # column of o2.  Both factors must have determinant 1: det(q), +-1 for
+    # the orthogonal q, times the parity of the references' order and the
+    # product of their signs.  A negative one is fixed by negating slot 3 of
+    # both.  Then det(vm) = 1 gives det(o2) = e^{i sum(lam)} = (-1)^n for
+    # the n turns that the eigenphases of m, whose product is 1, add up to.
+    # An odd n is fixed by negating o2's slot 0 and adding pi to lam[0].
+    columns = q.T.tolist()
+    cols = _eigen_gauge(d, columns)
     order = [abs(c) - 1 for c in cols]
     inversions = [1 for i, j in enumerate(order) for k in order[i + 1:] if j > k]
     negated = [c for c in cols if c < 0]
-    if (np.linalg.det(q) < 0) != (len(inversions) + len(negated)) % 2:
+    if (_det4(columns) < 0) != (len(inversions) + len(negated)) % 2:
         cols[3] = -cols[3]
     o2_cols, q_cols = cols, cols[:]
     # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
@@ -348,7 +364,8 @@ def kak_decompose(u):
     # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag with their columns
     # gathered: both are real, so they split with no phase left over.
     order = [abs(c) - 1 for c in o2_cols]
-    rotations = np.array([o2.real, q])[:, :, order] * np.sign([o2_cols, q_cols])[:, np.newaxis]
+    signs = [1.0 if c > 0 else -1.0 for c in o2_cols + q_cols]
+    rotations = np.array([o2.real, q])[:, :, order] * np.array(signs).reshape(2, 1, 4)
     rotations[1] = rotations[1].T
     try:
         (b1, f1), (b2, f2) = _split_rotations(rotations)

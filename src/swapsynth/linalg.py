@@ -236,7 +236,7 @@ def diagonalize_complex_symmetric_unitary(m):
 
     for r in _MIX_WEIGHTS:
         _, q = np.linalg.eigh(m.real + r * m.imag)
-        d = (q * (m @ q)).sum(axis=0)
+        d = np.add.reduce(q * (m @ q), axis=0)
         size = np.abs(d)
         unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
         d = d / size

@@ -10,8 +10,9 @@ claim, and it is tied to the installed numpy, whose Python wrappers
 was measured on numpy 2.4.6, and on any other version the test is skipped.
 With complex local factors and complex move conjugators the KAK made 218
 calls on this target; with real factors gathered by column it made 206.
-Gathering them once from the eigensolver's own columns, and reducing each
-deviation by ``np.maximum.reduce`` instead of ``ndarray.max``, it makes 197.
+Gathering them once from the eigensolver's own columns, with det(q) on
+Python floats and ``np.maximum.reduce``/``np.add.reduce`` in place of
+``ndarray.max``/``ndarray.sum``, it makes 184.
 
 Every budget is a count per code object: the sum of ``callcount`` over the
 entries of ``cProfile.Profile.getstats()``, less the profiler's own
@@ -39,16 +40,16 @@ from swapsynth.synthesis import (
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
-BUDGET = 197
+BUDGET = 184
 
 
 # synthesize_cnot made 267 calls while the CNOT core built its three exact
 # CnotOps through cnot_op's admission; building them directly saved three.
 # It made 264 while it admitted its eight locals in two stacks, one inside
 # build_core_cnot_circuit, whose Circuit it then unpacked; one stack took 244.
-# The KAK's nine saved calls, and two more in the locals' stacked unitarity
-# check, bring them from 258 and 244 to 247 and 233.
-SYNTHESIS_BUDGETS = {synthesize_swap: 247, synthesize_cnot: 233}
+# The KAK's 22 saved calls, and two more in the locals' stacked unitarity
+# check, bring them from 258 and 244 to 234 and 220.
+SYNTHESIS_BUDGETS = {synthesize_swap: 234, synthesize_cnot: 220}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked

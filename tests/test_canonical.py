@@ -270,6 +270,18 @@ def _signed_permutation(slots):
     return out
 
 
+def test_det4_matches_numpy():
+    """The determinant behind kak_decompose's determinant fix: exact on every
+    signed permutation, and within rounding of np.linalg.det elsewhere."""
+    for order in itertools.permutations(range(1, 5)):
+        for signs in itertools.product((1, -1), repeat=4):
+            p = _signed_permutation([s * t for s, t in zip(signs, order)])
+            assert canonical._det4(p.tolist()) == round(np.linalg.det(p))
+    rng = np.random.default_rng(11)
+    for a in rng.normal(size=(200, 4, 4)):
+        assert canonical._det4(a.tolist()) == pytest.approx(np.linalg.det(a), rel=1e-12, abs=1e-12)
+
+
 def test_chamber_move_conjugators_match_their_factors():
     """The module's magic-basis move tables are the images of the conjugators."""
     magic_h = MAGIC.conj().T

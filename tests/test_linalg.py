@@ -202,7 +202,7 @@ def test_diagonalize_round_trips():
         assert sorted(np.angle(d)) == pytest.approx(sorted(angles), abs=1e-7)
         # The gauge canonical._eigen_gauge picks, gathered: phases in (-pi, pi]
         # that do not decrease, each column's first entry above 1e-8 positive.
-        cols = _eigen_gauge(d, q)
+        cols = _eigen_gauge(d, q.T.tolist())
         slots = [abs(c) - 1 for c in cols]
         d_g, q_g = d[slots], q[:, slots] * np.sign(cols)
         phases = [cmath.phase(z) for z in d_g]
