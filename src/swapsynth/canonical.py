@@ -218,22 +218,37 @@ def _split_rotations(os):
     return a, b
 
 
-def _eigen_gauge(d, columns):
-    """Signed column references (see _reduce) that fix the gauge of the
-    eigenpairs d, q of :func:`diagonalize_complex_symmetric_unitary`, given
-    q's columns as lists of floats.
+def _eigen_gauge(half, columns):
+    """Every gauge decision of :func:`kak_decompose`, on Python floats.
 
-    Slot i names the eigenpair of the i-th smallest phase of d in (-pi, pi],
-    the first of equal phases first, and negates its column when the
-    column's first entry above 1e-8 is negative.  Every column of the
-    orthogonal q has such an entry.  Sorted and signed in Python: on four
-    entries that costs less than the numpy calls.
+    half is minus half of ``np.angle(d)`` and columns are q's columns as
+    lists, for the eigenpairs d, q of
+    :func:`diagonalize_complex_symmetric_unitary` in its own order, so that
+    vm = o2 diag(e^{-i half}) q^T.  Returns h and the signed column
+    references (see _reduce) of o2 and q.  Slot i takes the eigenpair of the
+    i-th smallest phase, the first of equal phases first, negated when its
+    column's first entry above 1e-8 (every orthogonal column has one) is
+    negative.  Both factors need determinant 1: when the gauged q's is -1,
+    slot 3 of both is negated.  Then det(vm) = 1 gives det(o2) =
+    e^{i sum(lam)} = (-1)^n for the n turns that the eigenphases of m, whose
+    product is 1, add up to; an odd n is fixed by negating o2's slot 0 and
+    adding pi to lam[0].
     """
-    phases = [cmath.phase(z) for z in d.tolist()]
-    return [
+    cols = [
         -j - 1 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else j + 1
-        for j in sorted(range(4), key=phases.__getitem__)
+        for j in sorted(range(4), key=half.__getitem__, reverse=True)
     ]
+    if _det4([columns[c - 1] if c > 0 else [-x for x in columns[-c - 1]] for c in cols]) < 0:
+        cols[3] = -cols[3]
+    # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
+    # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
+    lam = [half[abs(c) - 1] for c in cols]
+    l00, l10, l01, _ = lam
+    o2_cols = cols[:]
+    if round(-sum(lam) / np.pi) % 2:
+        l00 += np.pi
+        o2_cols[0] = -o2_cols[0]
+    return [(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0], o2_cols, cols
 
 
 def _det4(rows):
@@ -280,20 +295,18 @@ def _reduce(h, o2_cols, q_cols):
     # Sort by magnitude, exchanging two coordinates by same-axis quarter
     # turns on both qubits.  The first of equal magnitudes wins, as with
     # np.argmax.
-    moves = []
     for i in range(2):
         j = max(range(i, 3), key=lambda m: abs(h[m]))
         if j != i:
             h[i], h[j] = h[j], h[i]
-            moves.append(_SWAP_SLOTS[3 - i - j])
+            slots = _SWAP_SLOTS[3 - i - j]
+            o2_cols, q_cols = _moved(o2_cols, slots), _moved(q_cols, slots)
     # Make hx, hy >= 0 by a Pauli sigma_k on qubit 1, which negates the two
     # coordinates other than k.
     if h[0] < 0 or h[1] < 0:
         k = (2 if h[1] < 0 else 1) if h[0] < 0 else 0
         h = [x if m == k else -x for m, x in enumerate(h)]
-        moves.append(_FLIP_SLOTS[k])
-    for slots in moves:
-        o2_cols, q_cols = _moved(o2_cols, slots), _moved(q_cols, slots)
+        o2_cols, q_cols = _moved(o2_cols, _FLIP_SLOTS[k]), _moved(q_cols, _FLIP_SLOTS[k])
     # On the hx = pi/4 wall, shift hx by pi/2 and negate hx and hz: hz >= 0.
     if h[0] >= np.pi / 4.0 - _WALL_TOL and h[2] < -1e-13:
         h = [np.pi / 2.0 - h[0], h[1], -h[2]]
@@ -323,39 +336,14 @@ def kak_decompose(u):
     vm = _MAGIC_H @ v @ MAGIC
     m = vm.T @ vm
 
-    # vm = o2 diag(e^{i angles / 2}) q^T, with q and o2 real orthogonal, in
-    # the eigensolver's column order: the gauge below only names columns.
     d, q = diagonalize_complex_symmetric_unitary(m)
-    angles = np.angle(d)
-    o2 = (vm @ q) * np.exp(-0.5j * angles)
+    half = np.angle(d) * -0.5
+    # vm = o2 diag(e^{-i half}) q^T, with q and o2 real orthogonal, in the
+    # eigensolver's column order: the gauge only names columns.
+    o2 = (vm @ q) * np.exp(1j * half)
     residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
-    # The reduction starts from the gauge's signed column references (see
-    # _reduce), the same for both factors, since a column of q carries its
-    # column of o2.  Both factors must have determinant 1: det(q), +-1 for
-    # the orthogonal q, times the parity of the references' order and the
-    # product of their signs.  A negative one is fixed by negating slot 3 of
-    # both.  Then det(vm) = 1 gives det(o2) = e^{i sum(lam)} = (-1)^n for
-    # the n turns that the eigenphases of m, whose product is 1, add up to.
-    # An odd n is fixed by negating o2's slot 0 and adding pi to lam[0].
-    columns = q.T.tolist()
-    cols = _eigen_gauge(d, columns)
-    order = [abs(c) - 1 for c in cols]
-    inversions = [1 for i, j in enumerate(order) for k in order[i + 1:] if j > k]
-    negated = [c for c in cols if c < 0]
-    if (_det4(columns) < 0) != (len(inversions) + len(negated)) % 2:
-        cols[3] = -cols[3]
-    o2_cols, q_cols = cols, cols[:]
-    # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
-    # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
-    half = (-angles / 2.0).tolist()
-    lam = [half[j] for j in order]
-    l00, l10, l01, _ = lam
-    if round(-sum(lam) / np.pi) % 2:
-        l00 += np.pi
-        o2_cols[0] = -o2_cols[0]
-    h = [(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0]
-
+    h, o2_cols, q_cols = _eigen_gauge(half.tolist(), q.T.tolist())
     h, o2_cols, q_cols, turns = _reduce(h, o2_cols, q_cols)
     params = CanonicalParams(*h)
     if not in_weyl_chamber(params):

@@ -101,15 +101,20 @@ def profile_from_dict(doc):
     """Build a profile from its JSON form.
 
     Expected keys: name, rabi_frequency_hz, pi_rotation_time_s,
-    swap_full_time_s, and optionally local_rotation_policy.  Every value goes
+    swap_full_time_s, and optionally local_rotation_policy; any other key,
+    such as a misspelled policy, is refused by name.  Every value goes
     to HardwareProfile as read, so neither "5e6" nor true nor 10**400 passes
     as a timing, nor null as the name.
     """
     if not isinstance(doc, dict):
         raise ContractViolation("profile document must be a JSON object")
-    for key in ("name", *_TIMING_FIELDS):
+    keys = ("name", *_TIMING_FIELDS, "local_rotation_policy")
+    for key in keys[:-1]:  # all but the optional policy
         if key not in doc:
             raise ContractViolation(f"profile document missing key {key!r}")
+    for key in doc:
+        if key not in keys:
+            raise ContractViolation(f"unknown profile key {key!r}; expected {', '.join(keys)}")
     return HardwareProfile(
         name=doc["name"],
         local_rotation_policy=doc.get("local_rotation_policy", "fixed_pi"),

@@ -90,11 +90,14 @@ class LocalOp(GateOp):
         return (self.matrix @ u.reshape(2, 2, 4)).reshape(4, 4)
 
     def to_dict(self):
+        matrix = _matrix_to_json(self.matrix)
+        if np.shape(self.matrix) != (2, 2):
+            _matrix_from_json(matrix, 2, "local matrix")  # raises the reader's error
         return {
             "kind": self.kind,
             "qubit": _qubit_index(self.qubit, "qubit"),
             "label": _text(self.label, "label"),
-            "matrix": _matrix_to_json(self.matrix),
+            "matrix": matrix,
         }
 
     @staticmethod
@@ -556,18 +559,20 @@ def _matrix_from_json(rows, dim, name):
 def circuit_to_dict(circuit):
     """JSON-ready dict: {"global_phase": float, "ops": [...]}
 
-    Each op's fields are admitted by the rules its reader applies, so a
-    hand-built op that :func:`circuit_from_dict` would refuse is refused
-    here, with the reader's message and its ``ops[i]: `` prefix.
+    Each op's fields, and the locals' matrices in one check, are admitted
+    by the rules its reader applies, in the reader's order, so a hand-built
+    circuit that :func:`circuit_from_dict` would refuse is refused here,
+    with the reader's message and its ``ops[i]: `` prefix.
     """
-    phase = _real(circuit.declared_global_phase, "global_phase")
     ops = []
     try:
         for op in circuit.ops:
             ops.append(op.to_dict())
     except ContractViolation as exc:
+        _admit_locals(circuit.ops[:len(ops)])
         raise ContractViolation(f"ops[{len(ops)}]: {exc}") from None
-    return {"global_phase": phase, "ops": ops}
+    _admit_locals(circuit.ops)
+    return {"global_phase": _real(circuit.declared_global_phase, "global_phase"), "ops": ops}
 
 
 def _admit_locals(ops):
@@ -577,7 +582,7 @@ def _admit_locals(ops):
     matrices = [op.matrix for op in ops if isinstance(op, LocalOp)]
     if matrices:
         try:
-            _check_unitary(np.array(matrices), "local matrix")
+            _check_unitary(np.array(matrices, dtype=complex), "local matrix")
         except ContractViolation as exc:
             slots = [i for i, op in enumerate(ops) if isinstance(op, LocalOp)]
             raise ContractViolation(f"ops[{slots[exc.member]}]: {exc}") from None

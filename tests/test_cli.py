@@ -259,6 +259,12 @@ def test_cost_profile_with_string_field_exits_2(tmp_path, capsys):
     code, text, err = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", str(prof))
     assert code == 2
     assert text == "" and "rabi_frequency_hz is too large for a float" in err
+    # A misspelled key exits 2 too, naming the key, instead of being dropped.
+    doc = {**doc, "rabi_frequency_hz": 5e6, "local_rotaton_policy": "proportional"}
+    prof.write_text(json.dumps(doc))
+    code, text, err = run(capsys, "cost", "--compare", "--gate", "cnot", "--profile", str(prof))
+    assert code == 2
+    assert text == "" and "unknown profile key 'local_rotaton_policy'" in err
 
 
 def test_cost_needs_circuit_or_compare(tmp_path, capsys):

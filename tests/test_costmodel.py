@@ -79,6 +79,13 @@ def test_profile_from_dict():
         profile_from_dict("gaas")
     with pytest.raises(ContractViolation, match="missing key 'swap_full_time_s'"):
         profile_from_dict({k: v for k, v in doc.items() if k != "swap_full_time_s"})
+    # A key outside the five is refused by name, not dropped: a misspelled
+    # policy would otherwise price every local at the pi time.
+    misspelled = {k: v for k, v in doc.items() if k != "local_rotation_policy"}
+    for extra in ({"local_rotaton_policy": "proportional"}, {"notes": "bench"}, {"Name": "lab"}):
+        (key,) = extra
+        with pytest.raises(ContractViolation, match=f"^unknown profile key {key!r}; expected name, "):
+            profile_from_dict({**misspelled, **extra})
     # Each timing field is a JSON number: a string or a boolean is refused.
     for key in ("rabi_frequency_hz", "pi_rotation_time_s", "swap_full_time_s"):
         for bad in (str(doc[key]), True, None):

@@ -1,9 +1,7 @@
-import cmath
-
 import numpy as np
 import pytest
 
-from swapsynth.canonical import _eigen_gauge
+from swapsynth.canonical import _det4, _eigen_gauge, lambdas
 from swapsynth.linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -194,21 +192,50 @@ def test_diagonalize_round_trips():
             angles[2] = angles[3] + 1e-12  # near-degenerate cluster
         elif trial % 5 == 1:
             angles[2] = -angles[3] + 1e-7  # Re(m) clusters, m does not
+        # det m = 1, as for the m of kak_decompose: a free angle, or a tied
+        # pair, takes up the sum, keeping every tie.
+        if trial % 3:
+            angles[1] -= angles.sum()
+        elif trial % 5 > 1:
+            angles[2] -= angles.sum()
+        elif trial % 5 == 0:
+            angles[3] -= angles.sum() / 2.0
+            angles[2] = angles[3] + 1e-12
+        else:
+            angles[:2] -= angles.sum() / 2.0
+        angles = np.angle(np.exp(1j * angles))
         m = q0 @ np.diag(np.exp(1j * angles)) @ q0.T
         d, q = diagonalize_complex_symmetric_unitary(m)
         assert np.max(np.abs(q @ np.diag(d) @ q.T - m)) < 5e-9
         assert np.max(np.abs(q.imag)) == 0.0
         assert np.max(np.abs(q @ q.T - ID4)) < 1e-9
         assert sorted(np.angle(d)) == pytest.approx(sorted(angles), abs=1e-7)
-        # The gauge canonical._eigen_gauge picks, gathered: phases in (-pi, pi]
-        # that do not decrease, each column's first entry above 1e-8 positive.
-        cols = _eigen_gauge(d, q.T.tolist())
-        slots = [abs(c) - 1 for c in cols]
-        d_g, q_g = d[slots], q[:, slots] * np.sign(cols)
-        phases = [cmath.phase(z) for z in d_g]
+        # The whole gauge of canonical._eigen_gauge, a pure function of the
+        # half-angles and the columns, gathered by its column references.
+        half = (np.angle(d) * -0.5).tolist()
+        h, o2_cols, q_cols = _eigen_gauge(half, q.T.tolist())
+        slots = [abs(c) - 1 for c in q_cols]
+        assert sorted(slots) == [0, 1, 2, 3]
+        d_g, q_g = d[slots], q[:, slots] * np.sign(q_cols)
+        phases = np.angle(d_g).tolist()
         assert phases == sorted(phases)
-        assert all(next(x for x in col if abs(x) > 1e-8) > 0 for col in q_g.T)
+        # Equal phases keep the eigensolver's order: the first stays first.
+        assert all(slots[i] < slots[i + 1] for i in range(3) if phases[i] == phases[i + 1])
+        first = [next(x for x in col if abs(x) > 1e-8) for col in q_g.T.tolist()]
+        assert all(x > 0 for x in first[:3])
+        # Slot 3 carries the determinant fix: its first entry is negative
+        # exactly when the first-entry rule alone leaves det -1.
+        assert _det4(q_g.T.tolist()) == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(q_g @ np.diag(d_g) @ q_g.T - m)) < 5e-9
+        # The odd-turn fix: l00 gains pi, and o2's slot 0 is negated, exactly
+        # when the gathered half-angles add up to an odd number of -pi.
+        lam = [half[j] for j in slots]
+        turns = round(-sum(lam) / np.pi)
+        assert abs(-sum(lam) / np.pi - turns) < 1e-9
+        odd = turns % 2
+        assert o2_cols == [-c if odd and i == 0 else c for i, c in enumerate(q_cols)]
+        want = np.array([lam[0] + np.pi * odd, lam[2], lam[1], lam[3]])
+        assert np.max(np.abs(np.angle(np.exp(1j * (np.array(lambdas(h)) - want))))) < 1e-9
 
 
 def test_diagonalize_rejects_nonsymmetric():

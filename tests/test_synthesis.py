@@ -31,6 +31,7 @@ from swapsynth.synthesis import (
     LocalOp,
     SwapPowOp,
     _core_swap,
+    _matrix_to_json,
     build_core_cnot_circuit,
     circuit_from_dict,
     circuit_to_dict,
@@ -399,6 +400,42 @@ def test_circuit_from_dict_rejects_garbage():
     for label in ("", "u1", "v4'·X", "é"):
         entry = {"kind": "local", "qubit": 2, "label": label, "matrix": identity}
         assert circuit_from_dict({"ops": [entry]}).ops[0].label == label
+
+
+def test_circuit_writer_refuses_the_local_matrices_its_reader_refuses():
+    # A hand-built local whose matrix the reader refuses is refused by the
+    # writer too, with the reader's message: the shape by the op, the
+    # unitarity by one check of the circuit's locals, a non-unitary local
+    # ahead of a misshapen one first, as the reader orders them.
+    def entry(op):
+        if isinstance(op, LocalOp):
+            matrix = _matrix_to_json(op.matrix)
+            return {"kind": "local", "qubit": op.qubit, "label": op.label, "matrix": matrix}
+        return op.to_dict()
+
+    # A complex64 rotation is refused as the complex128 matrix the reader reads.
+    single = haar_random_unitary(2, seed=3).astype(np.complex64)
+    bad_matrices = (
+        2 * ID2, np.eye(3), np.full((2, 2), np.nan), ID4, np.ones(2), np.ones((2, 2, 2)), 0.5, single
+    )
+    for bad in bad_matrices:
+        for ops in (
+            [LocalOp(1, bad)],
+            [local_op(1, PAULI_X), swap_op(0.5), LocalOp(2, bad, "v")],
+            [LocalOp(1, 2 * ID2), swap_op(0.5), LocalOp(2, bad)],
+            [LocalOp(1.5, bad)],
+        ):
+            with pytest.raises(ContractViolation, match=r"^ops\[") as read:
+                circuit_from_dict({"global_phase": 0.0, "ops": [entry(op) for op in ops]})
+            with pytest.raises(ContractViolation) as written:
+                circuit_to_dict(Circuit(ops))
+            assert str(written.value) == str(read.value)
+    with pytest.raises(ContractViolation) as written:
+        circuit_to_dict(Circuit([LocalOp(1, np.eye(3))]))
+    assert str(written.value) == "ops[0]: local matrix: rows have shape (3, 3), expected (2, 2)"
+    with pytest.raises(ContractViolation) as written:
+        circuit_to_dict(Circuit([LocalOp(1, 2 * ID2)]))
+    assert str(written.value) == "ops[0]: local matrix is not unitary: max deviation 3.000e+00 exceeds 1e-10"
 
 
 def test_matrix_codec_is_byte_exact():
