@@ -23,7 +23,14 @@ The four Bell states diagonalize E(h); their phase angles
     l10 = -hx + hy + hz  (phi-)        l11 = -hx - hy - hz  (psi-)
 
 sum to zero and determine h linearly.  All the synthesis backends work
-through these four angles.
+through these four angles.  In them the chamber is an order (Zhang, Vala,
+Sastry & Whaley, PRA 67, 042313 (2003)): h lies in it exactly when
+
+    l01 >= l00 >= l10 >= l11   and   l01 + l00 <= pi/2,
+
+with l00 + l10 >= 0 when l01 + l00 = pi/2 (hy >= hz, hx >= hy, hy >= -hz
+are the three orders).  So kak_decompose reaches the chamber by moving
+eigenphases by pi, one sort and at most one quarter turn.
 
 In the magic basis every single-qubit pair a (x) b is a real SO(4) matrix
 and every E(h) is diagonal.  So kak_decompose keeps its local factors real:
@@ -36,7 +43,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -80,16 +86,9 @@ _TO_QUATERNION_PAIR = _frozen(
     / 4.0
 )
 
-# The chamber moves in the magic basis, where each conjugator is a signed
-# permutation of the four columns phi+, i phi-, i psi+, psi- (see _reduce).
-# A shift of h[k] by pi/2 multiplies the columns of q by the eigenvalues of
-# sigma_k (x) sigma_k on them, _BELL_SIGNS[k].  Swapping the two coordinates
-# other than k, or negating them, moves the columns of q and of o2 alike:
-# with t = _SWAP_SLOTS[k][i] (or _FLIP_SLOTS[k][i]), slot i takes what slot
-# t - 1 held when t > 0, and what slot -t - 1 held, negated, when t < 0.
-_BELL_SIGNS = ((1, -1, 1, -1), (-1, 1, 1, -1), (1, 1, -1, -1))
-_SWAP_SLOTS = ((3, 2, -1, 4), (1, -3, 2, 4), (2, -1, 3, 4))
-_FLIP_SLOTS = ((3, 4, -1, -2), (4, -3, 2, -1), (2, -1, -4, 3))
+# Slot i of the magic basis (phi+, phi-, psi+, psi-: l00, l10, l01, l11)
+# holds the _PLACES[i]-th largest Bell phase of a chamber point.
+_PLACES = (1, 2, 0, 3)
 
 _WALL_TOL = 1e-10
 _CHAMBER_TOL = 1e-9
@@ -218,37 +217,54 @@ def _split_rotations(os):
     return a, b
 
 
-def _eigen_gauge(half, columns):
-    """Every gauge decision of :func:`kak_decompose`, on Python floats.
+def _chamber_gauge(half, columns):
+    """The chamber point of :func:`kak_decompose` and its gauge, on Python floats.
 
     half is minus half of ``np.angle(d)`` and columns are q's columns as
-    lists, for the eigenpairs d, q of
-    :func:`diagonalize_complex_symmetric_unitary` in its own order, so that
-    vm = o2 diag(e^{-i half}) q^T.  Returns h and the signed column
-    references (see _reduce) of o2 and q.  Slot i takes the eigenpair of the
-    i-th smallest phase, the first of equal phases first, negated when its
-    column's first entry above 1e-8 (every orthogonal column has one) is
-    negative.  Both factors need determinant 1: when the gauged q's is -1,
-    slot 3 of both is negated.  Then det(vm) = 1 gives det(o2) =
-    e^{i sum(lam)} = (-1)^n for the n turns that the eigenphases of m, whose
-    product is 1, add up to; an odd n is fixed by negating o2's slot 0 and
-    adding pi to lam[0].
+    lists, for the eigenpairs d, q of diagonalize_complex_symmetric_unitary
+    in its order: vm = o2 diag(e^{-i half}) q^T.  Returns h, the signed
+    column references of o2 and q (slot i holds column |c| - 1, negated
+    when c < 0) and the quarter turns that the global phase gains.
+
+    Adding pi to a phase negates its column of o2.  For a phase sum of n pi,
+    the n largest phases move down by pi, or the -n smallest up, so that
+    the sum is zero; then one sort, largest first, fills slot i from place
+    _PLACES[i].  Equal phases keep the chamber order of their eigenpairs'
+    own slots, across a move too: the last of equal largest phases moves
+    down, the first of equal smallest up.  When the two largest add up to
+    more than pi/2, taking pi/2 from every phase (a turn of -pi/2) and
+    adding pi to the two smallest turns the order round: a >= b >= c >= d
+    become c + pi/2, d + pi/2, a - pi/2, b - pi/2.  On the hx = pi/4 wall
+    the one of the two with hz >= -1e-13 is taken.  A column of q is
+    negated when its first entry above 1e-8 (every orthogonal column has
+    one) is negative, and slot 3 of both factors when det q would be -1;
+    det o2 is then 1 too, as the phases sum to zero.
     """
-    cols = [
-        -j - 1 if next(x for x in columns[j] if abs(x) > 1e-8) < 0 else j + 1
-        for j in sorted(range(4), key=half.__getitem__, reverse=True)
-    ]
-    if _det4([columns[c - 1] if c > 0 else [-x for x in columns[-c - 1]] for c in cols]) < 0:
-        cols[3] = -cols[3]
-    # Diagonal slots follow the magic column order phi+, phi-, psi+, psi-.
-    # Inverts lambdas with l00 = lam[0], l01 = lam[2], l10 = lam[1].
-    lam = [half[abs(c) - 1] for c in cols]
-    l00, l10, l01, _ = lam
-    o2_cols = cols[:]
-    if round(-sum(lam) / np.pi) % 2:
-        l00 += np.pi
-        o2_cols[0] = -o2_cols[0]
-    return [(l00 + l01) / 2.0, (l01 + l10) / 2.0, (l00 + l10) / 2.0], o2_cols, cols
+    n = round(sum(half) / np.pi)
+    rising = [j for *_, j in sorted(zip(half, _PLACES, range(4)))]
+    lam, sign = list(half), [1, 1, 1, 1]
+    for j in rising[4 - n:] if n > 0 else rising[:-n]:
+        lam[j] += -np.pi if n > 0 else np.pi
+        sign[j] = -1
+    order = [j for *_, j in sorted(zip([-x for x in lam], _PLACES, range(4)))]
+    a, b, c, d = [lam[j] for j in order]
+    turned = c + np.pi / 2.0, d + np.pi / 2.0, a - np.pi / 2.0, b - np.pi / 2.0
+    turns = -1 if a + b > np.pi / 2.0 else 0
+    # The wall rule reads h's own hx and hz, as in_weyl_chamber will.
+    first, second, third, _ = turned if turns else (a, b, c, d)
+    if (first + second) / 2.0 >= np.pi / 4.0 - _WALL_TOL and (second + third) / 2.0 < -1e-13:
+        turns = -1 - turns
+    if turns:
+        order = order[2:] + order[:2]
+        a, b, c, d = turned
+        sign[order[0]], sign[order[1]] = -sign[order[0]], -sign[order[1]]
+    slots = [order[p] for p in _PLACES]
+    leads = [next(x for x in columns[j] if x > 1e-8 or x < -1e-8) for j in slots]
+    q_cols = [j + 1 if lead > 0 else -j - 1 for j, lead in zip(slots, leads)]
+    if _det4([columns[r - 1] if r > 0 else [-x for x in columns[-r - 1]] for r in q_cols]) < 0:
+        q_cols[3] = -q_cols[3]
+    o2_cols = [r * sign[abs(r) - 1] for r in q_cols]
+    return [(a + b) / 2.0, (a + c) / 2.0, (b + c) / 2.0], o2_cols, q_cols, turns
 
 
 def _det4(rows):
@@ -264,56 +280,6 @@ def _det4(rows):
         - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
         + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0)
     )
-
-
-def _moved(cols, slots):
-    """Signed column references after a swap or a flip (see _SWAP_SLOTS)."""
-    return [cols[t - 1] if t > 0 else -cols[-t - 1] for t in slots]
-
-
-def _reduce(h, o2_cols, q_cols):
-    """Drive the coordinates h into the canonical chamber, on Python floats.
-
-    o2_cols and q_cols are signed column references of the two orthogonal
-    factors of u = e^{i phi} l2 E(h) l1, with l2 = MAGIC o2 MAGIC^dag and
-    l1 = MAGIC q^T MAGIC^dag: slot i of a factor holds its column |c| - 1,
-    negated when c < 0.  Each move rewrites u exactly; in the magic basis it
-    only reorders and negates those columns and turns the phase by a
-    multiple of pi/2.  Returns the reduced h, the two reference lists and
-    the number of quarter turns that phi gains.
-    """
-    h = list(h)
-    turns = 0
-    # h[k] -= n pi/2 leaves the factor (-i sigma_k (x) sigma_k)^n on l1.
-    for k in range(3):
-        n = math.floor(h[k] / (np.pi / 2.0) + 0.5)
-        if n:
-            h[k] -= n * np.pi / 2.0
-            turns -= n
-            if n % 2:
-                q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[k])]
-    # Sort by magnitude, exchanging two coordinates by same-axis quarter
-    # turns on both qubits.  The first of equal magnitudes wins, as with
-    # np.argmax.
-    for i in range(2):
-        j = max(range(i, 3), key=lambda m: abs(h[m]))
-        if j != i:
-            h[i], h[j] = h[j], h[i]
-            slots = _SWAP_SLOTS[3 - i - j]
-            o2_cols, q_cols = _moved(o2_cols, slots), _moved(q_cols, slots)
-    # Make hx, hy >= 0 by a Pauli sigma_k on qubit 1, which negates the two
-    # coordinates other than k.
-    if h[0] < 0 or h[1] < 0:
-        k = (2 if h[1] < 0 else 1) if h[0] < 0 else 0
-        h = [x if m == k else -x for m, x in enumerate(h)]
-        o2_cols, q_cols = _moved(o2_cols, _FLIP_SLOTS[k]), _moved(q_cols, _FLIP_SLOTS[k])
-    # On the hx = pi/4 wall, shift hx by pi/2 and negate hx and hz: hz >= 0.
-    if h[0] >= np.pi / 4.0 - _WALL_TOL and h[2] < -1e-13:
-        h = [np.pi / 2.0 - h[0], h[1], -h[2]]
-        turns -= 1
-        q_cols = [c * s for c, s in zip(q_cols, _BELL_SIGNS[0])]
-        o2_cols, q_cols = _moved(o2_cols, _FLIP_SLOTS[1]), _moved(q_cols, _FLIP_SLOTS[1])
-    return h, o2_cols, q_cols, turns
 
 
 def kak_decompose(u):
@@ -343,8 +309,7 @@ def kak_decompose(u):
     o2 = (vm @ q) * np.exp(1j * half)
     residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
-    h, o2_cols, q_cols = _eigen_gauge(half.tolist(), q.T.tolist())
-    h, o2_cols, q_cols, turns = _reduce(h, o2_cols, q_cols)
+    h, o2_cols, q_cols, turns = _chamber_gauge(half.tolist(), q.T.tolist())
     params = CanonicalParams(*h)
     if not in_weyl_chamber(params):
         raise NumericalError(f"reduction left the chamber: {params}")

@@ -224,8 +224,8 @@ def diagonalize_complex_symmetric_unitary(m):
     basis of their eigenspace.  The weights in ``_MIX_WEIGHTS`` are tried in
     order until the reconstruction residual is below 1e-9.  The eigenpairs
     come in ``eigh``'s own order and signs: the gauge, a sort by the phase of
-    d and a sign per column, is chosen where they are used, in
-    ``canonical._eigen_gauge``.
+    d that also reduces to the Weyl chamber and a sign per column, is chosen
+    where they are used, in ``canonical._chamber_gauge``.
     """
     m = assert_unitary(m, name="m", dim=4)
     sym_dev = np.maximum.reduce(np.abs(m - m.T), axis=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import collections
 import dataclasses
+import numbers
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -90,8 +91,10 @@ class LocalOp(GateOp):
         return (self.matrix @ u.reshape(2, 2, 4)).reshape(4, 4)
 
     def to_dict(self):
-        matrix = _matrix_to_json(self.matrix)
-        if np.shape(self.matrix) != (2, 2):
+        # Entries that are not numbers are not cast: no rows are written,
+        # and reading none raises the reader's error for unreadable rows.
+        matrix = _matrix_to_json(self.matrix) if _holds_numbers(self.matrix) else None
+        if matrix is None or np.shape(self.matrix) != (2, 2):
             _matrix_from_json(matrix, 2, "local matrix")  # raises the reader's error
         return {
             "kind": self.kind,
@@ -533,6 +536,15 @@ def _matrix_to_json(m):
     """Rows of [re, im] pairs: the one matrix layout of every JSON file."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2).tolist()
+
+
+def _holds_numbers(m):
+    """True when every entry of the array or nested lists m is a real or
+    complex number; a bool, a string or any other object is not."""
+    if isinstance(m, np.ndarray) and m.dtype.kind != "O":
+        return m.dtype.kind in "iufc"
+    entries = np.array(m, dtype=object).flat
+    return all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in entries)
 
 
 def _matrix_from_json(rows, dim, name):

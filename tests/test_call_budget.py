@@ -14,7 +14,9 @@ Gathering them once from the eigensolver's own columns, with det(q) on
 Python floats and ``np.maximum.reduce``/``np.add.reduce`` in place of
 ``ndarray.max``/``ndarray.sum``, it made 184.  With every gauge decision
 in one helper, which builds its lists by comprehension and takes det(q)
-from the gauged columns instead of a parity count, it makes 174.
+from the gauged columns instead of a parity count, it made 174.  With the
+chamber reduction as one sort of the eigenphases and at most one quarter
+turn, in place of the move-by-move reduction, it makes 147.
 
 Every budget is a count per code object: the sum of ``callcount`` over the
 entries of ``cProfile.Profile.getstats()``, less the profiler's own
@@ -42,7 +44,7 @@ from swapsynth.synthesis import (
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
-BUDGET = 174
+BUDGET = 147
 
 
 # synthesize_cnot made 267 calls while the CNOT core built its three exact
@@ -51,8 +53,9 @@ BUDGET = 174
 # build_core_cnot_circuit, whose Circuit it then unpacked; one stack took 244.
 # The KAK's 22 saved calls, and two more in the locals' stacked unitarity
 # check, bring them from 258 and 244 to 234 and 220.  The KAK's gauge in
-# one helper saves 10 more (224 and 210).
-SYNTHESIS_BUDGETS = {synthesize_swap: 224, synthesize_cnot: 210}
+# one helper saves 10 more (224 and 210), and the chamber as one sort 27
+# more (197 and 183).
+SYNTHESIS_BUDGETS = {synthesize_swap: 197, synthesize_cnot: 183}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked

@@ -26,12 +26,8 @@ from swapsynth.canonical import (
 from swapsynth.gates import CNOT, CZ, SWAP, named_gate, swap_pow
 from swapsynth.linalg import (
     ContractViolation,
-    ID2,
     ID4,
     NumericalError,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -246,22 +242,6 @@ def test_split_local_product_rejects_entangler():
             split_local_product(u)
 
 
-# The chamber moves of the reduction, as two-qubit conjugators: a shift of
-# h[k] by pi/2 leaves sigma_k (x) sigma_k and the scalar -i, a swap of the
-# two coordinates other than k conjugates by c_k (x) c_k with
-# c_k = (I - i sigma_k) / sqrt 2, and negating them conjugates by
-# sigma_k (x) I.  The reduced l1 is left-multiplied by the conjugators, the
-# reduced l2 right-multiplied by their adjoints.
-_SIGMAS = (PAULI_X, PAULI_Y, PAULI_Z)
-_C = tuple((ID2 - 1j * s) / np.sqrt(2.0) for s in _SIGMAS)
-LEFT = {
-    "shift": tuple(np.kron(s, s) for s in _SIGMAS),
-    "swap": tuple(np.kron(c, c) for c in _C),
-    "flip": tuple(np.kron(s, ID2) for s in _SIGMAS),
-}
-RIGHT = {"shift": (ID4,) * 3, "swap": tuple(g.conj().T for g in LEFT["swap"]), "flip": LEFT["flip"]}
-
-
 def _signed_permutation(slots):
     """The matrix that puts +-slot |t| - 1 in slot i, for t = slots[i]."""
     out = np.zeros((4, 4))
@@ -282,17 +262,9 @@ def test_det4_matches_numpy():
         assert canonical._det4(a.tolist()) == pytest.approx(np.linalg.det(a), rel=1e-12, abs=1e-12)
 
 
-def test_chamber_move_conjugators_match_their_factors():
-    """The module's magic-basis move tables are the images of the conjugators."""
+def test_quaternion_pair_map_reads_the_coefficients():
+    """The quaternion-pair map reads the coefficients of o in the basis T_ij."""
     magic_h = MAGIC.conj().T
-    for k in range(3):
-        image = magic_h @ LEFT["shift"][k] @ MAGIC
-        assert np.abs(image - np.diag(canonical._BELL_SIGNS[k])).max() <= 1e-15
-        image = magic_h @ LEFT["swap"][k] @ MAGIC
-        assert np.abs(image - _signed_permutation(canonical._SWAP_SLOTS[k])).max() <= 1e-15
-        image = magic_h @ LEFT["flip"][k] @ MAGIC
-        assert np.abs(image - 1j * _signed_permutation(canonical._FLIP_SLOTS[k])).max() <= 1e-15
-    # The quaternion-pair map reads the coefficients of o in the basis T_ij.
     s = canonical._QUATERNIONS
     for i, j in itertools.product(range(4), repeat=2):
         t = magic_h @ np.kron(s[i], s[j]) @ MAGIC
@@ -302,15 +274,13 @@ def test_chamber_move_conjugators_match_their_factors():
 
 
 def _reference_reduce(h):
-    """The chamber reduction, one move at a time: the reduced h, the moves as
-    (kind, axis) pairs, and the scalar the shifts leave."""
+    """The chamber reduction, one move at a time: the reduced h and the moves
+    as (kind, axis) pairs."""
     h = [float(v) for v in h]
-    moves, scalar = [], 1.0
+    moves = []
 
     def shift(k, n):
-        nonlocal scalar
         h[k] -= n * np.pi / 2.0
-        scalar *= (-1j) ** n
         if n % 2:
             moves.append(("shift", k))
 
@@ -336,21 +306,7 @@ def _reference_reduce(h):
     if h[0] >= PI4 - 1e-10 and h[2] < -1e-13:
         shift(0, 1)
         flip_pair(0, 2)
-    return h, tuple(moves), scalar
-
-
-def _move_sequences():
-    """Every move sequence the reduction can make, slot by slot: odd shifts
-    per axis, the two sorting swaps, the sign flip, the wall fix."""
-    shifts = [tuple(("shift", k) for k in range(3) if odd[k]) for odd in itertools.product((0, 1), repeat=3)]
-    first_swaps = [(), (("swap", 2),), (("swap", 1),)]
-    second_swaps = [(), (("swap", 0),)]
-    flips = [(), (("flip", 2),), (("flip", 1),), (("flip", 0),)]
-    walls = [(), (("shift", 0), ("flip", 1))]
-    return {
-        sum(parts, ())
-        for parts in itertools.product(shifts, first_swaps, second_swaps, flips, walls)
-    }
+    return h, tuple(moves)
 
 
 def _reduction_points():
@@ -362,51 +318,69 @@ def _reduction_points():
     return points
 
 
-def test_reduce_records_only_enumerated_sequences():
-    """The reduction makes one of the enumerated move sequences, and the
-    module's reduction gives the coordinates of the one-move-at-a-time one,
-    bit for bit."""
-    sequences = _move_sequences()
-    assert len(sequences) <= 384
+def test_chamber_gauge_matches_the_reference_reduction():
+    """The chamber gauge gives the coordinates of the one-move-at-a-time
+    reduction, and its column references and quarter turns rebuild the
+    diagonal core it was given.  h_k + pi gives -E(h), so each coordinate is
+    first taken mod pi, as the reference's shifts take it, and each Bell
+    phase then mod pi, into the eigensolver's range; the columns are I's."""
     walls = 0
     for h in _reduction_points():
-        want, moves, _ = _reference_reduce(h)
-        assert moves in sequences, h
+        want, moves = _reference_reduce(h)
         walls += moves[-2:] == (("shift", 0), ("flip", 1))
-        got, *_ = canonical._reduce(list(h), [1, 2, 3, 4], [1, 2, 3, 4])
-        assert got == want, h
+        ph = lambdas([x - np.pi * round(x / np.pi) for x in h])
+        half = [x - np.pi * round(x / np.pi) for x in (ph.l00, ph.l10, ph.l01, ph.l11)]
+        got, o2_cols, q_cols, turns = canonical._chamber_gauge(half, np.eye(4).tolist())
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, h
+        # Gathering the columns of I is the matrix G = _signed_permutation(.)^T.
+        lam = lambdas(got)
+        core = np.exp(-1j * np.array([lam.l00, lam.l10, lam.l01, lam.l11]))
+        o2, q = _signed_permutation(o2_cols).T, _signed_permutation(q_cols).T
+        rebuilt = 1j**turns * (o2 * core) @ q.T
+        assert np.abs(rebuilt - np.diag(np.exp(-1j * np.array(half)))).max() <= 1e-14, h
     assert walls >= 3
 
 
-def test_folded_conjugators_match_sequential_products():
-    """The reduced real factors equal the sequential products of the move
-    conjugators, up to the phase the reduction records: with the columns of
-    o2 and q gathered as the reduction says, MAGIC o2' MAGIC^dag and
-    MAGIC q'^T MAGIC^dag are l2 R and L l1 for the products R and L of the
-    moves' conjugators, times scalars whose product with the shifts' is
-    i^turns."""
-    magic_h = MAGIC.conj().T
-    seen = set()
-    for h in _reduction_points():
-        _, moves, scalar = _reference_reduce(h)
-        if moves in seen:
-            continue
-        seen.add(moves)
-        left, right = ID4, ID4
-        for kind, axis in moves:
-            left = LEFT[kind][axis] @ left
-            right = right @ RIGHT[kind][axis]
-        _, o2_cols, q_cols, turns = canonical._reduce(list(h), [1, 2, 3, 4], [1, 2, 3, 4])
-        # Gathering the columns of q (of o2) is q @ G for these G.
-        gather_q = _signed_permutation(q_cols).T
-        gather_o2 = _signed_permutation(o2_cols).T
-        # L l1 = MAGIC (L' q^T) MAGIC^dag with L' = MAGIC^dag L MAGIC = c1 G_q^T.
-        c1 = (magic_h @ left @ MAGIC)[0, abs(q_cols[0]) - 1] * np.sign(q_cols[0])
-        c2 = (magic_h @ right @ MAGIC)[abs(o2_cols[0]) - 1, 0] * np.sign(o2_cols[0])
-        assert np.abs(magic_h @ left @ MAGIC - c1 * gather_q.T).max() <= 1e-14, moves
-        assert np.abs(magic_h @ right @ MAGIC - c2 * gather_o2).max() <= 1e-14, moves
-        assert abs(scalar * c1 * c2 - 1j**turns) <= 1e-14, moves
-    assert len(seen) >= 150
+def test_chamber_gauge_stays_inside_at_the_wall_band_edge():
+    """The wall rule reads the hx and hz of the h it returns, so h passes
+    in_weyl_chamber on both sides of hx = pi/4 -+ _WALL_TOL, ulp by ulp.
+    The eigenphases of a near-SWAP target, 2e-10 off the wall to rounding,
+    once left the chamber when the rule was read off a + b instead."""
+    half = [0.7853981649835622, 0.7853981645284812, 0.7853981624664153, 0.7853981616113348]
+    h, *_ = canonical._chamber_gauge(half, np.eye(4).tolist())
+    assert in_weyl_chamber(h) and h[2] > 0, h
+    for e, f in ((0.2, 0.1), (0.2, -0.1), (0.05, 0.3), (0.05, -0.3), (0.0, 0.0)):
+        for edge in (2e-10, -2e-10, 0.0):
+            for k in range(-40, 41):
+                t = edge + k * 2.0**-51
+                lam = [PI4 + e + t / 2, PI4 - e + t / 2, -PI4 + f - t / 2, -PI4 - f - t / 2]
+                h, *_ = canonical._chamber_gauge([lam[2], lam[0], lam[3], lam[1]], np.eye(4).tolist())
+                assert in_weyl_chamber(h), (e, f, t, h)
+
+
+def test_chamber_gauge_ignores_the_eigensolver_order_and_signs(monkeypatch):
+    """With distinct eigenphases, permuting or negating the eigensolver's
+    columns leaves the coordinates and the gathered factors unchanged."""
+    rng = np.random.default_rng(17)
+    diagonalize = canonical.diagonalize_complex_symmetric_unitary
+    for seed in range(60):
+        u = haar_random_unitary(4, seed=seed)
+        want = kak_decompose(u)
+        perm, signs = rng.permutation(4), rng.choice((-1.0, 1.0), size=4)
+
+        def shuffled(m):
+            d, q = diagonalize(m)
+            gaps = np.abs(np.angle(d[:, np.newaxis] / d[np.newaxis, :])) + np.eye(4)
+            assert gaps.min() > 1e-6
+            return d[perm], q[:, perm] * signs
+
+        monkeypatch.setattr(canonical, "diagonalize_complex_symmetric_unitary", shuffled)
+        got = kak_decompose(u)
+        monkeypatch.undo()
+        assert got.params == want.params, seed
+        assert got.global_phase == want.global_phase, seed
+        for g, w in zip(got.front + got.back, want.front + want.back):
+            assert np.abs(g - w).max() <= 1e-14, seed
 
 
 def test_kak_factors_do_not_turn_on_rounding():

@@ -59,13 +59,13 @@ def test_local_op_on_computed_local(monkeypatch, capsys):
 
 
 def test_reduction_to_nan_coordinates(monkeypatch, capsys):
-    original = canonical._reduce
+    original = canonical._chamber_gauge
 
-    def to_nan(h, o2_cols, q_cols):
-        _, o2_cols, q_cols, turns = original(h, o2_cols, q_cols)
+    def to_nan(half, columns):
+        _, o2_cols, q_cols, turns = original(half, columns)
         return [np.nan] * 3, o2_cols, q_cols, turns
 
-    monkeypatch.setattr(canonical, "_reduce", to_nan)
+    monkeypatch.setattr(canonical, "_chamber_gauge", to_nan)
     with pytest.raises(NumericalError, match=r"reduction left the chamber: .*nan"):
         kak_decompose(U)
     assert cli_exit(capsys) == 3

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from swapsynth.canonical import _det4, _eigen_gauge, lambdas
+from swapsynth.canonical import _PLACES, _WALL_TOL, _chamber_gauge, _det4, in_weyl_chamber, lambdas
 from swapsynth.linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -182,7 +184,8 @@ def test_diagonalize_identity_and_distinct():
 
 def test_diagonalize_round_trips():
     # build-then-factor: Q D Q^T for random orthogonal Q must come back
-    rng = np.random.default_rng(7)
+    rng, factors = np.random.default_rng(7), np.random.default_rng(8)
+    ties = 0
     for trial in range(300):
         q0 = _random_orthogonal(rng)
         angles = rng.uniform(-np.pi, np.pi, size=4)
@@ -210,32 +213,56 @@ def test_diagonalize_round_trips():
         assert np.max(np.abs(q.imag)) == 0.0
         assert np.max(np.abs(q @ q.T - ID4)) < 1e-9
         assert sorted(np.angle(d)) == pytest.approx(sorted(angles), abs=1e-7)
-        # The whole gauge of canonical._eigen_gauge, a pure function of the
-        # half-angles and the columns, gathered by its column references.
+        # The chamber gauge of kak_decompose, a pure function of the
+        # half-angles and the columns, on vm = o2 diag(e^{-i half}) q^T with
+        # det vm = 1, as kak_decompose forms it.
         half = (np.angle(d) * -0.5).tolist()
-        h, o2_cols, q_cols = _eigen_gauge(half, q.T.tolist())
+        n = round(sum(half) / np.pi)
+        o2 = _random_orthogonal(factors)
+        o2[:, 0] *= np.sign(np.linalg.det(o2) * np.linalg.det(q)) * (-1) ** n
+        vm = (o2 * np.exp(-1j * np.array(half))) @ q.T
+        h, o2_cols, q_cols, turns = _chamber_gauge(half, q.T.tolist())
         slots = [abs(c) - 1 for c in q_cols]
-        assert sorted(slots) == [0, 1, 2, 3]
-        d_g, q_g = d[slots], q[:, slots] * np.sign(q_cols)
-        phases = np.angle(d_g).tolist()
-        assert phases == sorted(phases)
-        # Equal phases keep the eigensolver's order: the first stays first.
-        assert all(slots[i] < slots[i + 1] for i in range(3) if phases[i] == phases[i + 1])
+        assert sorted(slots) == [0, 1, 2, 3] and [abs(c) - 1 for c in o2_cols] == slots
+        q_g, o2_g = q[:, slots] * np.sign(q_cols), o2[:, slots] * np.sign(o2_cols)
+        # The chamber as an order of the Bell phases in slot order.
+        lam = lambdas(h)
+        phases = [lam.l00, lam.l10, lam.l01, lam.l11]
+        l00, l10, l01, l11 = phases
+        assert in_weyl_chamber(h) and abs(sum(phases)) < 1e-15
+        assert l01 >= l00 - 1e-15 and l00 >= l10 - 1e-15 and l10 >= l11 - 1e-15
+        assert l01 + l00 <= np.pi / 2.0 + 2.0 * _WALL_TOL + 1e-15
+        if l01 + l00 >= np.pi / 2.0 - 2.0 * _WALL_TOL:
+            assert l00 + l10 >= -2e-13 - 1e-15
+        # Each phase is its eigenpair's half-angle moved by k pi and by the
+        # quarter turns, and o2's column is negated exactly when k is odd.
+        assert turns in (0, -1)
+        k = [(p - half[j] - turns * np.pi / 2.0) / np.pi for p, j in zip(phases, slots)]
+        assert max(abs(x - round(x)) for x in k) < 1e-9
+        k = [round(x) for x in k]
+        assert o2_cols == [c * (-1) ** x for c, x in zip(q_cols, k)]
+        # The turn adds pi to the two phases it puts first (slots 2 and 0);
+        # the moves before it take pi from the n largest phases, or add pi
+        # to the -n smallest, the later in the chamber order first.
+        moves = [x - (turns != 0 and i in (0, 2)) for i, x in enumerate(k)]
+        assert all(x == -np.sign(n) for x in moves if x)
+        rank = {j: (half[j], _PLACES[j]) for j in slots}
+        moved = [j for j, x in zip(slots, moves) if x]
+        kept = [j for j, x in zip(slots, moves) if not x]
+        assert len(moved) == abs(n)
+        assert all((rank[j] > rank[i]) == (n > 0) for j in moved for i in kept)
+        # Equal half-angles moved alike stand in the chamber order.
+        for i, j in itertools.combinations(range(4), 2):
+            if half[slots[i]] == half[slots[j]] and moves[i] == moves[j]:
+                ties += 1
+                assert (_PLACES[i] < _PLACES[j]) == (_PLACES[slots[i]] < _PLACES[slots[j]])
+        # First entries above 1e-8 positive, slot 3 carrying det q = 1.
         first = [next(x for x in col if abs(x) > 1e-8) for col in q_g.T.tolist()]
         assert all(x > 0 for x in first[:3])
-        # Slot 3 carries the determinant fix: its first entry is negative
-        # exactly when the first-entry rule alone leaves det -1.
         assert _det4(q_g.T.tolist()) == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(q_g @ np.diag(d_g) @ q_g.T - m)) < 5e-9
-        # The odd-turn fix: l00 gains pi, and o2's slot 0 is negated, exactly
-        # when the gathered half-angles add up to an odd number of -pi.
-        lam = [half[j] for j in slots]
-        turns = round(-sum(lam) / np.pi)
-        assert abs(-sum(lam) / np.pi - turns) < 1e-9
-        odd = turns % 2
-        assert o2_cols == [-c if odd and i == 0 else c for i, c in enumerate(q_cols)]
-        want = np.array([lam[0] + np.pi * odd, lam[2], lam[1], lam[3]])
-        assert np.max(np.abs(np.angle(np.exp(1j * (np.array(lambdas(h)) - want))))) < 1e-9
+        assert _det4(o2_g.T.tolist()) == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(1j**turns * (o2_g * np.exp(-1j * np.array(phases))) @ q_g.T - vm)) < 5e-9
+    assert ties >= 40
 
 
 def test_diagonalize_rejects_nonsymmetric():

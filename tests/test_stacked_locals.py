@@ -241,13 +241,15 @@ PAIRS = "rows must be 2x2 nested [re, im] pairs"
 
 
 def test_reader_errors_name_the_op_at_fault():
-    # The 9-op swap circuit of CNOT, its op 7 (a local) nudged off unitarity.
+    # The 9-op swap circuit of CNOT, its op 5 (a diagonal local) nudged off
+    # unitarity in a zero entry, which moves u^dag u by exactly the nudge.
     doc = json.loads(json.dumps(circuit_to_dict(synthesize_swap(NAMED_GATES["cnot"]))))
-    assert len(doc["ops"]) == 9 and doc["ops"][7]["kind"] == "local"
-    doc["ops"][7]["matrix"][0][0][0] += 1e-6
+    assert len(doc["ops"]) == 9 and doc["ops"][5]["kind"] == "local"
+    assert doc["ops"][5]["matrix"][0][1] == [0.0, 0.0] and abs(complex(*doc["ops"][5]["matrix"][0][0])) == 1.0
+    doc["ops"][5]["matrix"][0][1][0] += 1e-6
     with pytest.raises(ContractViolation) as exc:
         circuit_from_dict(doc)
-    assert str(exc.value) == "ops[7]: local matrix is not unitary: max deviation 1.000e-06 exceeds 1e-10"
+    assert str(exc.value) == "ops[5]: local matrix is not unitary: max deviation 1.000e-06 exceeds 1e-10"
     # An earlier non-unitary local still wins over a later one.
     doc["ops"][3]["matrix"][0][0][0] += 2e-6
     with pytest.raises(ContractViolation) as exc:
