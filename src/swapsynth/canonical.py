@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -111,13 +112,15 @@ class BellPhases(NamedTuple):
     l11: float
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, frozen=True)
 class CanonicalDecomposition:
     """Result of :func:`kak_decompose`.
 
     ``front`` = (f1, f2) acts first, ``back`` = (b1, b2) last; each entry is
     a 2x2 SU(2) matrix for the corresponding qubit.  The original unitary is
-    ``e^{i global_phase} (b1 (x) b2) E(params) (f1 (x) f2)``.
+    ``e^{i global_phase} (b1 (x) b2) E(params) (f1 (x) f2)``.  Frozen, and
+    its matrices read-only, because kak_decompose hands one result to every
+    caller of the same target; ``dataclasses.replace`` makes a changed copy.
     """
 
     global_phase: float
@@ -213,7 +216,8 @@ def _split_rotations(os):
     deviation = np.abs(m - p[:, :, np.newaxis] * r[:, np.newaxis, :])
     residual = 8.0 * np.maximum.reduce(deviation, axis=None)
     _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
-    a, b = (np.array([p, r])[..., np.newaxis, :] @ _QUATERNIONS.reshape(4, 4)).reshape(2, k, 2, 2)
+    ab = _frozen(np.array([p, r])[..., np.newaxis, :] @ _QUATERNIONS.reshape(4, 4))
+    a, b = ab.reshape(2, k, 2, 2)
     return a, b
 
 
@@ -292,8 +296,28 @@ def kak_decompose(u):
     1e-12.  The coordinates lie in the canonical chamber.  Works for every
     unitary including purely local ones, maximally entangling ones, and
     cores with degenerate coordinates.
+
+    The result is read-only and shared: the last 8 targets are remembered
+    by the bytes of their admitted complex entries, in C order, and a target
+    with the same bytes gets the same object back, however it was laid out.
+    A target edited in place has new bytes and is decomposed afresh.  A
+    failure is never remembered, so a failing target raises on every call.
     """
     u = assert_unitary(u, name="u", dim=4)
+    return _decompose(u.tobytes())
+
+
+# Both backends, compare_backends and the CLI's synth and cost commands each
+# decompose a target they are handed, so one target meets kak_decompose up to
+# three times in a row.  Eight entries cover that reuse with room to spare,
+# and a pass over a pool of more than eight targets never hits an older one.
+# The size is fixed, not a knob: a hit is only ever the same computation
+# again, so no caller has a reason to tune it.
+@functools.lru_cache(maxsize=8)
+def _decompose(key):
+    """:func:`kak_decompose` of the admitted 4x4 complex matrix whose C-order
+    bytes are key."""
+    u = np.ndarray((4, 4), complex, key)
     # Without the projection, m = vm^T vm below doubles u's deviation, past
     # the bound at which diagonalize_complex_symmetric_unitary admits m.
     u = u @ (_THREE_ID4 - u.conj().T @ u) / 2.0
@@ -303,7 +327,8 @@ def kak_decompose(u):
     m = vm.T @ vm
 
     d, q = diagonalize_complex_symmetric_unitary(m)
-    half = np.angle(d) * -0.5
+    # np.angle(d) is this arctan2, behind four Python-level calls.
+    half = np.arctan2(d.imag, d.real) * -0.5
     # vm = o2 diag(e^{-i half}) q^T, with q and o2 real orthogonal, in the
     # eigensolver's column order: the gauge only names columns.
     o2 = (vm @ q) * np.exp(1j * half)

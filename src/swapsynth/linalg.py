@@ -117,12 +117,19 @@ def _rng(seed):
 def assert_unitary(u, name="matrix", dim=None):
     """Admit u as a unitary argument, or raise ContractViolation naming it.
 
-    u is admitted when it is a non-empty 2-D square array, ``dim x dim`` when
-    dim is given, and every entry of u @ u.conj().T is within ATOL_UNITARY of
-    the identity.  Returns u as a complex array.  This is the one admission
-    rule for every function that takes a unitary argument.
+    u is admitted when it is a non-empty 2-D square array of numbers
+    (integer, unsigned, real or complex: not bools, strings or objects),
+    ``dim x dim`` when dim is given, and every entry of u @ u.conj().T is
+    within ATOL_UNITARY of the identity.  Returns u as a complex array.  This
+    is the one admission rule for every function that takes a unitary
+    argument.
     """
-    u = np.asarray(u, dtype=complex)
+    # A complex ndarray, as the package passes, costs no call to admit.
+    if not (u.__class__ is np.ndarray and u.dtype == complex):
+        u = np.asarray(u)
+        if u.dtype.kind not in "iufc":
+            raise ContractViolation(f"{name} must be a matrix of numbers, got dtype {u.dtype}")
+        u = u.astype(complex, copy=False)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]) or not u.size:
         size = "non-empty square" if dim is None else f"{dim}x{dim}"
         raise ContractViolation(f"{name} must be a {size} matrix, got shape {u.shape}")
@@ -201,7 +208,10 @@ def project_su(u):
     """
     u = assert_unitary(u, name="u")
     n = u.shape[0]
-    phi = np.angle(np.linalg.det(u)) / n
+    det = np.linalg.det(u)
+    # np.angle(det) is this arctan2, behind four Python-level calls; the
+    # libm atan2 of cmath.phase differs from it in the last bit.
+    phi = np.arctan2(det.imag, det.real) / n
     return u * np.exp(-1j * phi), float(phi)
 
 

@@ -105,3 +105,39 @@ def test_near_bound_target_file_compiles_through_the_cli(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 4, "rows": _matrix_to_json(u)}))
     for argv in (["synth", "--matrix", str(path)], ["cost", "--compare", "--matrix", str(path)]):
         assert main(argv) == 0, capsys.readouterr().err
+
+
+# Square matrices of the right size whose entries are not numbers.
+NON_NUMERIC = {
+    "strings": lambda n: [[str(int(i == j)) for j in range(n)] for i in range(n)],
+    "bools": lambda n: np.eye(n, dtype=bool),
+    "objects": lambda n: np.eye(n, dtype=complex).astype(object),
+}
+
+
+@pytest.mark.parametrize("kind", NON_NUMERIC)
+@pytest.mark.parametrize("func", ADMITTING)
+def test_non_numeric_argument_is_refused_by_name(func, kind):
+    call, name, dim = ADMITTING[func]
+    with pytest.raises(ContractViolation) as exc:
+        call(NON_NUMERIC[kind](dim or 4))
+    assert str(exc.value).startswith(f"{name} must be a matrix of numbers, got dtype "), exc.value
+
+
+def test_numeric_strings_and_bools_are_not_read_as_numbers():
+    with pytest.raises(ContractViolation, match=r"^u must be a matrix of numbers, got dtype <U1$"):
+        assert_unitary([["1", "0"], ["0", "1"]], "u")
+    with pytest.raises(ContractViolation, match=r"^local matrix must be a matrix of numbers, got dtype bool$"):
+        local_op(1, np.eye(2, dtype=bool))
+    strings = NON_NUMERIC["strings"](4)
+    for call in (kak_decompose, synthesize_swap, synthesize_cnot):
+        with pytest.raises(ContractViolation, match=r"^u must be a matrix of numbers"):
+            call(strings)
+
+
+def test_integer_and_real_matrices_are_admitted_as_their_complex_twins():
+    for dtype in (np.int64, np.uint8, np.float32, np.float64, np.complex64):
+        assert assert_unitary(np.eye(4, dtype=dtype)).dtype == complex
+        # Equal entries, equal bytes once admitted: one remembered decomposition.
+        assert kak_decompose(np.eye(4, dtype=dtype)) is kak_decompose(ID4), dtype
+    assert kak_decompose([[int(i == j) for j in range(4)] for i in range(4)]) is kak_decompose(ID4)

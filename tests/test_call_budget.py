@@ -16,7 +16,13 @@ Python floats and ``np.maximum.reduce``/``np.add.reduce`` in place of
 in one helper, which builds its lists by comprehension and takes det(q)
 from the gauged columns instead of a parity count, it made 174.  With the
 chamber reduction as one sort of the eigenphases and at most one quarter
-turn, in place of the move-by-move reduction, it makes 147.
+turn, in place of the move-by-move reduction, it made 147.  Remembering
+the last 8 targets adds a lookup of about 4 calls; taking the phases of
+the eigenvalues and of det(u) by ``np.arctan2`` instead of ``np.angle``
+(4 calls each), and admitting a complex ndarray without ``np.asarray``, pay
+for it: a decomposition that misses the memo makes 140.
+The budgets below count that miss path, so each profiled call starts from
+an empty memo; the hit path has budgets of its own.
 
 Every budget is a count per code object: the sum of ``callcount`` over the
 entries of ``cProfile.Profile.getstats()``, less the profiler's own
@@ -31,6 +37,7 @@ import json
 import numpy as np
 import pytest
 
+from swapsynth import canonical
 from swapsynth.canonical import kak_decompose
 from swapsynth.linalg import haar_random_unitary
 from swapsynth.synthesis import (
@@ -54,8 +61,13 @@ BUDGET = 147
 # The KAK's 22 saved calls, and two more in the locals' stacked unitarity
 # check, bring them from 258 and 244 to 234 and 220.  The KAK's gauge in
 # one helper saves 10 more (224 and 210), and the chamber as one sort 27
-# more (197 and 183).
+# more (197 and 183).  The memo's lookup, paid for inside the KAK, leaves
+# them at 190 and 176 on a miss.
 SYNTHESIS_BUDGETS = {synthesize_swap: 197, synthesize_cnot: 183}
+
+# A target the memo holds: kak_decompose admits it and looks it up, and the
+# synthesizers only build their circuits.
+HIT_BUDGETS = {kak_decompose: 7, synthesize_swap: 57, synthesize_cnot: 43}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked
@@ -71,9 +83,15 @@ READER_BUDGET = 219
 CODEC_BUDGET = 5
 
 
-def _calls(func, u):
-    """Calls per code object of a second func(u), after one to warm caches."""
+def _calls(func, u, hit=False):
+    """Calls per code object of a second func(u), after one to warm caches.
+
+    The KAK memo is emptied before the profiled call, so it counts a miss,
+    unless hit is true.
+    """
     func(u)
+    if not hit:
+        canonical._decompose.cache_clear()
     profile = cProfile.Profile()
     profile.enable()
     func(u)
@@ -94,6 +112,15 @@ def test_synthesis_call_budget(func):
         pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
     calls = _calls(func, haar_random_unitary(4, seed=2))
     assert calls <= SYNTHESIS_BUDGETS[func], calls
+
+
+@pytest.mark.parametrize("func", HIT_BUDGETS, ids=lambda f: f.__name__)
+def test_memo_hit_call_budget(func):
+    if np.__version__ != MEASURED_ON:
+        pytest.skip(f"the budget was counted on numpy {MEASURED_ON}, not {np.__version__}")
+    u = haar_random_unitary(4, seed=2)
+    calls = _calls(func, u, hit=True)
+    assert calls <= HIT_BUDGETS[func] < _calls(func, u), calls
 
 
 def test_circuit_reader_call_budget():
