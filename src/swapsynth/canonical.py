@@ -196,7 +196,8 @@ def _split_rotations(os):
     """Factor each member o of a (k, 4, 4) stack of real SO(4) matrices.
 
     Returns (k, 2, 2) stacks a, b in SU(2) with MAGIC o MAGIC^dag = a (x) b,
-    each member bit for bit what a stack of it alone gives.  The checks imply
+    each member bit for bit what a stack of it alone gives, both read-only
+    because kak_decompose shares its factors between callers.  The checks imply
     those on l = MAGIC o MAGIC^dag, as the README derives: o o^T within
     2.5e-11 of I puts l l^dag within 1e-10 of I (else the ContractViolation
     of assert_unitary for "local product"), and m within 1.25e-9 of p r^T

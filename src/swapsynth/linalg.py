@@ -28,8 +28,9 @@ class NumericalError(RuntimeError):
 
 
 def _frozen(a):
-    """Make a module-level array read-only, so that no op or caller that
-    shares it can write into it."""
+    """Make an array read-only, so that no op or caller that shares it can
+    write into it: a module-level constant, or a result handed to several
+    callers."""
     a.setflags(write=False)
     return a
 

@@ -127,7 +127,8 @@ def test_non_numeric_argument_is_refused_by_name(func, kind):
 def test_numeric_strings_and_bools_are_not_read_as_numbers():
     with pytest.raises(ContractViolation, match=r"^u must be a matrix of numbers, got dtype <U1$"):
         assert_unitary([["1", "0"], ["0", "1"]], "u")
-    with pytest.raises(ContractViolation, match=r"^local matrix must be a matrix of numbers, got dtype bool$"):
+    refusal = r"^local matrix must be a matrix of numbers, got dtype bool$"
+    with pytest.raises(ContractViolation, match=refusal):
         local_op(1, np.eye(2, dtype=bool))
     strings = NON_NUMERIC["strings"](4)
     for call in (kak_decompose, synthesize_swap, synthesize_cnot):

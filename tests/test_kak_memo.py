@@ -8,6 +8,7 @@ empty memo (``tests/conftest.py``).
 """
 
 import dataclasses
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -122,10 +123,17 @@ def test_threads_match_a_serial_run():
     targets = [haar_random_unitary(4, seed=seed) for seed in range(40, 56)]
     serial = [kak_decompose(u) for u in targets]
     MEMO.cache_clear()
-    # Each target four times, in a stride-7 order that interleaves them.
+    # Each target four times, in a stride-7 order that interleaves them, on
+    # more threads than cores, switching as often as the interpreter allows.
     order = [i * 7 % 16 for i in range(16)] * 4
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(kak_decompose, [targets[k] for k in order]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(kak_decompose, targets[k]) for k in order]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
     for k, dec in zip(order, threaded):
         assert _same_bits(dec, serial[k]), k
     assert MEMO.cache_info().currsize <= 8
