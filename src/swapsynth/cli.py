@@ -90,7 +90,9 @@ def _load_json(path):
 
 
 def _resolve_target(ns):
-    """Target unitary from --gate or --matrix."""
+    """Target unitary from --gate or --matrix, refusing both before any file is read."""
+    if ns.gate and ns.matrix:
+        raise ContractViolation("--gate and --matrix each name a target; pass one of them")
     if ns.gate:
         return assert_unitary(named_gate(ns.gate), name=f"gate {ns.gate!r}", dim=4), ns.gate
     if ns.matrix:
@@ -237,8 +239,8 @@ def cmd_synth(ns):
 
 def cmd_verify(ns):
     _check_tolerance(ns.tolerance)
-    circuit = circuit_from_dict(_load_json(ns.circuit))
     u, label = _resolve_target(ns)
+    circuit = circuit_from_dict(_load_json(ns.circuit))
     residual = phase_distance(evaluate_circuit(circuit), u)
     ok = residual <= ns.tolerance
     report = {
@@ -337,9 +339,9 @@ def cmd_cost(ns):
         raise ContractViolation("--compare synthesizes the target itself; pass no circuit file with it")
     if not ns.compare and (ns.gate or ns.matrix):
         raise ContractViolation("--gate and --matrix name a target for --compare; pass --compare too")
-    profile = _resolve_profile(ns.profile)
     if ns.compare:
         u, label = _resolve_target(ns)
+        profile = _resolve_profile(ns.profile)
         report = compare_backends(u, profile)
         report["target"] = label
         lines = [f"target:          {label}", f"profile:         {profile.name}"]
@@ -353,6 +355,7 @@ def cmd_cost(ns):
             )
         lines.append(f"note: {report['note']}")
         return 0, report, lines
+    profile = _resolve_profile(ns.profile)
     if not ns.circuit:
         raise ContractViolation("pass a circuit file, or --compare with a target")
     circuit = circuit_from_dict(_load_json(ns.circuit))
@@ -481,6 +484,14 @@ def build_parser():
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=cmd_random)
 
+    # A subcommand's parser fills in the names that the subparsers actions would
+    # set above it, so main can parse a command with that parser alone.
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    for name, p in asub.choices.items():
+        p.set_defaults(command="analyze", analysis=name)
+    parser._subcommands = sub.choices
+    analyze._subcommands = asub.choices
     return parser
 
 
@@ -490,9 +501,32 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """``_parser().parse_args(argv)``, with one argparse pass over a valid command.
+
+    The top-level parser would classify every argument and then hand the tail
+    to the subcommand's parser.  This walks argv down the subcommand names and
+    parses the rest with the deepest parser named.  An argv that names no
+    subcommand, or that leaves arguments its subcommand does not know, goes
+    to the top-level parser, so its usage lines, errors and exit codes are
+    argparse's own.
+    """
+    parser = sub = _parser()
+    args = sys.argv[1:] if argv is None else list(argv)
+    depth = 0
+    while depth < len(args) and args[depth] in getattr(sub, "_subcommands", ()):
+        sub = sub._subcommands[args[depth]]
+        depth += 1
+    if sub is not parser:
+        ns, extras = sub.parse_known_args(args[depth:])
+        if not extras:
+            return ns
+    return parser.parse_args(args)
+
+
 def main(argv=None):
     """Run one command; print its report (``--json``) or text lines, and write ``--out``."""
-    ns = _parser().parse_args(argv)
+    ns = _parse(argv)
     try:
         # Looked up by name at call time, not the function the cached parser bound,
         # so a handler rebound on this module (patched or traced) is the one that runs.

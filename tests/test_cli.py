@@ -627,3 +627,22 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141, err
     assert head.startswith(b"alpha") and b"Traceback" not in err, err
+
+
+def test_gate_and_matrix_together_exit_2_before_any_file_is_read(tmp_path, capsys, monkeypatch):
+    # --gate used to win silently, so a --matrix that named no file went unread.
+    def read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load_json", read)
+    missing = str(tmp_path / "missing.json")
+    both = ("--gate", "cnot", "--matrix", missing)
+    for argv in (
+        ("synth", *both),
+        ("verify", missing, *both),
+        ("cost", "--compare", "--profile", missing, *both),
+        ("analyze", "ep-matrix", *both),
+    ):
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, ""), argv
+        assert err == "error: --gate and --matrix each name a target; pass one of them\n", argv
