@@ -308,12 +308,11 @@ def kak_decompose(u):
     return _decompose(u.tobytes())
 
 
-# Both backends, compare_backends and the CLI's synth and cost commands each
-# decompose a target they are handed, so one target meets kak_decompose up to
-# three times in a row.  Eight entries cover that reuse with room to spare,
-# and a pass over a pool of more than eight targets never hits an older one.
-# The size is fixed, not a knob: a hit is only ever the same computation
-# again, so no caller has a reason to tune it.
+# Each backend decomposes the target it is handed, so compare_backends and the
+# CLI's synth command meet one target twice in a row, the second time as a
+# hit.  Eight entries cover that with room to spare, and a pass over more than
+# eight targets never hits an older one.  The size is fixed, not a knob: a hit
+# is only ever the same computation again, so no caller has a reason to tune it.
 @functools.lru_cache(maxsize=8)
 def _decompose(key):
     """:func:`kak_decompose` of the admitted 4x4 complex matrix whose C-order

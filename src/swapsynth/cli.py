@@ -43,16 +43,16 @@ from .linalg import (
 )
 from .synthesis import (
     SwapPowOp,
-    _cnot_circuit,
     _cnot_core_params,
     _matrix_from_json,
     _matrix_to_json,
-    _swap_circuit,
     circuit_from_dict,
     circuit_to_dict,
     evaluate_circuit,
     gate_counts,
     prune_circuit,
+    synthesize_cnot,
+    synthesize_swap,
 )
 
 
@@ -192,17 +192,14 @@ def _check_tolerance(tolerance):
 def cmd_synth(ns):
     _check_tolerance(ns.tolerance)
     u, label = _resolve_target(ns)
-    dec = kak_decompose(u)
-    if ns.backend == "swap":
-        circuit = _swap_circuit(dec)
-    else:
-        circuit = _cnot_circuit(dec)
+    circuit = (synthesize_swap if ns.backend == "swap" else synthesize_cnot)(u)
     if ns.prune:
         circuit = prune_circuit(circuit)
     residual = phase_distance(evaluate_circuit(circuit), u)
     swaps, cnots, locals_ = gate_counts(circuit)
 
-    hx, hy, hz = dec.params
+    params = kak_decompose(u).params
+    hx, hy, hz = params
     report = {
         "target": label,
         "backend": ns.backend,
@@ -222,7 +219,7 @@ def cmd_synth(ns):
         rendered = ", ".join(f"{a:.9f}" for a in exponents)
         lines.append(f"swap exponents:  ({rendered})")
     else:
-        phases = _cnot_core_params(dec)
+        phases = _cnot_core_params(params)
         report["cnot_phase_params"] = [float(p) for p in phases]
         rendered = ", ".join(f"{p:.9f}" for p in phases)
         lines.append(f"rz phases:       ({rendered})")

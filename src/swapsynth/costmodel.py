@@ -17,15 +17,14 @@ import dataclasses
 import types
 from typing import NamedTuple
 
-from .canonical import kak_decompose
 from .linalg import ContractViolation, _check_bound, _real, _text, phase_distance
 from .synthesis import (
     LocalOp,
-    _cnot_circuit,
-    _swap_circuit,
     evaluate_circuit,
     expand_cnots_to_swaps,
     gate_counts,
+    synthesize_cnot,
+    synthesize_swap,
 )
 
 
@@ -122,6 +121,12 @@ def profile_from_dict(doc):
     )
 
 
+def _admit_profile(profile):
+    """Raise ContractViolation naming the argument unless profile is a HardwareProfile."""
+    if not isinstance(profile, HardwareProfile):
+        raise ContractViolation(f"profile must be a HardwareProfile, got {profile!r}")
+
+
 class Layer(NamedTuple):
     """One parallel step of a schedule."""
 
@@ -149,6 +154,7 @@ def schedule_circuit(circuit, profile):
     full-SWAP time, and cnot is an optimistic full-SWAP-time placeholder,
     since a CNOT is not a native pulse on an exchange-only device.
     """
+    _admit_profile(profile)
     layers = []
     # Qubits of the last layer while it holds only single-qubit gates.
     open_qubits = ()
@@ -185,13 +191,13 @@ def compare_backends(u, profile):
 
     Backends: the three-SWAP circuit, the three-CNOT circuit, and the
     naive variant with every CNOT expanded into two half-SWAP pulses.
-    The naive expansion is verified against u before timing.  Both
-    backends are built from one decomposition of u.  Returns a report dict
-    with per-backend gate counts, layer counts, and totals.
+    The naive expansion is verified against u before timing, and both
+    backends share one decomposition through the ``kak_decompose`` memo.
+    Returns a report dict with per-backend gate counts, layer counts, and totals.
     """
-    dec = kak_decompose(u)
-    swap_circuit = _swap_circuit(dec)
-    cnot_circuit = _cnot_circuit(dec)
+    _admit_profile(profile)
+    swap_circuit = synthesize_swap(u)
+    cnot_circuit = synthesize_cnot(u)
     naive_circuit = expand_cnots_to_swaps(cnot_circuit)
     dev = phase_distance(evaluate_circuit(naive_circuit), u)
     _check_bound(dev, 1e-9, "naive expansion failed verification: phase distance")

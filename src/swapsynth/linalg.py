@@ -216,11 +216,20 @@ def project_su(u):
     return u * np.exp(-1j * phi), float(phi)
 
 
-# Real weights r for the combination Re(m) + r Im(m), tried in order.  Two
-# distinct eigenphases t1, t2 of m collide in it only when t1 + t2 equals
-# 2 atan(r) modulo 2 pi, so each r is generic: atan(r) / pi is far from the
-# small rationals that landmark gates produce.
-_MIX_WEIGHTS = (1.1842932116394713, -0.5501638305515631)
+# Real weight r for the combination Re(m) + r Im(m).  Two distinct eigenphases
+# t1, t2 of m collide in it only when t1 + t2 = 2 atan(r) modulo 2 pi: for a
+# KAK target, when some |h_k| = atan(r) / 2 (0.434785) modulo pi / 2.  r is
+# generic: atan(r) / pi is far from the small rationals of landmark gates.
+_MIX_WEIGHT = 1.1842932116394713
+
+
+def _reconstruct(m, q):
+    """d = diag(q^T m q) / |d|, max||d| - 1| and max|q diag(d) q^T - m|."""
+    d = np.add.reduce(q * (m @ q), axis=0)
+    size = np.abs(d)
+    unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
+    d = d / size
+    return d, unimodular_dev, np.maximum.reduce(np.abs((q * d) @ q.T - m), axis=None)
 
 
 def diagonalize_complex_symmetric_unitary(m):
@@ -228,15 +237,17 @@ def diagonalize_complex_symmetric_unitary(m):
 
     Such an m has commuting real and imaginary parts with Re^2 + Im^2 = I,
     so one real orthogonal Q diagonalizes both, and with them every real
-    combination Re(m) + r Im(m).  One ``eigh`` of that combination gives Q,
-    and d is the diagonal of Q^T m Q.  An eigenvalue e^{it} of m maps to
-    cos t + r sin t, so for a generic r the combination separates every pair
-    of distinct eigenvalues of m, while equal eigenvalues of m may share any
-    basis of their eigenspace.  The weights in ``_MIX_WEIGHTS`` are tried in
-    order until the reconstruction residual is below 1e-9.  The eigenpairs
-    come in ``eigh``'s own order and signs: the gauge, a sort by the phase of
-    d that also reduces to the Weyl chamber and a sign per column, is chosen
-    where they are used, in ``canonical._chamber_gauge``.
+    combination Re(m) + r Im(m).  One ``eigh`` of that combination, r =
+    ``_MIX_WEIGHT``, gives Q, and d is the diagonal of Q^T m Q.  An eigenvalue
+    e^{it} of m maps to cos t + r sin t, which separates every pair of distinct
+    eigenvalues of m but those that collide under r; equal eigenvalues of m may
+    share any basis of their eigenspace.  When a collision makes the
+    reconstruction miss 1e-9, each cluster of eigenvalues of the combination
+    closer than 1e-6 has its columns rotated by the ``eigh`` of Im(m) on their
+    span, which separates them: collided eigenvalues differ in sin t.  The
+    eigenpairs come in ``eigh``'s own order and signs: the gauge, a sort by the
+    phase of d that also reduces to the Weyl chamber and a sign per column, is
+    chosen where they are used, in ``canonical._chamber_gauge``.
     """
     m = assert_unitary(m, name="m", dim=4)
     sym_dev = np.maximum.reduce(np.abs(m - m.T), axis=None)
@@ -245,16 +256,14 @@ def diagonalize_complex_symmetric_unitary(m):
             f"matrix is not symmetric: max deviation {sym_dev:.3e}"
         )
 
-    for r in _MIX_WEIGHTS:
-        _, q = np.linalg.eigh(m.real + r * m.imag)
-        d = np.add.reduce(q * (m @ q), axis=0)
-        size = np.abs(d)
-        unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
-        d = d / size
-        recon_dev = np.maximum.reduce(np.abs((q * d) @ q.T - m), axis=None)
-        if recon_dev <= 1e-9:
-            break
-    else:
+    w, q = np.linalg.eigh(m.real + _MIX_WEIGHT * m.imag)
+    d, unimodular_dev, recon_dev = _reconstruct(m, q)
+    if not recon_dev <= 1e-9:
+        # A cluster of one column is left as it is by its 1x1 eigh.
+        for c in np.split(np.arange(4), np.flatnonzero(np.diff(w) >= 1e-6) + 1):
+            q[:, c] = q[:, c] @ np.linalg.eigh(q[:, c].T @ m.imag @ q[:, c])[1]
+        d, unimodular_dev, recon_dev = _reconstruct(m, q)
+    if not recon_dev <= 1e-9:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
     _check_bound(unimodular_dev, 1e-8, "non-unimodular eigenvalues: deviation")
     orthogonality_dev = np.maximum.reduce(np.abs(q.T @ q - ID4), axis=None)

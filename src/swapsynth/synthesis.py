@@ -304,8 +304,15 @@ def _local_ops(matrices, slots):
     return [LocalOp(q, m, label) for (q, label), m in zip(slots, matrices)]
 
 
-def _swap_circuit(dec):
-    """The :func:`synthesize_swap` circuit for an already decomposed target."""
+def synthesize_swap(u):
+    """Compile u into 3 fractional SWAPs and exactly 6 single-qubit gates.
+
+    The two trailing Pauli gates of the core construction are merged into
+    the back local pair, which brings the single-qubit count to six; labels
+    record the merge.  The evaluated circuit reproduces u to machine
+    precision including global phase.
+    """
+    dec = kak_decompose(u)
     b1, b2 = dec.back
     m = np.empty((4, 2, 2), dtype=complex)
     m[0], m[1] = dec.front
@@ -320,17 +327,6 @@ def _swap_circuit(dec):
         raise NumericalError(f"swap synthesis: {exc}") from exc
     ops = [u1, v1, *core, u4, v4]
     return Circuit(ops=ops, declared_global_phase=float(dec.global_phase + phase))
-
-
-def synthesize_swap(u):
-    """Compile u into 3 fractional SWAPs and exactly 6 single-qubit gates.
-
-    The two trailing Pauli gates of the core construction are merged into
-    the back local pair, which brings the single-qubit count to six; labels
-    record the merge.  The evaluated circuit reproduces u to machine
-    precision including global phase.
-    """
-    return _swap_circuit(kak_decompose(u))
 
 
 def cnot_phase_params(phases):
@@ -423,28 +419,9 @@ _CORE_Q_DAG = _frozen(_CORE_Q.conj().T)
 _CNOT_SLOTS = ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1"), (2, "back-q2"))
 
 
-def _cnot_core_params(dec):
-    """Phase-layer angles of the CNOT core for a decomposed target."""
-    return cnot_phase_params(shifted_bell_phases(lambdas(dec.params)))
-
-
-def _cnot_circuit(dec):
-    """The :func:`synthesize_cnot` circuit for an already decomposed target.
-
-    Its eight locals, the dressed front and back pairs and the core's phase
-    layers, are one stack admitted in one check.
-    """
-    m = np.empty((8, 2, 2), dtype=complex)
-    m[0] = _CORE_P_DAG @ dec.front[0]
-    m[1] = _CORE_Q_DAG @ dec.front[1]
-    m[6], m[7] = dec.back
-    try:
-        m[2:6] = _core_cnot_locals(_cnot_core_params(dec))
-        f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
-    except ContractViolation as exc:
-        raise NumericalError(f"cnot synthesis: {exc}") from exc
-    ops = [f1, f2, CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1), b1, b2]
-    return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))
+def _cnot_core_params(params):
+    """Phase-layer angles of the CNOT core for chamber coordinates params."""
+    return cnot_phase_params(shifted_bell_phases(lambdas(params)))
 
 
 def synthesize_cnot(u):
@@ -457,7 +434,18 @@ def synthesize_cnot(u):
     absorb p^dag and q^dag, and psi comes off the global phase, leaving
     four dressed single-qubit gates around the three-CNOT block.
     """
-    return _cnot_circuit(kak_decompose(u))
+    dec = kak_decompose(u)
+    m = np.empty((8, 2, 2), dtype=complex)
+    m[0] = _CORE_P_DAG @ dec.front[0]
+    m[1] = _CORE_Q_DAG @ dec.front[1]
+    m[6], m[7] = dec.back
+    try:
+        m[2:6] = _core_cnot_locals(_cnot_core_params(dec.params))
+        f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
+    except ContractViolation as exc:
+        raise NumericalError(f"cnot synthesis: {exc}") from exc
+    ops = [f1, f2, CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1), b1, b2]
+    return Circuit(ops=ops, declared_global_phase=float(dec.global_phase - _CORE_PSI))
 
 
 # Exact CNOT out of two half-SWAPs: the inner z-Pauli splits the pulse pair,

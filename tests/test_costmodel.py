@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swapsynth import canonical
 from swapsynth.costmodel import (
     HardwareProfile,
     Layer,
@@ -260,3 +263,16 @@ def test_naive_never_beats_optimal():
 def test_compare_backends_swap_target():
     rep = compare_backends(SWAP, builtin_profile("si"))
     assert rep["backends"]["swap"]["total_time_s"] > 0
+
+
+@pytest.mark.parametrize("profile", ["gaas", None, {"name": "gaas"}])
+def test_profile_argument_must_be_a_hardware_profile(profile, monkeypatch):
+    def no_decomposition(m):
+        raise AssertionError("the profile is refused before any synthesis")
+
+    monkeypatch.setattr(canonical, "diagonalize_complex_symmetric_unitary", no_decomposition)
+    message = rf"^profile must be a HardwareProfile, got {re.escape(repr(profile))}$"
+    with pytest.raises(ContractViolation, match=message):
+        schedule_circuit(Circuit(ops=[swap_op(0.5)]), profile)
+    with pytest.raises(ContractViolation, match=message):
+        compare_backends(haar_random_unitary(4, seed=8), profile)

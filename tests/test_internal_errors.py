@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swapsynth import canonical, cli, costmodel, linalg, synthesis
+from swapsynth import canonical, cli, linalg, synthesis
 from swapsynth.canonical import kak_decompose
 from swapsynth.linalg import ContractViolation, NumericalError, haar_random_unitary
 from swapsynth.synthesis import synthesize_cnot, synthesize_swap
@@ -46,7 +46,7 @@ def test_local_op_on_computed_local(monkeypatch, capsys):
                 pair[slot] = pair[slot] * (1.0 + 1e-6)
                 return dataclasses.replace(dec, **{side: tuple(pair)})
 
-            for module in (synthesis, costmodel, cli):
+            for module in (synthesis, cli):
                 monkeypatch.setattr(module, "kak_decompose", skewed)
             with pytest.raises(NumericalError, match=r"swap synthesis.*not unitary.*exceeds 1e-10"):
                 synthesize_swap(U)

@@ -1,7 +1,7 @@
 """Every circuit the library builds or reads admits its locals as one stack.
 
-``_cnot_circuit`` stacks its eight single-qubit matrices, the dressed front
-and back pairs and the core's two phase layers, and admits them in one
+``synthesize_cnot`` stacks its eight single-qubit matrices, the dressed
+front and back pairs and the core's two phase layers, and admits them in one
 check.  ``circuit_from_dict`` admits the matrices of all local ops of a
 document in one check after reading every entry.  Both must behave exactly
 as the per-part admissions they replace: the builder returns the same
@@ -30,7 +30,6 @@ from swapsynth.synthesis import (
     Circuit,
     CnotOp,
     LocalOp,
-    _cnot_circuit,
     _cnot_core_params,
     _local_ops,
     _matrix_from_json,
@@ -51,7 +50,7 @@ def _two_admission_cnot_circuit(dec):
     a1, b1 = dec.front
     a2, b2 = dec.back
     try:
-        m = synthesis.rz(_cnot_core_params(dec))
+        m = synthesis.rz(_cnot_core_params(dec.params))
         m[0] = m[0] @ HADAMARD
         m[2] = HADAMARD @ m[2]
         w1, r1, w2, r2 = _local_ops(m, ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2")))
@@ -114,8 +113,8 @@ def test_cnot_builder_matches_the_two_admission_builder():
     targets = [NAMED_GATES[name] for name in FOUR_BY_FOUR]
     targets += [haar_random_unitary(4, seed=seed) for seed in range(300)]
     for u in targets:
-        dec = kak_decompose(u)
-        assert _fingerprint(_cnot_circuit(dec)) == _fingerprint(_two_admission_cnot_circuit(dec))
+        expected = _fingerprint(_two_admission_cnot_circuit(kak_decompose(u)))
+        assert _fingerprint(synthesize_cnot(u)) == expected
 
 
 def test_cnot_builder_admits_every_local_once(monkeypatch):
@@ -136,16 +135,21 @@ def test_cnot_builder_admits_every_local_once(monkeypatch):
 
 @pytest.mark.parametrize("half", ["front", "core", "back"])
 def test_cnot_builder_refuses_a_non_unitary_member(half, monkeypatch):
-    dec = kak_decompose(haar_random_unitary(4, seed=6))
+    u = haar_random_unitary(4, seed=6)
+    dec = kak_decompose(u)
     if half == "core":
         monkeypatch.setattr(synthesis, "rz", lambda angles: 1.001 * gates.rz(angles))
     else:
         f1, f2 = getattr(dec, half)
         dec = dataclasses.replace(dec, **{half: (f1, 1.001 * f2)})
-    for build in (_cnot_circuit, _two_admission_cnot_circuit):
-        with pytest.raises(NumericalError, match=r"^cnot synthesis: local matrix is not unitary: "):
-            build(dec)
-    assert _outcome(_cnot_circuit, dec) == _outcome(_two_admission_cnot_circuit, dec)
+        # synthesize_cnot builds on the crafted decomposition.
+        monkeypatch.setattr(synthesis, "kak_decompose", lambda target: dec)
+    pattern = r"^cnot synthesis: local matrix is not unitary: "
+    with pytest.raises(NumericalError, match=pattern):
+        synthesize_cnot(u)
+    with pytest.raises(NumericalError, match=pattern):
+        _two_admission_cnot_circuit(dec)
+    assert _outcome(synthesize_cnot, u) == _outcome(_two_admission_cnot_circuit, dec)
 
 
 def test_conjugated_core_factors_are_frozen_constants():
