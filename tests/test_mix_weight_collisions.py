@@ -75,8 +75,8 @@ def _assert_compiles(points, offset, seed):
 
 
 def test_collision_coordinates_lie_in_the_chamber():
+    # The planes and segments below are drawn for this order.
     assert 0.0 < B < A < PI4
-    assert A == pytest.approx(0.434785, abs=1e-6) and B == pytest.approx(0.251484, abs=1e-6)
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
