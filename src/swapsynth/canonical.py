@@ -57,6 +57,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _admit_matrix,
     _check_bound,
     _check_unitary,
     _frozen,
@@ -299,13 +300,12 @@ def kak_decompose(u):
     cores with degenerate coordinates.
 
     The result is read-only and shared: the last 8 targets are remembered
-    by the bytes of their admitted complex entries, in C order, and a target
-    with the same bytes gets the same object back, however it was laid out.
-    A target edited in place has new bytes and is decomposed afresh.  A
-    failure is never remembered, so a failing target raises on every call.
+    by the C-order bytes of their complex entries, and a target with the
+    same bytes gets the same object back, however it was laid out.  Every
+    call admits u's numbers and shape; only a miss checks its unitarity, as
+    a hit's bytes passed when remembered.  A failure is never remembered.
     """
-    u = assert_unitary(u, name="u", dim=4)
-    return _decompose(u.tobytes())
+    return _decompose(_admit_matrix(u, "u", 4).tobytes())
 
 
 # Each backend decomposes the target it is handed, so compare_backends and the
@@ -315,9 +315,9 @@ def kak_decompose(u):
 # is only ever the same computation again, so no caller has a reason to tune it.
 @functools.lru_cache(maxsize=8)
 def _decompose(key):
-    """:func:`kak_decompose` of the admitted 4x4 complex matrix whose C-order
-    bytes are key."""
-    u = np.ndarray((4, 4), complex, key)
+    """:func:`kak_decompose` of the 4x4 complex matrix whose C-order bytes
+    are key, once it passes the unitarity half of assert_unitary."""
+    u = _check_unitary(np.ndarray((4, 4), complex, key), "u")
     # Without the projection, m = vm^T vm below doubles u's deviation, past
     # the bound at which diagonalize_complex_symmetric_unitary admits m.
     u = u @ (_THREE_ID4 - u.conj().T @ u) / 2.0

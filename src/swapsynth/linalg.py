@@ -115,26 +115,58 @@ def _rng(seed):
         raise ContractViolation(f"bad seed {seed!r}: {exc}") from None
 
 
-def assert_unitary(u, name="matrix", dim=None):
-    """Admit u as a unitary argument, or raise ContractViolation naming it.
+# Each type a matrix entry may have, with its numpy kind: never a bool.
+_NUMBER_KINDS = {
+    t: np.dtype(t).kind for t in (int, float, complex, *np.sctypeDict.values())
+    if np.dtype(t).kind in "iufc"
+}
 
-    u is admitted when it is a non-empty 2-D square array of numbers
-    (integer, unsigned, real or complex: not bools, strings or objects),
-    ``dim x dim`` when dim is given, and every entry of u @ u.conj().T is
-    within ATOL_UNITARY of the identity.  Returns u as a complex array.  This
-    is the one admission rule for every function that takes a unitary
-    argument.
-    """
+
+def _number_array(m):
+    """m as an ndarray when it is a matrix of numbers, else None: the one rule.
+    An ndarray passes by its dtype, of kind integer, unsigned, real or complex;
+    anything else when every entry, nested as numpy nests it, has a type in
+    ``_NUMBER_KINDS`` and numpy holds them as numbers.  So a bool, even among
+    numbers, a string, None or a ragged row is refused."""
+    if not isinstance(m, np.ndarray):
+        if not set(map(type, np.array(m, dtype=object).flat)) <= _NUMBER_KINDS.keys():
+            return None
+    m = np.asarray(m)
+    return m if m.dtype.kind in "iufc" else None
+
+
+def _refused_dtype(m):
+    """The dtype named when :func:`_number_array` refuses m: numpy's, or when numpy
+    reads m as numbers that of the entries that are not, or object for ragged rows."""
+    bad = [x for x in np.array(m, dtype=object).flat if type(x) not in _NUMBER_KINDS]
+    if any(isinstance(x, (list, tuple, np.ndarray)) for x in bad):
+        return np.dtype(object)
+    dtype = np.asarray(m).dtype
+    return np.array(bad).dtype if dtype.kind in "iufc" else dtype
+
+
+def assert_unitary(u, name="matrix", dim=None):
+    """Admit u as a unitary argument, or raise ContractViolation naming it:
+    u passes :func:`_admit_matrix` and every entry of u @ u.conj().T is within
+    ATOL_UNITARY of the identity.  Returns u as a complex array.  This is the
+    one admission rule for every function that takes a unitary argument."""
+    return _check_unitary(_admit_matrix(u, name, dim), name)
+
+
+def _admit_matrix(u, name, dim):
+    """The first half of :func:`assert_unitary`: u as a complex array when it
+    is a matrix of numbers by :func:`_number_array`, non-empty, square and
+    ``dim x dim`` when dim is given, else ContractViolation naming it."""
     # A complex ndarray, as the package passes, costs no call to admit.
     if not (u.__class__ is np.ndarray and u.dtype == complex):
-        u = np.asarray(u)
-        if u.dtype.kind not in "iufc":
-            raise ContractViolation(f"{name} must be a matrix of numbers, got dtype {u.dtype}")
-        u = u.astype(complex, copy=False)
+        m = _number_array(u)
+        if m is None:
+            raise ContractViolation(f"{name} must be a matrix of numbers, got dtype {_refused_dtype(u)}")
+        u = m.astype(complex, copy=False)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]) or not u.size:
         size = "non-empty square" if dim is None else f"{dim}x{dim}"
         raise ContractViolation(f"{name} must be a {size} matrix, got shape {u.shape}")
-    return _check_unitary(u, name)
+    return u
 
 
 def _check_unitary(u, name, atol=ATOL_UNITARY):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import collections
 import dataclasses
-import numbers
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -41,10 +40,12 @@ from .linalg import (
     NumericalError,
     PAULI_X,
     PAULI_Z,
+    _NUMBER_KINDS,
     _check_unitary,
     _frozen,
     _integer,
     _kron,
+    _number_array,
     _real,
     _text,
     assert_unitary,
@@ -93,7 +94,8 @@ class LocalOp(GateOp):
     def to_dict(self):
         # Entries that are not numbers are not cast: no rows are written,
         # and reading none raises the reader's error for unreadable rows.
-        matrix = _matrix_to_json(self.matrix) if _holds_numbers(self.matrix) else None
+        numbers = _number_array(self.matrix)
+        matrix = None if numbers is None else _matrix_to_json(numbers)
         if matrix is None or np.shape(self.matrix) != (2, 2):
             _matrix_from_json(matrix, 2, "local matrix")  # raises the reader's error
         return {
@@ -526,30 +528,21 @@ def _matrix_to_json(m):
     return m.view(float).reshape(*m.shape, 2).tolist()
 
 
-def _holds_numbers(m):
-    """True when every entry of the array or nested lists m is a real or
-    complex number; a bool, a string or any other object is not."""
-    if isinstance(m, np.ndarray) and m.dtype.kind != "O":
-        return m.dtype.kind in "iufc"
-    entries = np.array(m, dtype=object).flat
-    return all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in entries)
-
-
 def _matrix_from_json(rows, dim, name):
     """Inverse of :func:`_matrix_to_json` for a dim x dim matrix: rows of
-    exact [re, im] pairs of real numbers, bools refused."""
-    try:
-        m = np.array(rows)
-    except ValueError:  # ragged nesting
-        m = None
-    if m is None or m.dtype.kind not in "iuf" or m.shape[2:] != (2,):
-        # numpy holds an int outside int64 and uint64 only as an object.
-        if m is not None and m.dtype.kind == "O":
-            if any(type(x) is int and not -(2**63) <= x < 2**64 for x in m.flat):
-                raise ContractViolation(
-                    f"{name}: an integer entry lies outside [-2**63, 2**64), "
-                    "the range numpy stores as a number"
-                )
+    exact [re, im] pairs of real numbers.  The rule of ``linalg._number_array``
+    is tested on the one object array read, by the types of
+    ``linalg._NUMBER_KINDS``, so a bool or a ragged row is refused."""
+    m = np.array(rows, dtype=object)
+    types = set(map(type, m.flat))
+    numbers = set(map(_NUMBER_KINDS.get, types)) <= {"i", "u", "f"}
+    # numpy holds an int outside int64 and uint64 only as an object.
+    if numbers and int in types and any(type(x) is int and not -(2**63) <= x < 2**64 for x in m.flat):
+        raise ContractViolation(
+            f"{name}: an integer entry lies outside [-2**63, 2**64), "
+            "the range numpy stores as a number"
+        )
+    if not numbers or m.shape[2:] != (2,):
         raise ContractViolation(f"{name}: rows must be {dim}x{dim} nested [re, im] pairs")
     if m.shape != (dim, dim, 2):
         raise ContractViolation(f"{name}: rows have shape {m.shape[:2]}, expected ({dim}, {dim})")

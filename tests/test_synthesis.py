@@ -438,7 +438,8 @@ def test_circuit_writer_refuses_the_local_matrices_its_reader_refuses():
     assert str(written.value) == "ops[0]: local matrix is not unitary: max deviation 3.000e+00 exceeds 1e-10"
     # A matrix whose entries are not all numbers is refused, not cast, with
     # the message the reader gives for the same entries: a string, a bool, a
-    # dict, a None or a ragged row.  Numbers of any numpy or Python kind pass.
+    # dict, a None or a ragged row, and an object ndarray, refused by its
+    # dtype as local_op refuses it.  Numbers of any numpy or Python kind pass.
     pairs = "ops[0]: local matrix: rows must be 2x2 nested [re, im] pairs"
     as_json = (
         [["a", "b"], ["c", "d"]], {"a": 1}, [[1, 0], [0, "1"]], [[True, 0], [0, 1]], [[1.0, 0], [0, None]], [[1, 0], [0]], "ab"
@@ -447,11 +448,13 @@ def test_circuit_writer_refuses_the_local_matrices_its_reader_refuses():
         with pytest.raises(ContractViolation) as read:
             circuit_from_dict({"ops": [{"kind": "local", "qubit": 1, "matrix": bad}]})
         assert str(read.value) == pairs, bad
-    for bad in as_json + (np.eye(2, dtype=bool), [[np.True_, 0], [0, 1]], np.array([[1, 0], [0, "1"]])):
+    for bad in as_json + (
+        np.eye(2, dtype=bool), [[np.True_, 0], [0, 1]], np.array([[1, 0], [0, "1"]]), np.eye(2, dtype=object)
+    ):
         with pytest.raises(ContractViolation) as written:
             circuit_to_dict(Circuit([LocalOp(1, bad)]))
         assert str(written.value) == pairs, bad
-    for good in ([[1, 0], [0, 1]], [[1 + 0j, 0], [0, 1.0]], np.eye(2, dtype=np.float32), np.eye(2, dtype=object)):
+    for good in ([[1, 0], [0, 1]], [[1 + 0j, 0], [0, 1.0]], np.eye(2, dtype=np.float32)):
         assert circuit_to_dict(Circuit([LocalOp(1, good)]))["ops"][0]["matrix"] == _matrix_to_json(ID2)
 
 
