@@ -49,6 +49,8 @@ SHAPES = {
 # (call, name of the argument in the error, its size; None for any square size)
 ADMITTING = {
     "kak_decompose": (kak_decompose, "u", 4),
+    "synthesize_swap": (synthesize_swap, "u", 4),
+    "synthesize_cnot": (synthesize_cnot, "u", 4),
     "split_local_product": (split_local_product, "local product", 4),
     "diagonalize_complex_symmetric_unitary": (diagonalize_complex_symmetric_unitary, "m", 4),
     "ep_exact": (ep_exact, "u", 4),
@@ -107,11 +109,17 @@ def test_near_bound_target_file_compiles_through_the_cli(tmp_path, capsys):
         assert main(argv) == 0, capsys.readouterr().err
 
 
-# Square matrices of the right size whose entries are not numbers.
+# Square matrices of the right size whose entries are not numbers.  numpy
+# reads the identity with one bool among its numbers as a float array, and
+# refuses rows of different lengths with a bare ValueError: the entries are
+# tested one by one.
 NON_NUMERIC = {
     "strings": lambda n: [[str(int(i == j)) for j in range(n)] for i in range(n)],
     "bools": lambda n: np.eye(n, dtype=bool),
     "objects": lambda n: np.eye(n, dtype=complex).astype(object),
+    "a bool among numbers": lambda n: [[True if i == j == 0 else float(i == j) for j in range(n)] for i in range(n)],
+    "a numpy bool among numbers": lambda n: [[np.False_ if i != j else 1.0 for j in range(n)] for i in range(n)],
+    "ragged rows": lambda n: [[float(i == j) for j in range(n)] for i in range(n - 1)] + [[1.0]],
 }
 
 

@@ -325,6 +325,15 @@ def _huge_entry(value):
     return spoil
 
 
+def _pair_at_origin(pair):
+    def spoil(rows):
+        rows = json.loads(json.dumps(rows))
+        rows[0][0] = pair
+        return rows
+
+    return spoil
+
+
 def _triples(rows):
     return [[[re, im, 0.0] for re, im in row] for row in rows]
 
@@ -345,8 +354,10 @@ OUT_OF_RANGE = "an integer entry lies outside [-2**63, 2**64), the range numpy s
         (_huge_entry(-(2**63) - 1), OUT_OF_RANGE),
         (_triples, PAIRS),
         (_bools, PAIRS),
+        (_pair_at_origin([True, 0.0]), PAIRS),
+        (_pair_at_origin([1.0, False]), PAIRS),
     ],
-    ids=["401-digit", "2**70", "below-int64", "triple", "bool"],
+    ids=["401-digit", "2**70", "below-int64", "triple", "bool", "true-among-numbers", "false-among-numbers"],
 )
 def test_matrix_entries_must_be_real_pairs(tmp_path, capsys, spoil, cause):
     # Each of these was read before: a 401-digit integer raised OverflowError
@@ -361,6 +372,24 @@ def test_matrix_entries_must_be_real_pairs(tmp_path, capsys, spoil, cause):
     circuit.write_text(json.dumps({"global_phase": 0.0, "ops": [local]}))
     code, text, err = run(capsys, "verify", str(circuit), "--gate", "identity4")
     assert (code, text, err) == (2, "", f"error: ops[0]: local matrix: {cause.format(2)}\n")
+
+
+@pytest.mark.parametrize("pair", [[True, 0.0], [1.0, False]], ids=["true", "false"])
+def test_a_bool_among_numbers_exits_2_in_the_other_commands(tmp_path, capsys, pair):
+    # numpy reads [true, 0.0] as [1.0, 0.0], so the reader tests each entry.
+    # test_matrix_entries_must_be_real_pairs runs synth and verify on these.
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"dim": 4, "rows": _pair_at_origin(pair)(IDENTITY4_ROWS)}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"global_phase": 0.0, "ops": []}))
+    for command in (("verify", str(empty)), ("cost", "--compare"), ("analyze", "ep-matrix")):
+        code, text, err = run(capsys, *command, "--matrix", str(matrix))
+        assert (code, text, err) == (2, "", f"error: {matrix}: {PAIRS.format(4)}\n"), command
+    circuit = tmp_path / "c.json"
+    local = {"kind": "local", "qubit": 1, "label": "", "matrix": _pair_at_origin(pair)(IDENTITY2_ROWS)}
+    circuit.write_text(json.dumps({"global_phase": 0.0, "ops": [local]}))
+    code, text, err = run(capsys, "cost", str(circuit))
+    assert (code, text, err) == (2, "", f"error: ops[0]: local matrix: {PAIRS.format(2)}\n")
 
 
 def test_bad_target_ep_exits_before_the_curve(capsys, monkeypatch):

@@ -3,8 +3,9 @@
 Both backends, compare_backends and the CLI decompose the target they are
 handed, so a target met twice in a row is decomposed once.  The memo is keyed
 by the bytes of the admitted complex matrix, holds results only, and hands
-every caller the same read-only decomposition.  Each test starts from an
-empty memo (``tests/conftest.py``).
+every caller the same read-only decomposition.  Every call admits the
+target's entries and shape; only a miss checks its unitarity.  Each test
+starts from an empty memo (``tests/conftest.py``).
 """
 
 import dataclasses
@@ -14,9 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from swapsynth import canonical
+from swapsynth import canonical, linalg
 from swapsynth.canonical import kak_decompose
-from swapsynth.linalg import NumericalError, haar_random_unitary
+from swapsynth.linalg import ID4, ContractViolation, NumericalError, haar_random_unitary
 from swapsynth.synthesis import synthesize_cnot, synthesize_swap
 
 MEMO = canonical._decompose
@@ -117,6 +118,45 @@ def test_a_failing_target_raises_on_every_call(monkeypatch):
     assert len(runs) == 3 and MEMO.cache_info().currsize == 0
     monkeypatch.undo()
     assert canonical.in_weyl_chamber(kak_decompose(u).params)
+
+
+def test_a_hit_runs_no_unitarity_product(monkeypatch):
+    checked = []
+    for module in (canonical, linalg):
+        def counting(*args, _check=module._check_unitary, **kwargs):
+            checked.append(args[1])
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_check_unitary", counting)
+    u = haar_random_unitary(4, seed=37)
+    kak_decompose(u)
+    assert checked
+    checked.clear()
+    # Each has the bytes of u once admitted, so each is a hit.
+    for same in (u, u.copy(), np.asfortranarray(u), u.tolist()):
+        kak_decompose(same)
+    assert checked == [] and MEMO.cache_info().hits == 4
+
+
+def test_a_target_refused_for_its_shape_or_entries_is_never_looked_up():
+    kak_decompose(haar_random_unitary(4, seed=38))
+    before = MEMO.cache_info()
+    refused = (
+        np.eye(3),
+        ID4[:2],
+        [[str(int(i == j)) for j in range(4)] for i in range(4)],
+        [[True if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)],
+        [[float(i == j) for j in range(4)] for i in range(3)] + [[1.0]],
+    )
+    for u in refused:
+        with pytest.raises(ContractViolation, match=r"^u must be a "):
+            kak_decompose(u)
+        assert MEMO.cache_info() == before
+    # A target refused for its unitarity is looked up, and never remembered.
+    with pytest.raises(ContractViolation, match=r"^u is not unitary"):
+        kak_decompose(2 * ID4)
+    assert MEMO.cache_info().misses == before.misses + 1
+    assert MEMO.cache_info().currsize == before.currsize
 
 
 def test_threads_match_a_serial_run():

@@ -11,6 +11,11 @@ caller.
 real scalar.  The second scan flags, outside ``linalg.py``, every name that
 a scalar rule of its own would need: ``isfinite``, ``OverflowError`` and
 ``operator.index``.
+
+``linalg._number_array`` owns the rule for the entries of a matrix, and
+``linalg._NUMBER_KINDS`` its types.  The third scan flags, outside
+``linalg.py``, what a number rule of its own would test: an import of
+``numbers``, ``numbers.Number`` and an array's ``.dtype.kind``.
 """
 
 import ast
@@ -142,3 +147,59 @@ def test_scanner_finds_scalar_rules():
 )
 def test_no_scalar_rule_outside_linalg(path):
     assert scalar_rule_names(path.read_text(encoding="utf-8")) == []
+
+
+def number_rule_names(source):
+    """Lines that import numbers, name numbers.Number or read a .dtype.kind."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named = any(alias.name == "numbers" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named = node.module == "numbers"
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            named = (node.attr == "Number" and isinstance(value, ast.Name) and value.id == "numbers") or (
+                node.attr == "kind" and isinstance(value, ast.Attribute) and value.attr == "dtype"
+            )
+        else:
+            continue
+        if named:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+# The number rules that synthesis.py kept of its own before the rule moved to
+# linalg: the circuit writer's entry test and the JSON reader's dtype tests.
+OWN_NUMBER_RULES = (
+    "import numbers\n"
+    "def _holds_numbers(m):\n"
+    "    if isinstance(m, np.ndarray) and m.dtype.kind != 'O':\n"
+    "        return m.dtype.kind in 'iufc'\n"
+    "    entries = np.array(m, dtype=object).flat\n"
+    "    return all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in entries)\n"
+    "def _matrix_from_json(rows, dim, name):\n"
+    "    m = np.array(rows)\n"
+    "    if m is None or m.dtype.kind not in 'iuf' or m.shape[2:] != (2,):\n"
+    "        if m is not None and m.dtype.kind == 'O':\n"
+    "            pass\n"
+)
+
+
+def test_scanner_finds_number_rules():
+    assert number_rule_names(OWN_NUMBER_RULES) == [1, 3, 4, 6, 9, 10]
+    source = (
+        "from numbers import Real\n"
+        "import os, numbers as n\n"
+        "kind = np.dtype(float).kind\n"
+        "ok = m.dtype == complex and dtype.kind == 'c'\n"
+        "ok = isinstance(x, (int, float))\n"
+    )
+    assert number_rule_names(source) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "linalg.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_number_rule_outside_linalg(path):
+    assert number_rule_names(path.read_text(encoding="utf-8")) == []

@@ -442,7 +442,8 @@ def test_circuit_writer_refuses_the_local_matrices_its_reader_refuses():
     # dtype as local_op refuses it.  Numbers of any numpy or Python kind pass.
     pairs = "ops[0]: local matrix: rows must be 2x2 nested [re, im] pairs"
     as_json = (
-        [["a", "b"], ["c", "d"]], {"a": 1}, [[1, 0], [0, "1"]], [[True, 0], [0, 1]], [[1.0, 0], [0, None]], [[1, 0], [0]], "ab"
+        [["a", "b"], ["c", "d"]], {"a": 1}, [[1, 0], [0, "1"]], [[True, 0], [0, 1]], [[1.0, 0], [0, None]], [[1, 0], [0]], "ab",
+        [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
     )
     for bad in as_json:
         with pytest.raises(ContractViolation) as read:
@@ -456,6 +457,33 @@ def test_circuit_writer_refuses_the_local_matrices_its_reader_refuses():
         assert str(written.value) == pairs, bad
     for good in ([[1, 0], [0, 1]], [[1 + 0j, 0], [0, 1.0]], np.eye(2, dtype=np.float32)):
         assert circuit_to_dict(Circuit([LocalOp(1, good)]))["ops"][0]["matrix"] == _matrix_to_json(ID2)
+
+
+def test_local_op_and_the_circuit_writer_refuse_the_same_matrices():
+    # Both apply linalg's one rule for a matrix of numbers.
+    table = {
+        "object ndarray of numbers": np.eye(2, dtype=complex).astype(object),
+        "np.True_ among numbers": [[np.True_, 0], [0, 1]],
+        "numeric strings": [["1", "0"], ["0", "1"]],
+        "bool ndarray": np.eye(2, dtype=bool),
+        "ragged list": [[1.0, 0.0], [1.0]],
+        "float32 ndarray": np.eye(2, dtype=np.float32),
+        "ints": [[1, 0], [0, 1]],
+        "numpy scalars": [[np.float64(1.0), np.int8(0)], [np.uint16(0), np.complex64(1)]],
+    }
+
+    def refused_by(call):
+        kinds = []
+        for kind, m in table.items():
+            try:
+                call(m)
+            except ContractViolation:
+                kinds.append(kind)
+        return kinds
+
+    refused = refused_by(lambda m: local_op(1, m))
+    assert refused_by(lambda m: circuit_to_dict(Circuit([LocalOp(1, m)]))) == refused
+    assert refused == list(table)[:5]
 
 
 def test_matrix_codec_is_byte_exact():
