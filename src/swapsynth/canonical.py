@@ -174,23 +174,20 @@ def in_weyl_chamber(params):
 def split_local_product(l):
     """Factor a 4x4 tensor product into SU(2) parts and a phase.
 
-    Returns (a, b, psi) with l = e^{i psi} a (x) b, det a = det b = 1.
-    l must pass :func:`assert_unitary` and is split as its nearest unitary,
-    one Newton-Schulz step away, as in :func:`kak_decompose`.  Raises
-    NumericalError unless l is within 1e-8 of e^{i psi} a (x) b; the checks
-    run on l's real magic-basis form, with bounds that imply that one.
+    Returns (a, b, psi) with l = e^{i psi} a (x) b, det a = det b = 1 and psi
+    in (-pi/2, pi/2], for l that passes :func:`assert_unitary`: the
+    :func:`kak_decompose` of l gives a = b1 f1, b = b2 f2.  Raises NumericalError
+    unless hx + hy + |hz| <= 1e-8, which bounds the spectral norm of E(h) - I
+    and so puts l within 1e-8 of e^{i psi} a (x) b.
     """
-    l = assert_unitary(l, name="local product", dim=4)
-    l = l @ (_THREE_ID4 - l.conj().T @ l) / 2.0
-    # With det(a (x) b) = 1, l's magic-basis form over a fourth root of its
-    # determinant is i^n times a real SO(4) matrix.
-    root = complex(np.linalg.det(l)) ** 0.25
-    x = _MAGIC_H @ l @ MAGIC / root
-    turned = np.abs(x.imag).max() > np.abs(x.real).max()
-    o, residue = (x.imag, x.real) if turned else (x.real, x.imag)
-    _check_bound(np.abs(residue).max(), 1e-8, "not a single-qubit tensor product: residue")
-    a, b = _split_rotations(o[np.newaxis])
-    return a[0], b[0], cmath.phase(root * (1j if turned else 1.0))
+    dec = kak_decompose(assert_unitary(l, name="local product", dim=4))
+    hx, hy, hz = dec.params
+    _check_bound(hx + hy + abs(hz), 1e-8, "not a single-qubit tensor product: coordinate sum")
+    (b1, b2), (f1, f2), psi = dec.back, dec.front, dec.global_phase
+    if -np.pi / 2.0 < psi <= np.pi / 2.0:
+        return b1 @ f1, b2 @ f2, psi
+    # e^{i psi} a (x) b = e^{i (psi -+ pi)} a (x) -b.
+    return b1 @ f1, -(b2 @ f2), psi - np.pi if psi > 0.0 else psi + np.pi
 
 
 def _split_rotations(os):
@@ -198,8 +195,9 @@ def _split_rotations(os):
 
     Returns (k, 2, 2) stacks a, b in SU(2) with MAGIC o MAGIC^dag = a (x) b,
     each member bit for bit what a stack of it alone gives, both read-only
-    because kak_decompose shares its factors between callers.  The checks imply
-    those on l = MAGIC o MAGIC^dag, as the README derives: o o^T within
+    because kak_decompose shares its factors between callers, the one
+    caller being :func:`_decompose`.  The checks imply those on
+    l = MAGIC o MAGIC^dag, as the README derives: o o^T within
     2.5e-11 of I puts l l^dag within 1e-10 of I (else the ContractViolation
     of assert_unitary for "local product"), and m within 1.25e-9 of p r^T
     puts l within 1e-8 of a (x) b (else NumericalError).

@@ -120,6 +120,17 @@ _NUMBER_KINDS = {
     t: np.dtype(t).kind for t in (int, float, complex, *np.sctypeDict.values())
     if np.dtype(t).kind in "iufc"
 }
+# The types of a real entry: every kind but complex.
+_REAL_TYPES = frozenset(t for t, kind in _NUMBER_KINDS.items() if kind != "c")
+
+
+def _entries(m):
+    """m's entries, nested as numpy nests them, or None when numpy cannot
+    nest them: arrays whose shapes differ past the first axis."""
+    try:
+        return np.array(m, dtype=object).flat
+    except ValueError:
+        return None
 
 
 def _number_array(m):
@@ -127,9 +138,11 @@ def _number_array(m):
     An ndarray passes by its dtype, of kind integer, unsigned, real or complex;
     anything else when every entry, nested as numpy nests it, has a type in
     ``_NUMBER_KINDS`` and numpy holds them as numbers.  So a bool, even among
-    numbers, a string, None or a ragged row is refused."""
+    numbers, a string, None, a ragged row or arrays that numpy cannot nest
+    is refused."""
     if not isinstance(m, np.ndarray):
-        if not set(map(type, np.array(m, dtype=object).flat)) <= _NUMBER_KINDS.keys():
+        entries = _entries(m)
+        if entries is None or not set(map(type, entries)) <= _NUMBER_KINDS.keys():
             return None
     m = np.asarray(m)
     return m if m.dtype.kind in "iufc" else None
@@ -138,8 +151,9 @@ def _number_array(m):
 def _refused_dtype(m):
     """The dtype named when :func:`_number_array` refuses m: numpy's, or when numpy
     reads m as numbers that of the entries that are not, or object for ragged rows."""
-    bad = [x for x in np.array(m, dtype=object).flat if type(x) not in _NUMBER_KINDS]
-    if any(isinstance(x, (list, tuple, np.ndarray)) for x in bad):
+    entries = _entries(m)
+    bad = None if entries is None else [x for x in entries if type(x) not in _NUMBER_KINDS]
+    if bad is None or any(isinstance(x, (list, tuple, np.ndarray)) for x in bad):
         return np.dtype(object)
     dtype = np.asarray(m).dtype
     return np.array(bad).dtype if dtype.kind in "iufc" else dtype

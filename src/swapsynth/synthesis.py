@@ -40,7 +40,7 @@ from .linalg import (
     NumericalError,
     PAULI_X,
     PAULI_Z,
-    _NUMBER_KINDS,
+    _REAL_TYPES,
     _check_unitary,
     _frozen,
     _integer,
@@ -531,11 +531,11 @@ def _matrix_to_json(m):
 def _matrix_from_json(rows, dim, name):
     """Inverse of :func:`_matrix_to_json` for a dim x dim matrix: rows of
     exact [re, im] pairs of real numbers.  The rule of ``linalg._number_array``
-    is tested on the one object array read, by the types of
-    ``linalg._NUMBER_KINDS``, so a bool or a ragged row is refused."""
+    is tested on the one object array read, by ``linalg._REAL_TYPES``, the
+    real types of ``linalg._NUMBER_KINDS``, so a bool or a ragged row is refused."""
     m = np.array(rows, dtype=object)
     types = set(map(type, m.flat))
-    numbers = set(map(_NUMBER_KINDS.get, types)) <= {"i", "u", "f"}
+    numbers = types <= _REAL_TYPES
     # numpy holds an int outside int64 and uint64 only as an object.
     if numbers and int in types and any(type(x) is int and not -(2**63) <= x < 2**64 for x in m.flat):
         raise ContractViolation(
