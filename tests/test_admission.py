@@ -120,6 +120,7 @@ NON_NUMERIC = {
     "a bool among numbers": lambda n: [[True if i == j == 0 else float(i == j) for j in range(n)] for i in range(n)],
     "a numpy bool among numbers": lambda n: [[np.False_ if i != j else 1.0 for j in range(n)] for i in range(n)],
     "ragged rows": lambda n: [[float(i == j) for j in range(n)] for i in range(n - 1)] + [[1.0]],
+    "arrays numpy cannot nest": lambda n: [np.zeros((1, n + 1))] + [np.eye(n)[i : i + 1] for i in range(1, n)],
 }
 
 

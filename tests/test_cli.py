@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process through main(argv)."""
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -16,7 +17,7 @@ from swapsynth.cli import cmd_analyze_ep_curve, cmd_random, cmd_synth, main
 from swapsynth.linalg import ContractViolation
 from swapsynth.gates import CNOT
 from swapsynth.linalg import phase_distance
-from swapsynth.synthesis import circuit_from_dict, evaluate_circuit
+from swapsynth.synthesis import LocalOp, circuit_from_dict, circuit_to_dict, evaluate_circuit, synthesize_cnot
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -79,6 +80,25 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in text
     # a CNOT circuit is exactly distance 3/4 from SWAP
     assert "7.500e-01" in text
+
+
+def test_verify_measures_a_read_circuit_as_the_unitary_it_stands_for(tmp_path, capsys):
+    """Each local within 9e-11 of unitary passes the reader, and their product
+    drifts to 7.2e-10: verify measures it, it does not refuse it."""
+    circuit = synthesize_cnot(CNOT)
+    ops = [
+        dataclasses.replace(op, matrix=op.matrix * (1.0 + 4.5e-11)) if isinstance(op, LocalOp) else op
+        for op in circuit.ops
+    ]
+    out = tmp_path / "c.json"
+    out.write_text(json.dumps(circuit_to_dict(dataclasses.replace(circuit, ops=ops))))
+    code, text, _ = run(capsys, "verify", str(out), "--gate", "cnot")
+    assert code == 0
+    assert "phase distance:  0.000e+00" in text
+    assert "result:          PASS" in text
+    code, text, _ = run(capsys, "verify", str(out), "--gate", "swap")
+    assert code == 1
+    assert "phase distance:  7.500e-01" in text
 
 
 def test_verify_bad_circuit_file(tmp_path, capsys):
