@@ -52,7 +52,6 @@ from .linalg import (
     BELL_BASIS,
     ContractViolation,
     ID2,
-    ID4,
     NumericalError,
     PAULI_X,
     PAULI_Y,
@@ -62,6 +61,8 @@ from .linalg import (
     _check_unitary,
     _frozen,
     _kron,
+    _newton_schulz,
+    _reals,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     project_su,
@@ -72,7 +73,6 @@ from .linalg import (
 # every E(h) becomes diagonal.  Columns: phi+, i phi-, i psi+, psi-.
 MAGIC = _frozen(BELL_BASIS * np.array([1, 1j, 1j, 1]))
 _MAGIC_H = _frozen(MAGIC.conj().T)
-_THREE_ID4 = _frozen(3.0 * ID4)
 
 # The quaternion units s = (I, iX, iY, iZ): a = sum p_i s_i is in SU(2) for
 # every real unit 4-vector p.
@@ -131,8 +131,9 @@ class CanonicalDecomposition:
 
 
 def lambdas(params):
-    """Bell-state phase angles of E(params).  Their sum is exactly zero."""
-    hx, hy, hz = map(float, params)
+    """Bell-state phase angles of E(params), for params three reals by
+    ``linalg._reals``.  Their sum is exactly zero."""
+    hx, hy, hz = _reals(params, 3, "coordinates")
     return BellPhases(
         l00=hx - hy + hz,
         l01=hx + hy - hz,
@@ -157,10 +158,11 @@ def in_weyl_chamber(params):
     """True when (hx, hy, hz) lies in the canonical chamber.
 
     0 <= |hz| <= hy <= hx <= pi/4, with hz >= 0 required on the hx = pi/4
-    wall (where the two hz signs describe the same equivalence class).  A NaN
-    coordinate is outside.
+    wall (where the two hz signs describe the same equivalence class).
+    params is read as three reals by ``linalg._reals``; a NaN coordinate is
+    outside.
     """
-    hx, hy, hz = map(float, params)
+    hx, hy, hz = _reals(params, 3, "coordinates")
     # Each bound is tested as holding, so that a NaN fails it.
     inside = (
         hx <= np.pi / 4.0 + _CHAMBER_TOL
@@ -318,7 +320,7 @@ def _decompose(key):
     u = _check_unitary(np.ndarray((4, 4), complex, key), "u")
     # Without the projection, m = vm^T vm below doubles u's deviation, past
     # the bound at which diagonalize_complex_symmetric_unitary admits m.
-    u = u @ (_THREE_ID4 - u.conj().T @ u) / 2.0
+    u = _newton_schulz(u)
 
     v, phi = project_su(u)
     vm = _MAGIC_H @ v @ MAGIC

@@ -36,6 +36,7 @@ from .linalg import (
     ContractViolation,
     NumericalError,
     _integer,
+    _newton_schulz,
     _real,
     assert_unitary,
     haar_random_unitary,
@@ -220,7 +221,7 @@ def cmd_synth(ns):
         lines.append(f"swap exponents:  ({rendered})")
     else:
         phases = _cnot_core_params(params)
-        report["cnot_phase_params"] = [float(p) for p in phases]
+        report["cnot_phase_params"] = list(phases)
         rendered = ", ".join(f"{p:.9f}" for p in phases)
         lines.append(f"rz phases:       ({rendered})")
     lines += [
@@ -240,10 +241,9 @@ def cmd_verify(ns):
     circuit = circuit_from_dict(_load_json(ns.circuit))
     # Each local of a file is admitted within 1e-10 of unitary, and their
     # product drifts further.  The circuit is measured as the unitary it
-    # stands for, one Newton-Schulz step w (3I - w^dag w) / 2 away, as in
-    # kak_decompose: no norm drift refuses it or lowers its distance.
-    w = evaluate_circuit(circuit)
-    residual = phase_distance(w @ (3.0 * np.eye(4) - w.conj().T @ w) / 2.0, u)
+    # stands for, one Newton-Schulz step away by ``linalg._newton_schulz``, as
+    # in kak_decompose: no norm drift refuses it or lowers its distance.
+    residual = phase_distance(_newton_schulz(evaluate_circuit(circuit)), u)
     ok = residual <= ns.tolerance
     report = {
         "circuit": ns.circuit,
@@ -273,8 +273,8 @@ def cmd_analyze_ep_curve(ns):
     peak_idx = int(np.argmax(closed))
     report = {
         "points": int(ns.points),
-        "alpha": [float(a) for a in alphas],
-        "entangling_power": [float(v) for v in closed],
+        "alpha": alphas.tolist(),
+        "entangling_power": closed.tolist(),
         "max_residual_vs_exact": float(np.max(np.abs(closed - exact))),
         "peak": {"alpha": float(alphas[peak_idx]), "entangling_power": float(closed[peak_idx])},
     }

@@ -124,6 +124,26 @@ _NUMBER_KINDS = {
 _REAL_TYPES = frozenset(t for t, kind in _NUMBER_KINDS.items() if kind != "c")
 
 
+def _reals(values, n, name):
+    """values as a tuple of n floats, or ContractViolation naming it: the one
+    rule for a tuple of reals, such as canonical coordinates or Bell phases.
+    Any iterable of n entries whose types are in ``_REAL_TYPES`` passes, so
+    neither a bool, a string, None nor a nested sequence does, nor an int too
+    large for a float.  NaN and the infinities pass: each caller keeps its own
+    rule for them."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        entries = ()
+    # __len__ rather than len(): the count costs no Python-level call.
+    if entries.__len__() != n or not set(map(type, entries)) <= _REAL_TYPES:
+        raise ContractViolation(f"{name} must be {n} real numbers, got {values!r}")
+    try:
+        return tuple(map(float, entries))
+    except OverflowError:
+        raise ContractViolation(f"{name} has an entry too large for a float") from None
+
+
 def _entries(m):
     """m's entries, nested as numpy nests them, or None when numpy cannot
     nest them: arrays whose shapes differ past the first axis."""
@@ -196,7 +216,8 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     """
     n = u.shape[-1]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
-    dev = np.abs(u @ u.conj().swapaxes(-1, -2) - eye)
+    # The ufunc np.conjugate costs no Python-level call, unlike ndarray.conj.
+    dev = np.abs(u @ np.conjugate(u).swapaxes(-1, -2) - eye)
     # Written so that a NaN deviation fails the check too.  The ufunc's own
     # reduce skips the Python wrapper behind ndarray.max.
     if not np.maximum.reduce(dev, axis=None) <= atol:
@@ -207,6 +228,15 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
         exc.member = member
         raise exc
     return u
+
+
+_THREE_ID4 = _frozen(3.0 * ID4)
+
+
+def _newton_schulz(u):
+    """One Newton-Schulz step u (3I - u^dag u) / 2 from a 4x4 u toward its
+    nearest unitary: a u within e of unitary comes within about e^2."""
+    return u @ (_THREE_ID4 - np.conjugate(u).T @ u) / 2.0
 
 
 def _check_bound(dev, bound, what):

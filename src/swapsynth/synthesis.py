@@ -47,6 +47,7 @@ from .linalg import (
     _kron,
     _number_array,
     _real,
+    _reals,
     _text,
     assert_unitary,
 )
@@ -258,14 +259,15 @@ def swap_angles(p):
     """Pulse exponents (alpha, beta, gamma) for chamber coordinates p.
 
     alpha = 2(hx+hy)/pi, beta = 2(hx-hz)/pi, gamma = 2(hy-hz)/pi.  All three
-    lie in [0, 1]; beta and gamma exceed 1/2 exactly when hz < 0.
+    lie in [0, 1]; beta and gamma exceed 1/2 exactly when hz < 0.  p is read
+    as three reals by ``linalg._reals``.
     """
-    if not in_weyl_chamber(p):
+    hx, hy, hz = h = _reals(p, 3, "coordinates")
+    if not in_weyl_chamber(h):
         raise ContractViolation(
-            f"parameters {tuple(p)} lie outside the canonical chamber by more "
+            f"parameters {h} lie outside the canonical chamber by more "
             f"than its tolerance 1e-9"
         )
-    hx, hy, hz = (float(v) for v in p)
     return SwapAngles(
         alpha=2.0 * (hx + hy) / np.pi,
         beta=2.0 * (hx - hz) / np.pi,
@@ -282,7 +284,8 @@ def _core_swap(p):
     so they skip :func:`local_op`'s check.
     """
     ang = swap_angles(p)
-    hx, hy, hz = (float(v) for v in p)
+    # p is a decomposition's CanonicalParams, three floats: no second read.
+    hx, hy, hz = p
     ops = [
         swap_op(ang.alpha),
         LocalOp(2, PAULI_X, "X"),
@@ -302,8 +305,9 @@ def _local_ops(matrices, slots):
     check under :func:`local_op`'s rule, so a failure raises the same
     ContractViolation that local_op would.
     """
-    matrices = _check_unitary(matrices, "local matrix")
-    return [LocalOp(q, m, label) for (q, label), m in zip(slots, matrices)]
+    qubits, labels = zip(*slots)
+    # map rather than a comprehension, whose own frame is one more call.
+    return list(map(LocalOp, qubits, _check_unitary(matrices, "local matrix"), labels))
 
 
 def synthesize_swap(u):
@@ -334,16 +338,18 @@ def synthesize_swap(u):
 def cnot_phase_params(phases):
     """Rotation angles that imprint the four Bell phases in the CNOT core.
 
-    Input is a BellPhases-like quadruple summing to zero (within 1e-9).
+    Input is a BellPhases-like quadruple of reals, by ``linalg._reals``,
+    summing to zero (within 1e-9).
     The four angles are underdetermined by one gauge degree of freedom,
     fixed here by zeta1 = zeta2 and the symmetric split of the xi pair:
 
         zeta1 = zeta2 = (l00 + l01)/4
         xi1 + xi2 = (l00 - l01)/2,  xi2 - xi1 = (l10 - l11)/2.
     """
-    l00, l01, l10, l11 = map(float, phases)
+    l00, l01, l10, l11 = _reals(phases, 4, "Bell phases")
     total = l00 + l01 + l10 + l11
-    if not abs(total) <= 1e-9:
+    # A chained bound, which NaN fails, costs no call to abs.
+    if not -1e-9 <= total <= 1e-9:
         raise ContractViolation(f"Bell phases must sum to 0 within 1e-9, got {total:.3e}")
     zeta = (l00 + l01) / 4.0
     half_sum = (l00 - l01) / 4.0
@@ -377,11 +383,13 @@ def build_core_cnot_circuit(params):
     :func:`cnot_phase_params`.  Equals exp_minus_iH(h) @ BELL_EXCHANGE for
     the matching coordinates h.
 
-    Its locals rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2), with W the
-    Hadamard, are admitted in one check.  Its CNOTs are exact, so they skip
-    :func:`cnot_op`'s check.
+    params is read as four reals in CnotPhaseParams order by
+    ``linalg._reals``.  Its locals rz(zeta1) W, rz(xi1), W rz(zeta2),
+    rz(xi2), with W the Hadamard, are admitted in one check.  Its CNOTs are
+    exact, so they skip :func:`cnot_op`'s check.
     """
-    w1, r1, w2, r2 = _local_ops(_core_cnot_locals(params), _CORE_CNOT_SLOTS)
+    angles = _reals(params, 4, "phase-layer angles")
+    w1, r1, w2, r2 = _local_ops(_core_cnot_locals(angles), _CORE_CNOT_SLOTS)
     ops = [CnotOp(1), w1, r1, CnotOp(1), w2, r2, CnotOp(1)]
     return Circuit(ops=ops, declared_global_phase=0.0)
 
@@ -391,14 +399,16 @@ def shifted_bell_phases(lam):
 
     The CNOT core imprints its phases while exchanging the phi-/psi-
     slots; a quarter-pi redistribution between the two slot pairs undoes
-    the exchange's effect on the canonical class.  Sum stays zero.
+    the exchange's effect on the canonical class.  Sum stays zero.  lam is
+    read as four reals in BellPhases order by ``linalg._reals``.
     """
+    l00, l01, l10, l11 = _reals(lam, 4, "Bell phases")
     quarter = np.pi / 4.0
     return BellPhases(
-        l00=lam.l00 - quarter,
-        l01=lam.l01 - quarter,
-        l10=lam.l10 + quarter,
-        l11=lam.l11 + quarter,
+        l00=l00 - quarter,
+        l01=l01 - quarter,
+        l10=l10 + quarter,
+        l11=l11 + quarter,
     )
 
 

@@ -6,6 +6,13 @@ argument is refused with a ContractViolation that names it.  An admitted
 target as far from unitary as the bound allows still compiles, on both
 backends and through the CLI, to a residual below 1e-9 against the matrix
 as given.
+
+``linalg._reals`` is the one admission rule for a tuple of reals: canonical
+coordinates, Bell phases and the CNOT core's phase-layer angles.  A string,
+a bool, None, a nested entry, a wrong length or an int too large for a float
+is refused with a ContractViolation that names the argument; NaN passes to
+each caller's own rule, and every spelling of the same reals gives the same
+bits.
 """
 
 import json
@@ -13,7 +20,15 @@ import json
 import numpy as np
 import pytest
 
-from swapsynth.canonical import kak_decompose, split_local_product
+from swapsynth.canonical import (
+    BellPhases,
+    CanonicalParams,
+    exp_minus_iH,
+    in_weyl_chamber,
+    kak_decompose,
+    lambdas,
+    split_local_product,
+)
 from swapsynth.cli import main
 from swapsynth.entanglement import ep_exact, ep_monte_carlo
 from swapsynth.linalg import (
@@ -28,9 +43,16 @@ from swapsynth.linalg import (
     project_su,
 )
 from swapsynth.synthesis import (
+    Circuit,
+    CnotPhaseParams,
     _matrix_to_json,
+    build_core_cnot_circuit,
+    circuit_to_dict,
+    cnot_phase_params,
     evaluate_circuit,
     local_op,
+    shifted_bell_phases,
+    swap_angles,
     synthesize_cnot,
     synthesize_swap,
 )
@@ -151,3 +173,88 @@ def test_integer_and_real_matrices_are_admitted_as_their_complex_twins():
         # Equal entries, equal bytes once admitted: one remembered decomposition.
         assert kak_decompose(np.eye(4, dtype=dtype)) is kak_decompose(ID4), dtype
     assert kak_decompose([[int(i == j) for j in range(4)] for i in range(4)]) is kak_decompose(ID4)
+
+
+# Every function that reads a tuple of reals, with a valid tuple, the name of
+# the argument in the error and its length.  linalg._reals is the one rule.
+h0 = (0.3, 0.2, 0.1)
+BELL0 = tuple(lambdas(h0))
+ANGLES0 = (0.1, 0.2, 0.3, 0.4)
+TUPLE_READERS = {
+    "lambdas": (lambdas, h0, "coordinates"),
+    "exp_minus_iH": (exp_minus_iH, h0, "coordinates"),
+    "in_weyl_chamber": (in_weyl_chamber, h0, "coordinates"),
+    "swap_angles": (swap_angles, h0, "coordinates"),
+    "shifted_bell_phases": (shifted_bell_phases, BELL0, "Bell phases"),
+    "cnot_phase_params": (cnot_phase_params, BELL0, "Bell phases"),
+    "build_core_cnot_circuit": (build_core_cnot_circuit, ANGLES0, "phase-layer angles"),
+}
+
+# Each fault, as a change to a valid tuple: its first entry replaced, or its length.
+BAD_TUPLES = {
+    "str": lambda t: ("0.1", *t[1:]),
+    "bool": lambda t: (True, *t[1:]),
+    "np.bool_": lambda t: (np.True_, *t[1:]),
+    "None": lambda t: (None, *t[1:]),
+    "nested tuple": lambda t: ((t[0],), *t[1:]),
+    "too few entries": lambda t: t[:-1],
+    "too many entries": lambda t: (*t, 0.0),
+    "10**400": lambda t: (10**400, *t[1:]),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_TUPLES)
+@pytest.mark.parametrize("func", TUPLE_READERS)
+def test_bad_tuple_of_reals_is_refused_by_name(func, fault):
+    call, valid, name = TUPLE_READERS[func]
+    rule = rf"^{name} (must be {len(valid)} real numbers, got |has an entry too large for a float$)"
+    with pytest.raises(ContractViolation, match=rule):
+        call(BAD_TUPLES[fault](valid))
+
+
+def test_a_value_that_is_no_tuple_is_refused_by_name():
+    for value in (None, 0.3, "0.3, 0.2, 0.1", np.float64(0.3), np.array(h0).reshape(3, 1)):
+        with pytest.raises(ContractViolation, match=r"^coordinates must be 3 real numbers, got "):
+            lambdas(value)
+
+
+def test_nan_keeps_each_callers_own_rule():
+    nan = float("nan")
+    for h in ((nan, 0.0, 0.0), (0.3, nan, 0.1), (0.3, 0.2, nan)):
+        assert in_weyl_chamber(h) is False
+        assert all(np.isnan(lambdas(h)))
+        with pytest.raises(ContractViolation, match=r"^parameters .* lie outside the canonical chamber"):
+            swap_angles(h)
+    with pytest.raises(ContractViolation, match=r"^Bell phases must sum to 0 within 1e-9, got nan$"):
+        cnot_phase_params((nan, 0.0, 0.0, 0.0))
+
+
+def _bits(result):
+    """A result as bytes, so that equal bytes mean bit-identical results."""
+    if isinstance(result, Circuit):
+        return json.dumps(circuit_to_dict(result)).encode()
+    return np.asarray(result).tobytes() + repr(type(result)).encode()
+
+
+def _spellings(valid, named):
+    """valid, a tuple of floats, as every other argument it equals."""
+    return [
+        list(valid),
+        np.array(valid),
+        tuple(map(np.float64, valid)),
+        named(*valid),
+        named(*map(np.float64, valid)),
+    ]
+
+
+@pytest.mark.parametrize("func", TUPLE_READERS)
+def test_other_spellings_of_a_tuple_give_identical_results(func):
+    call, valid, _ = TUPLE_READERS[func]
+    named = {3: CanonicalParams, 4: CnotPhaseParams if func == "build_core_cnot_circuit" else BellPhases}
+    expected = _bits(call(valid))
+    for spelling in _spellings(valid, named[len(valid)]):
+        assert _bits(call(spelling)) == expected, spelling
+    # Integers read as the floats they equal.
+    zero = (0.0,) * len(valid)
+    for spelling in ((0,) * len(valid), (np.int64(0), np.uint8(0), *(0,) * (len(valid) - 2))):
+        assert _bits(call(spelling)) == _bits(call(zero)), spelling

@@ -16,6 +16,11 @@ a scalar rule of its own would need: ``isfinite``, ``OverflowError`` and
 ``linalg._NUMBER_KINDS`` its types.  The third scan flags, outside
 ``linalg.py``, what a number rule of its own would test: an import of
 ``numbers``, ``numbers.Number`` and an array's ``.dtype.kind``.
+
+``linalg._reals`` owns the rule for a tuple of reals, such as canonical
+coordinates or Bell phases.  The fourth scan flags, outside ``linalg.py``,
+a tuple read by ``float`` of its own: ``map(float, ...)`` and a
+comprehension whose element is ``float(v)`` of its own loop name v.
 """
 
 import ast
@@ -203,3 +208,62 @@ def test_scanner_finds_number_rules():
 )
 def test_no_number_rule_outside_linalg(path):
     assert number_rule_names(path.read_text(encoding="utf-8")) == []
+
+
+def float_tuple_reads(source):
+    """Lines that read a tuple by float: map(float, ...) or float(v) for v in ..."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called_name(node) == "map":
+            named = any(isinstance(arg, ast.Name) and arg.id == "float" for arg in node.args[:1])
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            element = node.elt
+            loop_names = {
+                target.id for gen in node.generators for target in ast.walk(gen.target)
+                if isinstance(target, ast.Name)
+            }
+            named = (
+                isinstance(element, ast.Call)
+                and _called_name(element) == "float"
+                and any(isinstance(arg, ast.Name) and arg.id in loop_names for arg in element.args)
+            )
+        else:
+            continue
+        if named:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+# The tuple reads that canonical.py and synthesis.py kept of their own before
+# the rule moved to linalg: lambdas and swap_angles as they stood.
+OWN_TUPLE_READS = (
+    "def lambdas(params):\n"
+    "    hx, hy, hz = map(float, params)\n"
+    "    return BellPhases(l00=hx - hy + hz, l01=hx + hy - hz, l10=-hx + hy + hz, l11=-hx - hy - hz)\n"
+    "def swap_angles(p):\n"
+    "    if not in_weyl_chamber(p):\n"
+    "        raise ContractViolation(f'parameters {tuple(p)} lie outside the canonical chamber')\n"
+    "    hx, hy, hz = (float(v) for v in p)\n"
+)
+
+
+def test_scanner_finds_float_tuple_reads():
+    assert float_tuple_reads(OWN_TUPLE_READS) == [2, 7]
+    source = (
+        "xs = [float(x) for x in values]\n"
+        "ys = {float(b) for a, b in pairs}\n"
+        "zs = builtins.map(float, values)\n"
+        "alphas = [float(op.alpha) for op in ops]\n"
+        "total = float(sum(x for x in values))\n"
+        "words = list(map(str, values))\n"
+        "w = float(values[0])\n"
+        "v = [float(w) for x in values]\n"
+    )
+    assert float_tuple_reads(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "linalg.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_float_tuple_read_outside_linalg(path):
+    assert float_tuple_reads(path.read_text(encoding="utf-8")) == []

@@ -6,8 +6,9 @@ bounds hx + hy + |hz|.  That sum bounds the spectral norm of E(h) - I, so a
 sum within 1e-8 keeps l within 1e-8 of e^{i psi} a (x) b.  The CNOT core's
 fixed local pair is read this way once, at import.
 
-An AST scan keeps the KAK's own machinery, the projection's ``_THREE_ID4``
-and the quaternion split ``_split_rotations``, inside ``_decompose``, so no
+An AST scan keeps the KAK's own machinery, the projection step
+``linalg._newton_schulz`` (or a copy of its constant ``_THREE_ID4``) and
+the quaternion split ``_split_rotations``, inside ``_decompose``, so no
 second factorization pipeline grows back around them.
 """
 
@@ -57,12 +58,14 @@ def test_the_cnot_core_pair_is_its_closed_form():
     assert abs(synthesis._CORE_PSI - np.pi / 4.0) <= 1e-15
 
 
-# Names only the KAK itself may read.
-KAK_OWN = {"_THREE_ID4", "_split_rotations"}
+# Names only the KAK itself may read.  The projection step moved to
+# linalg._newton_schulz, which the CLI's verify shares; _THREE_ID4 stays
+# listed so that a copy of its constant in canonical is flagged too.
+KAK_OWN = {"_THREE_ID4", "_newton_schulz", "_split_rotations"}
 
 
 def foreign_reads(source):
-    """Lines outside _decompose that read _THREE_ID4 or _split_rotations."""
+    """Lines outside _decompose that read a name of KAK_OWN."""
     lines = []
     for top in ast.parse(source).body:
         if isinstance(top, ast.FunctionDef) and top.name == "_decompose":
@@ -106,10 +109,11 @@ def test_scanner_finds_the_kak_machinery_outside_decompose():
         "        return 3.0 * ID4 - _THREE_ID4\n"
         "def _decompose(key):\n"
         "    def g():\n"
-        "        return _THREE_ID4\n"
+        "        return _newton_schulz(_THREE_ID4)\n"
         "    return _split_rotations(g())\n"
+        "near = _newton_schulz(u)\n"
     )
-    assert foreign_reads(source) == [1, 4]
+    assert foreign_reads(source) == [1, 4, 9]
 
 
 def test_only_decompose_reads_the_kak_machinery():
