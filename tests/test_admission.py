@@ -177,14 +177,14 @@ def test_integer_and_real_matrices_are_admitted_as_their_complex_twins():
 
 # Every function that reads a tuple of reals, with a valid tuple, the name of
 # the argument in the error and its length.  linalg._reals is the one rule.
-h0 = (0.3, 0.2, 0.1)
-BELL0 = tuple(lambdas(h0))
+H0 = (0.3, 0.2, 0.1)
+BELL0 = tuple(lambdas(H0))
 ANGLES0 = (0.1, 0.2, 0.3, 0.4)
 TUPLE_READERS = {
-    "lambdas": (lambdas, h0, "coordinates"),
-    "exp_minus_iH": (exp_minus_iH, h0, "coordinates"),
-    "in_weyl_chamber": (in_weyl_chamber, h0, "coordinates"),
-    "swap_angles": (swap_angles, h0, "coordinates"),
+    "lambdas": (lambdas, H0, "coordinates"),
+    "exp_minus_iH": (exp_minus_iH, H0, "coordinates"),
+    "in_weyl_chamber": (in_weyl_chamber, H0, "coordinates"),
+    "swap_angles": (swap_angles, H0, "coordinates"),
     "shifted_bell_phases": (shifted_bell_phases, BELL0, "Bell phases"),
     "cnot_phase_params": (cnot_phase_params, BELL0, "Bell phases"),
     "build_core_cnot_circuit": (build_core_cnot_circuit, ANGLES0, "phase-layer angles"),
@@ -213,7 +213,7 @@ def test_bad_tuple_of_reals_is_refused_by_name(func, fault):
 
 
 def test_a_value_that_is_no_tuple_is_refused_by_name():
-    for value in (None, 0.3, "0.3, 0.2, 0.1", np.float64(0.3), np.array(h0).reshape(3, 1)):
+    for value in (None, 0.3, "0.3, 0.2, 0.1", np.float64(0.3), np.array(H0).reshape(3, 1)):
         with pytest.raises(ContractViolation, match=r"^coordinates must be 3 real numbers, got "):
             lambdas(value)
 
