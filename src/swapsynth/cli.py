@@ -215,7 +215,7 @@ def cmd_synth(ns):
         f"canonical h:     ({hx:.9f}, {hy:.9f}, {hz:.9f})",
     ]
     if ns.backend == "swap":
-        exponents = [float(op.alpha) for op in circuit.ops if isinstance(op, SwapPowOp)]
+        exponents = [op.alpha for op in circuit.ops if isinstance(op, SwapPowOp)]
         report["swap_exponents"] = exponents
         rendered = ", ".join(f"{a:.9f}" for a in exponents)
         lines.append(f"swap exponents:  ({rendered})")
@@ -321,7 +321,7 @@ def cmd_analyze_appendix_a(ns):
     term2, term3 = appendix_a_terms(ns.alpha)
     residual2, residual3 = appendix_a_residuals(ns.alpha)
     report = {
-        "alpha": float(ns.alpha),
+        "alpha": _real(ns.alpha, "swap exponent"),
         "term2": float(term2),
         "term3": float(term3),
         "residual_term2": residual2,

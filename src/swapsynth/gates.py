@@ -73,9 +73,12 @@ def rz(zeta):
     """Rotation about z: diag(e^{-i zeta}, e^{i zeta}).  An array of angles
     gives the (..., 2, 2) stack of the rotations its scalars give."""
     zeta = np.asarray(zeta, dtype=float)
+    e = np.exp(-1j * zeta)
     m = np.zeros((*zeta.shape, 2, 2), dtype=complex)
-    m[..., 0, 0] = np.exp(-1j * zeta)
-    m[..., 1, 1] = np.exp(1j * zeta)
+    m[..., 0, 0] = e
+    # Added to the zero entry, conj(e) is e^{i zeta} bit for bit: the sum
+    # turns its -0.0 imaginary part at zeta = -0.0 into the +0.0 of exp.
+    m[..., 1, 1] += np.conjugate(e)
     return m
 
 

@@ -83,10 +83,11 @@ def _integer(value, name):
 
 
 def _real(value, name):
-    """value as a finite float, or ContractViolation naming it: an int, float
-    or numpy real scalar passes; a bool or np.bool_, a string or None does
+    """value as a finite float, or ContractViolation naming it: a value whose
+    type is in ``_REAL_TYPES``, the rule of :func:`_reals`, passes; a bool or
+    np.bool_, a string, None or a subclass such as an ``IntEnum`` member does
     not, nor an int too large for a float, nor NaN or an infinity."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer)):
+    if value.__class__ not in _REAL_TYPES:
         raise ContractViolation(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
@@ -251,10 +252,18 @@ def phase_distance(u, v):
 
     Zero exactly when u and v agree up to a global phase; 1/2 for the
     identity against SWAP.  Symmetric, and obeys the triangle inequality
-    up to numerical slack.
+    up to numerical slack.  u and v are admitted by :func:`assert_unitary`'s
+    rule, v at u's size, and raise its error for u first; their unitarity is
+    checked as one stack.
     """
-    u = assert_unitary(u, name="u")
-    v = assert_unitary(v, name="v", dim=u.shape[0])
+    u = _admit_matrix(u, "u", None)
+    try:
+        v = _admit_matrix(v, "v", u.shape[0])
+        _check_unitary(np.array([u, v]), "u and v")
+    except ContractViolation:
+        # Admitted again one at a time, so the error is assert_unitary's for u, then for v.
+        _check_unitary(u, "u")
+        v = assert_unitary(v, "v", u.shape[0])
     d = 1.0 - abs(np.vdot(u, v)) / u.shape[0]
     return max(d, 0.0)
 

@@ -135,7 +135,7 @@ class SwapPowOp(GateOp):
     kind: ClassVar[str] = "swap_pow"
 
     def _even_distance(self):
-        reduced = float(self.alpha) % 2.0
+        reduced = _real(self.alpha, "swap exponent") % 2.0
         return min(reduced, 2.0 - reduced)
 
     def unitary(self):
@@ -174,7 +174,7 @@ class CnotOp(GateOp):
 
     def apply(self, u):
         # A CNOT permutes the rows: it flips the target where the control is 1.
-        return u[_CNOT_ROWS[self.control]]
+        return u.take(_CNOT_ROWS[self.control], 0)
 
     def to_dict(self):
         return {"kind": self.kind, "control": _qubit_index(self.control, "control")}
@@ -368,10 +368,13 @@ _CORE_CNOT_SLOTS = ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2"))
 
 def _core_cnot_locals(params):
     """The (4, 2, 2) stack rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2) of the
-    CNOT core's two phase layers, W the Hadamard, from one stacked :func:`rz`."""
+    CNOT core's two phase layers, W the Hadamard, from one stacked :func:`rz`
+    and one stacked product."""
     m = rz(params)
-    m[0] = m[0] @ HADAMARD
-    m[2] = HADAMARD @ m[2]
+    front, back = m[0::2] @ HADAMARD
+    m[0] = front
+    # W rz(zeta2) = (rz(zeta2) W)^T, bit for bit: W is symmetric, rz diagonal.
+    m[2] = back.T
     return m
 
 
@@ -423,9 +426,8 @@ _CORE_P, _CORE_Q, _CORE_PSI = split_local_product(
 )
 _frozen(_CORE_P)
 _frozen(_CORE_Q)
-# The front locals of every CNOT circuit absorb p^dag and q^dag.
-_CORE_P_DAG = _frozen(_CORE_P.conj().T)
-_CORE_Q_DAG = _frozen(_CORE_Q.conj().T)
+# The front locals of every CNOT circuit absorb p^dag and q^dag, as one stack.
+_CORE_PQ_DAG = _frozen(np.array([_CORE_P.conj().T, _CORE_Q.conj().T]))
 
 # Qubit and label of the eight locals of a CNOT circuit, in stack order.
 _CNOT_SLOTS = ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1"), (2, "back-q2"))
@@ -448,9 +450,8 @@ def synthesize_cnot(u):
     """
     dec = kak_decompose(u)
     m = np.empty((8, 2, 2), dtype=complex)
-    m[0] = _CORE_P_DAG @ dec.front[0]
-    m[1] = _CORE_Q_DAG @ dec.front[1]
-    m[6], m[7] = dec.back
+    m[:2] = _CORE_PQ_DAG @ dec.front
+    m[6:] = dec.back
     try:
         m[2:6] = _core_cnot_locals(_cnot_core_params(dec.params))
         f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
@@ -498,7 +499,7 @@ def expand_cnots_to_swaps(circuit):
 
 def evaluate_circuit(circuit):
     """Multiply a circuit out to its 4x4 unitary, global phase included."""
-    u = ID4 * cmath.exp(1j * float(circuit.declared_global_phase))
+    u = ID4 * cmath.exp(1j * _real(circuit.declared_global_phase, "global_phase"))
     for op in circuit.ops:
         u = op.apply(u)
     return u
@@ -521,7 +522,7 @@ def prune_circuit(circuit, tol=1e-12):
     tol = _real(tol, "tol")
     if tol < 0:
         raise ContractViolation(f"tol must be >= 0, got {tol}")
-    phase = float(circuit.declared_global_phase)
+    phase = _real(circuit.declared_global_phase, "global_phase")
     ops = []
     for op in circuit.ops:
         theta = op.identity_phase(tol)

@@ -13,8 +13,14 @@ a bool, None, a nested entry, a wrong length or an int too large for a float
 is refused with a ContractViolation that names the argument; NaN passes to
 each caller's own rule, and every spelling of the same reals gives the same
 bits.
+
+``linalg._real`` is the one rule for a real scalar, such as a swap exponent
+or a circuit's global phase.  Each of its readers refuses what the circuit
+writer refuses, a hand-built field included.  It takes the types of
+``_reals``: a subclass, such as an ``IntEnum`` member, passes neither.
 """
 
+import enum
 import json
 
 import numpy as np
@@ -30,6 +36,7 @@ from swapsynth.canonical import (
     split_local_product,
 )
 from swapsynth.cli import main
+from swapsynth.costmodel import builtin_profile
 from swapsynth.entanglement import ep_exact, ep_monte_carlo
 from swapsynth.linalg import (
     ATOL_UNITARY,
@@ -45,14 +52,17 @@ from swapsynth.linalg import (
 from swapsynth.synthesis import (
     Circuit,
     CnotPhaseParams,
+    SwapPowOp,
     _matrix_to_json,
     build_core_cnot_circuit,
     circuit_to_dict,
     cnot_phase_params,
     evaluate_circuit,
     local_op,
+    prune_circuit,
     shifted_bell_phases,
     swap_angles,
+    swap_op,
     synthesize_cnot,
     synthesize_swap,
 )
@@ -258,3 +268,54 @@ def test_other_spellings_of_a_tuple_give_identical_results(func):
     zero = (0.0,) * len(valid)
     for spelling in ((0,) * len(valid), (np.int64(0), np.uint8(0), *(0,) * (len(valid) - 2))):
         assert _bits(call(spelling)) == _bits(call(zero)), spelling
+
+
+# Each read of a hand-built circuit field, with the name the writer's error gives it.
+FIELD_READERS = {
+    "evaluate_circuit": (lambda x: evaluate_circuit(Circuit([], x)), "global_phase"),
+    "prune_circuit": (lambda x: prune_circuit(Circuit([], x)), "global_phase"),
+    "SwapPowOp.duration_s": (lambda x: SwapPowOp(x).duration_s(builtin_profile("gaas")), "swap exponent"),
+    "SwapPowOp.identity_phase": (lambda x: SwapPowOp(x).identity_phase(1e-12), "swap exponent"),
+    "circuit_to_dict": (lambda x: circuit_to_dict(Circuit([], x)), "global_phase"),
+}
+
+BAD_FIELDS = {
+    "str": ("0.5", "must be a number, got '0.5'"),
+    "bool": (True, "must be a number, got True"),
+    "None": (None, "must be a number, got None"),
+    "NaN": (float("nan"), "must be finite, got nan"),
+    "10**400": (10**400, "is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_FIELDS)
+@pytest.mark.parametrize("reader", FIELD_READERS)
+def test_a_bad_hand_built_field_is_refused_by_every_reader(reader, fault):
+    call, name = FIELD_READERS[reader]
+    value, message = BAD_FIELDS[fault]
+    with pytest.raises(ContractViolation) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} {message}"
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Real(float):
+    pass
+
+
+# Values that equal a real but whose type is a subclass of one.
+SUBCLASSED = {"IntEnum member": Level.ONE, "float subclass": Real(0.5)}
+
+
+@pytest.mark.parametrize("kind", SUBCLASSED)
+def test_a_subclass_of_a_real_type_passes_neither_real_rule(kind):
+    value = SUBCLASSED[kind]
+    with pytest.raises(ContractViolation, match=r"^swap exponent must be a number, got "):
+        swap_op(value)
+    with pytest.raises(ContractViolation, match=r"^global_phase must be a number, got "):
+        evaluate_circuit(Circuit([], value))
+    with pytest.raises(ContractViolation, match=r"^coordinates must be 3 real numbers, got "):
+        lambdas((value, 0.0, 0.0))

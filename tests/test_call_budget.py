@@ -75,16 +75,19 @@ BUDGET = 140
 # each tuple of reals is read once by linalg._reals: the swap core drops two
 # generator re-reads of h, and the CNOT path's three reads cost a call each,
 # paid for by _local_ops's map, the np.conjugate above and a chained bound
-# in place of abs in cnot_phase_params.
-SYNTHESIS_BUDGETS = {synthesize_swap: 181, synthesize_cnot: 175}
+# in place of abs in cnot_phase_params.  linalg._real, testing the exact
+# type in place of two isinstance calls, takes its three swap exponents from
+# 181 to 175; the CNOT path's stacked products make no call and stay at 175.
+SYNTHESIS_BUDGETS = {synthesize_swap: 175, synthesize_cnot: 175}
 
 # A target the memo holds: kak_decompose admits it and looks it up, and the
 # synthesizers only build their circuits.  Through a builder that took the
 # decomposition they made 57 and 43.  kak_decompose made 7 while a hit
 # checked the unitarity of bytes the miss had admitted; with that check
 # made only on a miss it makes 3, and the synthesizers 52 and 38.  Reading
-# each tuple of reals once by linalg._reals takes them to 44 and 38.
-HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 44, synthesize_cnot: 38}
+# each tuple of reals once by linalg._reals takes them to 44 and 38, and
+# linalg._real by exact type the swap path to 38.
+HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 38, synthesize_cnot: 38}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked
@@ -93,7 +96,8 @@ HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 44, synthesize_cnot: 38}
 # linalg._text spends one (221): a per-entry parse would read 229.  The
 # stacked unitarity check's np.maximum.reduce in place of ndarray.max saves
 # two (219), and np.conjugate in place of ndarray.conj one more (218).
-READER_BUDGET = 218
+# linalg._real by exact type, for the document's global phase, saves two (216).
+READER_BUDGET = 216
 
 # One 4x4 _matrix_from_json, the lambda that calls it included: one array
 # conversion, one cast and one view.  Parsed entry by entry it made 8.

@@ -110,6 +110,18 @@ def test_rz():
         assert all(np.array_equal(stack[i], rz(angles[i])) for i in range(k))
 
 
+def test_rz_diagonal_is_exp_bit_for_bit():
+    # rz calls exp once and takes e^{i zeta} as the conjugate of e^{-i zeta}:
+    # both entries must keep the bits of their own exp, signs of zero included.
+    special = np.array([0.0, -0.0, np.pi, -np.pi, 1e3, -1e3])
+    draws = np.random.default_rng(31).standard_normal(10**5)
+    for zeta in (special, draws, *special):
+        m = rz(zeta)
+        assert m[..., 1, 1].tobytes() == np.exp(1j * zeta).tobytes(), zeta
+        assert m[..., 0, 0].tobytes() == np.exp(-1j * zeta).tobytes(), zeta
+        assert not m[..., 0, 1].any() and not m[..., 1, 0].any()
+
+
 def test_named_gate_lookup():
     assert np.allclose(named_gate("cnot"), CNOT)
     assert np.allclose(named_gate("SWAP"), SWAP)

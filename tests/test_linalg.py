@@ -93,6 +93,32 @@ def test_phase_distance_basics():
     assert phase_distance(ID2, PAULI_X) == pytest.approx(1.0)
 
 
+NAN4 = np.full((4, 4), np.nan, dtype=complex)
+
+# phase_distance checks u and v for unitarity as one stack; each fault must
+# still raise the error that admitting u, then v, one at a time raised.
+PHASE_DISTANCE_FAULTS = {
+    "u non-unitary, v of the wrong shape": (
+        2.0 * ID4, HADAMARD, "u is not unitary: max deviation 3.000e+00 exceeds 1e-10"
+    ),
+    "v non-unitary": (ID4, 2.0 * ID4, "v is not unitary: max deviation 3.000e+00 exceeds 1e-10"),
+    "both non-unitary": (3.0 * ID4, 2.0 * ID4, "u is not unitary: max deviation 8.000e+00 exceeds 1e-10"),
+    "u not square": (np.ones((2, 3)), ID4, "u must be a non-empty square matrix, got shape (2, 3)"),
+    "u of strings": ([["1", "0"], ["0", "1"]], ID4, "u must be a matrix of numbers, got dtype <U1"),
+    "v all NaN": (ID4, NAN4, "v is not unitary: max deviation nan exceeds 1e-10"),
+    "u all NaN, v of strings": (NAN4, [["1"]], "u is not unitary: max deviation nan exceeds 1e-10"),
+    "v of the wrong shape": (ID4, HADAMARD, "v must be a 4x4 matrix, got shape (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("fault", PHASE_DISTANCE_FAULTS)
+def test_phase_distance_raises_the_first_fault_of_u_then_v(fault):
+    u, v, message = PHASE_DISTANCE_FAULTS[fault]
+    with pytest.raises(ContractViolation) as exc:
+        phase_distance(u, v)
+    assert str(exc.value) == message
+
+
 def test_phase_distance_symmetry_and_triangle():
     us = [haar_random_unitary(4, seed=s) for s in (1, 2, 3)]
     for u in us:

@@ -21,6 +21,11 @@ a scalar rule of its own would need: ``isfinite``, ``OverflowError`` and
 coordinates or Bell phases.  The fourth scan flags, outside ``linalg.py``,
 a tuple read by ``float`` of its own: ``map(float, ...)`` and a
 comprehension whose element is ``float(v)`` of its own loop name v.
+
+``linalg._real`` also reads the real fields of a hand-built circuit: a swap
+exponent ``alpha`` and the ``declared_global_phase``.  The fifth scan flags,
+outside ``linalg.py``, a ``float(...)`` of an ``.alpha`` or
+``.declared_global_phase`` attribute, which takes a string or a bool.
 """
 
 import ast
@@ -267,3 +272,52 @@ def test_scanner_finds_float_tuple_reads():
 )
 def test_no_float_tuple_read_outside_linalg(path):
     assert float_tuple_reads(path.read_text(encoding="utf-8")) == []
+
+
+# The attributes that hold a real field of a hand-built circuit or op.
+REAL_FIELDS = {"alpha", "declared_global_phase"}
+
+
+def float_field_reads(source):
+    """Lines that read an .alpha or .declared_global_phase attribute by float()."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "float"
+        and any(isinstance(arg, ast.Attribute) and arg.attr in REAL_FIELDS for arg in node.args)
+    })
+
+
+# The field reads that synthesis.py and cli.py kept of their own before
+# linalg._real read them: a swap exponent's distance to an even integer,
+# evaluate_circuit's and prune_circuit's phase, and synth's exponent report.
+OWN_FIELD_READS = (
+    "def _even_distance(self):\n"
+    "    reduced = float(self.alpha) % 2.0\n"
+    "    return min(reduced, 2.0 - reduced)\n"
+    "def evaluate_circuit(circuit):\n"
+    "    u = ID4 * cmath.exp(1j * float(circuit.declared_global_phase))\n"
+    "def prune_circuit(circuit, tol=1e-12):\n"
+    "    phase = float(circuit.declared_global_phase)\n"
+    "exponents = [float(op.alpha) for op in circuit.ops if isinstance(op, SwapPowOp)]\n"
+)
+
+
+def test_scanner_finds_float_field_reads():
+    assert float_field_reads(OWN_FIELD_READS) == [2, 5, 7, 8]
+    source = (
+        "a = float(ns.alpha)\n"
+        "b = float(alpha)\n"
+        "c = _real(op.alpha, 'swap exponent')\n"
+        "d = float(op.beta) + float(np.arccos(op.alpha))\n"
+        "e = float(circuit.declared_global_phase + 1.0)\n"
+    )
+    assert float_field_reads(source) == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "linalg.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_float_field_read_outside_linalg(path):
+    assert float_field_reads(path.read_text(encoding="utf-8")) == []

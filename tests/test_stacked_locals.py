@@ -153,10 +153,21 @@ def test_cnot_builder_refuses_a_non_unitary_member(half, monkeypatch):
 
 
 def test_conjugated_core_factors_are_frozen_constants():
-    for name, factor in (("_CORE_P_DAG", P), ("_CORE_Q_DAG", Q)):
-        constant = getattr(synthesis, name)
-        assert not constant.flags.writeable, name
-        assert constant.tobytes() == factor.conj().T.tobytes(), name
+    constant = synthesis._CORE_PQ_DAG
+    assert not constant.flags.writeable
+    for name, member, factor in (("p^dag", constant[0], P), ("q^dag", constant[1], Q)):
+        assert member.tobytes() == factor.conj().T.tobytes(), name
+
+
+def test_core_phase_layers_match_their_two_products_bit_for_bit():
+    # One stacked product rz W, with slot 2 transposed, in place of rz1 W and W rz2.
+    rng = np.random.default_rng(31)
+    for angles in [*3.0 * rng.standard_normal((2000, 4)), np.array([0.0, -0.0, np.pi, -np.pi])]:
+        m = synthesis._core_cnot_locals(angles)
+        r = gates.rz(angles)
+        assert m[0].tobytes() == (r[0] @ HADAMARD).tobytes(), angles
+        assert m[2].tobytes() == (HADAMARD @ r[2]).tobytes(), angles
+        assert m[1::2].tobytes() == r[1::2].tobytes(), angles
 
 
 def _local_entry(matrix, qubit=1):
