@@ -228,9 +228,9 @@ def _chamber_gauge(half, columns):
 
     half is minus half of ``np.angle(d)`` and columns are q's columns as
     lists, for the eigenpairs d, q of diagonalize_complex_symmetric_unitary
-    in its order: vm = o2 diag(e^{-i half}) q^T.  Returns h, the signed
-    column references of o2 and q (slot i holds column |c| - 1, negated
-    when c < 0) and the quarter turns that the global phase gains.
+    in its order: vm = o2 diag(e^{-i half}) q^T.  Returns h, the slots (slot
+    i holds column slots[i] of o2 and of q), their signs as two rows of +-1.0,
+    o2's then q's, and the quarter turns that the global phase gains.
 
     Adding pi to a phase negates its column of o2.  For a phase sum of n pi,
     the n largest phases move down by pi, or the -n smallest up, so that
@@ -248,10 +248,10 @@ def _chamber_gauge(half, columns):
     """
     n = round(sum(half) / np.pi)
     rising = [j for *_, j in sorted(zip(half, _PLACES, range(4)))]
-    lam, sign = list(half), [1, 1, 1, 1]
+    lam, sign = list(half), [1.0, 1.0, 1.0, 1.0]
     for j in rising[4 - n:] if n > 0 else rising[:-n]:
         lam[j] += -np.pi if n > 0 else np.pi
-        sign[j] = -1
+        sign[j] = -1.0
     order = [j for *_, j in sorted(zip([-x for x in lam], _PLACES, range(4)))]
     a, b, c, d = [lam[j] for j in order]
     turned = c + np.pi / 2.0, d + np.pi / 2.0, a - np.pi / 2.0, b - np.pi / 2.0
@@ -265,12 +265,13 @@ def _chamber_gauge(half, columns):
         a, b, c, d = turned
         sign[order[0]], sign[order[1]] = -sign[order[0]], -sign[order[1]]
     slots = [order[p] for p in _PLACES]
-    leads = [next(x for x in columns[j] if x > 1e-8 or x < -1e-8) for j in slots]
-    q_cols = [j + 1 if lead > 0 else -j - 1 for j, lead in zip(slots, leads)]
-    if _det4([columns[r - 1] if r > 0 else [-x for x in columns[-r - 1]] for r in q_cols]) < 0:
-        q_cols[3] = -q_cols[3]
-    o2_cols = [r * sign[abs(r) - 1] for r in q_cols]
-    return [(a + b) / 2.0, (a + c) / 2.0, (b + c) / 2.0], o2_cols, q_cols, turns
+    rows = [columns[j] for j in slots]
+    q_signs = [1.0 if next(x for x in row if x > 1e-8 or x < -1e-8) > 0 else -1.0 for row in rows]
+    # Negating a row negates _det4 exactly, so this is the det of the signed rows.
+    if _det4(rows) * q_signs[0] * q_signs[1] * q_signs[2] * q_signs[3] < 0:
+        q_signs[3] = -q_signs[3]
+    o2_signs = [s * sign[j] for s, j in zip(q_signs, slots)]
+    return [(a + b) / 2.0, (a + c) / 2.0, (b + c) / 2.0], slots, [o2_signs, q_signs], turns
 
 
 def _det4(rows):
@@ -334,16 +335,15 @@ def _decompose(key):
     o2 = (vm @ q) * np.exp(1j * half)
     residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
-    h, o2_cols, q_cols, turns = _chamber_gauge(half.tolist(), q.T.tolist())
+    h, slots, signs, turns = _chamber_gauge(half.tolist(), q.T.tolist())
     params = CanonicalParams(*h)
     if not in_weyl_chamber(params):
         raise NumericalError(f"reduction left the chamber: {params}")
 
     # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag with their columns
-    # gathered: both are real, so they split with no phase left over.
-    order = [abs(c) - 1 for c in o2_cols]
-    signs = [1.0 if c > 0 else -1.0 for c in o2_cols + q_cols]
-    rotations = np.array([o2.real, q])[:, :, order] * np.array(signs).reshape(2, 1, 4)
+    # gathered into slot order and signed: both are real, so they split with
+    # no phase left over.
+    rotations = np.array([o2.real, q])[:, :, slots] * np.array(signs)[:, np.newaxis, :]
     rotations[1] = rotations[1].T
     try:
         (b1, f1), (b2, f2) = _split_rotations(rotations)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .linalg import ContractViolation, _check_bound, _real, _text, phase_distance
 from .synthesis import (
     LocalOp,
+    _qubit_index,
     evaluate_circuit,
     expand_cnots_to_swaps,
     gate_counts,
@@ -152,7 +153,8 @@ def schedule_circuit(circuit, profile):
     alone.  Each op's duration is its ``duration_s(profile)``: swap_pow
     scales with the exponent's distance from an even integer, capped at the
     full-SWAP time, and cnot is an optimistic full-SWAP-time placeholder,
-    since a CNOT is not a native pulse on an exchange-only device.
+    since a CNOT is not a native pulse on an exchange-only device.  A
+    local's qubit is read as ``LocalOp`` reads it.
     """
     _admit_profile(profile)
     layers = []
@@ -163,7 +165,10 @@ def schedule_circuit(circuit, profile):
         if not isinstance(op, LocalOp):
             layers.append(Layer(duration, (idx,), op.kind))
             open_qubits = ()
-        elif open_qubits and op.qubit not in open_qubits:
+            continue
+        if op.qubit not in (1, 2):
+            _qubit_index(op.qubit, "qubit")
+        if open_qubits and op.qubit not in open_qubits:
             last = layers[-1]
             layers[-1] = Layer(max(last.duration_s, duration), last.op_indices + (idx,), op.kind)
             open_qubits += (op.qubit,)

@@ -74,7 +74,12 @@ class GateOp:
 
 @dataclasses.dataclass(eq=False)
 class LocalOp(GateOp):
-    """Single-qubit gate ``matrix`` on qubit 1 (left factor) or 2."""
+    """Single-qubit gate ``matrix`` on qubit 1 (left factor) or 2.
+
+    A hand-built qubit that equals neither 1 nor 2 is refused, where it is
+    read, with the error of :func:`local_op`; one equal to 1 or 2, such as
+    True or 1.0, reads as that qubit, and only the writer refuses it.
+    """
 
     qubit: int
     matrix: np.ndarray
@@ -84,12 +89,16 @@ class LocalOp(GateOp):
     def unitary(self):
         if self.qubit == 1:
             return _kron(self.matrix, ID2)
+        if self.qubit != 2:
+            _qubit_index(self.qubit, "qubit")
         return _kron(ID2, self.matrix)
 
     def apply(self, u):
         # The 2x2 acts on the row index's qubit-1 (or qubit-2) digit only.
         if self.qubit == 1:
             return (self.matrix @ u.reshape(2, 8)).reshape(4, 4)
+        if self.qubit != 2:
+            _qubit_index(self.qubit, "qubit")
         return (self.matrix @ u.reshape(2, 2, 4)).reshape(4, 4)
 
     def to_dict(self):
@@ -163,16 +172,21 @@ class SwapPowOp(GateOp):
 
 @dataclasses.dataclass(eq=False)
 class CnotOp(GateOp):
-    """CNOT with control qubit ``control`` (1 or 2)."""
+    """CNOT with control qubit ``control`` (1 or 2), read as LocalOp reads
+    its qubit, with the error of :func:`cnot_op`."""
 
     control: int
     kind: ClassVar[str] = "cnot"
 
     def unitary(self):
+        if self.control not in (1, 2):
+            _qubit_index(self.control, "control")
         # A copy: CNOT is read-only, and like every op's unitary the result is the caller's.
         return (CNOT if self.control == 1 else CNOT_21).copy()
 
     def apply(self, u):
+        if self.control not in (1, 2):
+            _qubit_index(self.control, "control")
         # A CNOT permutes the rows: it flips the target where the control is 1.
         return u.take(_CNOT_ROWS[self.control], 0)
 
@@ -193,7 +207,9 @@ _CNOT_ROWS = {1: _frozen(np.array([0, 1, 3, 2])), 2: _frozen(np.array([0, 3, 2, 
 
 
 def _qubit_index(value, name):
-    """value as the int 1 or 2 by ``linalg._integer``, or ContractViolation naming it."""
+    """value as the int 1 or 2 by ``linalg._integer``, or ContractViolation
+    naming it.  The op readers call it only for a value equal to neither 1
+    nor 2, which it always refuses."""
     value = _integer(value, name)
     if value not in (1, 2):
         raise ContractViolation(f"{name} must be 1 or 2, got {value}")
@@ -469,7 +485,9 @@ _H_SDG = _frozen(HADAMARD @ np.diag([1.0, -1j]))
 
 def _cnot_gadget(control):
     """The six ops of one CNOT; its locals are exact constants, so they skip
-    :func:`local_op`'s check."""
+    :func:`local_op`'s check.  control is read as CnotOp reads it."""
+    if control not in (1, 2):
+        _qubit_index(control, "control")
     target = 2 if control == 1 else 1
     return [
         LocalOp(target, HADAMARD, "H"),

@@ -14,6 +14,11 @@ is refused with a ContractViolation that names the argument; NaN passes to
 each caller's own rule, and every spelling of the same reals gives the same
 bits.
 
+An op's ``qubit`` or ``control`` is written by ``synthesis._qubit_index``,
+the int 1 or 2.  Each reader of a hand-built op refuses a value equal to
+neither 1 nor 2 with the writer's error, where it once read it as the
+other qubit or raised a bare KeyError.
+
 ``linalg._real`` is the one rule for a real scalar, such as a swap exponent
 or a circuit's global phase.  Each of its readers refuses what the circuit
 writer refuses, a hand-built field included.  It takes the types of
@@ -36,13 +41,14 @@ from swapsynth.canonical import (
     split_local_product,
 )
 from swapsynth.cli import main
-from swapsynth.costmodel import builtin_profile
+from swapsynth.costmodel import builtin_profile, schedule_circuit
 from swapsynth.entanglement import ep_exact, ep_monte_carlo
 from swapsynth.linalg import (
     ATOL_UNITARY,
     ContractViolation,
     HADAMARD,
     ID4,
+    PAULI_X,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     haar_random_unitary,
@@ -51,13 +57,16 @@ from swapsynth.linalg import (
 )
 from swapsynth.synthesis import (
     Circuit,
+    CnotOp,
     CnotPhaseParams,
+    LocalOp,
     SwapPowOp,
     _matrix_to_json,
     build_core_cnot_circuit,
     circuit_to_dict,
     cnot_phase_params,
     evaluate_circuit,
+    expand_cnots_to_swaps,
     local_op,
     prune_circuit,
     shifted_bell_phases,
@@ -319,3 +328,42 @@ def test_a_subclass_of_a_real_type_passes_neither_real_rule(kind):
         evaluate_circuit(Circuit([], value))
     with pytest.raises(ContractViolation, match=r"^coordinates must be 3 real numbers, got "):
         lambdas((value, 0.0, 0.0))
+
+
+# Each read of a hand-built op's qubit or control: the op built from a
+# value, and the call that reads it.
+QUBIT_READERS = {
+    "LocalOp.unitary": (lambda x: LocalOp(x, PAULI_X), lambda op: op.unitary()),
+    "LocalOp.apply": (lambda x: LocalOp(x, PAULI_X), lambda op: op.apply(ID4)),
+    "evaluate_circuit(LocalOp)": (lambda x: LocalOp(x, PAULI_X), lambda op: evaluate_circuit(Circuit([op]))),
+    "schedule_circuit": (
+        lambda x: LocalOp(x, PAULI_X),
+        lambda op: schedule_circuit(Circuit([local_op(1, PAULI_X), op, local_op(2, PAULI_X)]), builtin_profile("gaas")),
+    ),
+    "CnotOp.unitary": (CnotOp, lambda op: op.unitary()),
+    "CnotOp.apply": (CnotOp, lambda op: op.apply(ID4)),
+    "evaluate_circuit(CnotOp)": (CnotOp, lambda op: evaluate_circuit(Circuit([op]))),
+    "expand_cnots_to_swaps": (CnotOp, lambda op: expand_cnots_to_swaps(Circuit([op]))),
+}
+
+BAD_QUBITS = {"0": 0, "3": 3, "str": "1", "None": None}
+
+
+@pytest.mark.parametrize("value", BAD_QUBITS)
+@pytest.mark.parametrize("reader", QUBIT_READERS)
+def test_a_bad_hand_built_qubit_is_refused_by_every_reader(reader, value):
+    build, read = QUBIT_READERS[reader]
+    op = build(BAD_QUBITS[value])
+    with pytest.raises(ContractViolation) as written:
+        circuit_to_dict(Circuit([op]))
+    with pytest.raises(ContractViolation) as exc:
+        read(op)
+    assert f"ops[0]: {exc.value}" == str(written.value)
+
+
+def test_a_qubit_equal_to_1_or_2_reads_as_that_qubit():
+    for one, two in ((True, 2.0), (1.0, np.int64(2))):
+        assert np.array_equal(LocalOp(one, PAULI_X).unitary(), LocalOp(1, PAULI_X).unitary())
+        assert np.array_equal(LocalOp(two, PAULI_X).apply(ID4), LocalOp(2, PAULI_X).apply(ID4))
+        assert np.array_equal(CnotOp(one).apply(ID4), CnotOp(1).unitary())
+        assert np.array_equal(CnotOp(two).unitary(), CnotOp(2).apply(ID4))

@@ -242,20 +242,20 @@ def test_split_local_product_rejects_entangler():
             split_local_product(u)
 
 
-def _signed_permutation(slots):
-    """The matrix that puts +-slot |t| - 1 in slot i, for t = slots[i]."""
+def _signed_permutation(slots, signs):
+    """The matrix P with P[i, slots[i]] = signs[i]: P^T gathers column
+    slots[i] of a matrix into slot i and scales it by signs[i]."""
     out = np.zeros((4, 4))
-    for i, t in enumerate(slots):
-        out[i, abs(t) - 1] = np.sign(t)
+    out[range(4), slots] = signs
     return out
 
 
 def test_det4_matches_numpy():
     """The determinant behind kak_decompose's determinant fix: exact on every
     signed permutation, and within rounding of np.linalg.det elsewhere."""
-    for order in itertools.permutations(range(1, 5)):
-        for signs in itertools.product((1, -1), repeat=4):
-            p = _signed_permutation([s * t for s, t in zip(signs, order)])
+    for order in itertools.permutations(range(4)):
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            p = _signed_permutation(order, signs)
             assert canonical._det4(p.tolist()) == round(np.linalg.det(p))
     rng = np.random.default_rng(11)
     for a in rng.normal(size=(200, 4, 4)):
@@ -320,7 +320,7 @@ def _reduction_points():
 
 def test_chamber_gauge_matches_the_reference_reduction():
     """The chamber gauge gives the coordinates of the one-move-at-a-time
-    reduction, and its column references and quarter turns rebuild the
+    reduction, and its slots, signs and quarter turns rebuild the
     diagonal core it was given.  h_k + pi gives -E(h), so each coordinate is
     first taken mod pi, as the reference's shifts take it, and each Bell
     phase then mod pi, into the eigensolver's range; the columns are I's."""
@@ -330,12 +330,13 @@ def test_chamber_gauge_matches_the_reference_reduction():
         walls += moves[-2:] == (("shift", 0), ("flip", 1))
         ph = lambdas([x - np.pi * round(x / np.pi) for x in h])
         half = [x - np.pi * round(x / np.pi) for x in (ph.l00, ph.l10, ph.l01, ph.l11)]
-        got, o2_cols, q_cols, turns = canonical._chamber_gauge(half, np.eye(4).tolist())
+        got, slots, (o2_signs, q_signs), turns = canonical._chamber_gauge(half, np.eye(4).tolist())
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, h
+        assert sorted(slots) == [0, 1, 2, 3] and {*o2_signs, *q_signs} <= {1.0, -1.0}, h
         # Gathering the columns of I is the matrix G = _signed_permutation(.)^T.
         lam = lambdas(got)
         core = np.exp(-1j * np.array([lam.l00, lam.l10, lam.l01, lam.l11]))
-        o2, q = _signed_permutation(o2_cols).T, _signed_permutation(q_cols).T
+        o2, q = _signed_permutation(slots, o2_signs).T, _signed_permutation(slots, q_signs).T
         rebuilt = 1j**turns * (o2 * core) @ q.T
         assert np.abs(rebuilt - np.diag(np.exp(-1j * np.array(half)))).max() <= 1e-14, h
     assert walls >= 3

@@ -62,8 +62,8 @@ def test_reduction_to_nan_coordinates(monkeypatch, capsys):
     original = canonical._chamber_gauge
 
     def to_nan(half, columns):
-        _, o2_cols, q_cols, turns = original(half, columns)
-        return [np.nan] * 3, o2_cols, q_cols, turns
+        _, slots, signs, turns = original(half, columns)
+        return [np.nan] * 3, slots, signs, turns
 
     monkeypatch.setattr(canonical, "_chamber_gauge", to_nan)
     with pytest.raises(NumericalError, match=r"reduction left the chamber: .*nan"):

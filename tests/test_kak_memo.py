@@ -108,8 +108,8 @@ def test_a_failing_target_raises_on_every_call(monkeypatch):
 
     def to_nan(half, columns):
         runs.append(1)
-        _, o2_cols, q_cols, turns = original(half, columns)
-        return [np.nan] * 3, o2_cols, q_cols, turns
+        _, slots, signs, turns = original(half, columns)
+        return [np.nan] * 3, slots, signs, turns
 
     monkeypatch.setattr(canonical, "_chamber_gauge", to_nan)
     for _ in range(3):

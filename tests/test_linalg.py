@@ -247,10 +247,10 @@ def test_diagonalize_round_trips():
         o2 = _random_orthogonal(factors)
         o2[:, 0] *= np.sign(np.linalg.det(o2) * np.linalg.det(q)) * (-1) ** n
         vm = (o2 * np.exp(-1j * np.array(half))) @ q.T
-        h, o2_cols, q_cols, turns = _chamber_gauge(half, q.T.tolist())
-        slots = [abs(c) - 1 for c in q_cols]
-        assert sorted(slots) == [0, 1, 2, 3] and [abs(c) - 1 for c in o2_cols] == slots
-        q_g, o2_g = q[:, slots] * np.sign(q_cols), o2[:, slots] * np.sign(o2_cols)
+        h, slots, (o2_signs, q_signs), turns = _chamber_gauge(half, q.T.tolist())
+        assert sorted(slots) == [0, 1, 2, 3]
+        assert all(s in (1.0, -1.0) for s in o2_signs + q_signs)
+        q_g, o2_g = q[:, slots] * q_signs, o2[:, slots] * o2_signs
         # The chamber as an order of the Bell phases in slot order.
         lam = lambdas(h)
         phases = [lam.l00, lam.l10, lam.l01, lam.l11]
@@ -266,7 +266,7 @@ def test_diagonalize_round_trips():
         k = [(p - half[j] - turns * np.pi / 2.0) / np.pi for p, j in zip(phases, slots)]
         assert max(abs(x - round(x)) for x in k) < 1e-9
         k = [round(x) for x in k]
-        assert o2_cols == [c * (-1) ** x for c, x in zip(q_cols, k)]
+        assert o2_signs == [s * (-1) ** x for s, x in zip(q_signs, k)]
         # The turn adds pi to the two phases it puts first (slots 2 and 0);
         # the moves before it take pi from the n largest phases, or add pi
         # to the -n smallest, the later in the chamber order first.
