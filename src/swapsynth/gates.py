@@ -82,11 +82,6 @@ def rz(zeta):
     return m
 
 
-# CNOT with qubit 2 as control and qubit 1 as target.
-CNOT_21 = _frozen(np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-))
-
 NAMED_GATES = {
     "cnot": CNOT,
     "cz": CZ,

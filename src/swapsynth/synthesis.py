@@ -10,7 +10,8 @@ Circuits are plain data: an ordered op list (leftmost applied first) and a
 declared global phase, serializable to a stable JSON schema.  An op is a
 :class:`LocalOp`, :class:`SwapPowOp` or :class:`CnotOp`, built by the
 validating :func:`local_op`, :func:`swap_op` or :func:`cnot_op`; each kind
-knows its own unitary, JSON entry, prune rule and schedule cost.
+knows its own matrix action, JSON entry, prune rule and schedule cost, and
+its unitary is that action on the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .canonical import (
     lambdas,
     split_local_product,
 )
-from .gates import CNOT, CNOT_21, _swap_pow_block, rz, swap_pow
+from .gates import _swap_pow_block, rz
 from .linalg import (
     BELL_BASIS,
     ContractViolation,
@@ -44,7 +45,6 @@ from .linalg import (
     _check_unitary,
     _frozen,
     _integer,
-    _kron,
     _number_array,
     _real,
     _reals,
@@ -57,9 +57,9 @@ class GateOp:
     """Common base of the three op kinds.
 
     Every op has a readable ``kind`` string and these methods:
-    ``unitary()`` is its 4x4 matrix, computed from its fields on each call;
-    ``apply(u)`` is ``unitary() @ u`` for a 4x4 u, bit for bit, which each
-    kind computes from its structure without forming the 4x4;
+    ``apply(u)`` is its one matrix action, the op's 4x4 matrix times a 4x4
+    u, which each kind computes from its structure without forming the 4x4;
+    ``unitary()`` is that action on the identity, a new array on each call;
     ``to_dict()`` is its JSON entry; ``identity_phase(tol)`` is theta when
     the op acts as e^{i theta} I within tol, or None (the default) when it
     must be kept; ``duration_s(profile)`` is its time under a hardware
@@ -67,6 +67,9 @@ class GateOp:
     """
 
     kind: ClassVar[str]
+
+    def unitary(self):
+        return self.apply(ID4)
 
     def identity_phase(self, tol):
         return None
@@ -85,13 +88,6 @@ class LocalOp(GateOp):
     matrix: np.ndarray
     label: str = ""
     kind: ClassVar[str] = "local"
-
-    def unitary(self):
-        if self.qubit == 1:
-            return _kron(self.matrix, ID2)
-        if self.qubit != 2:
-            _qubit_index(self.qubit, "qubit")
-        return _kron(ID2, self.matrix)
 
     def apply(self, u):
         # The 2x2 acts on the row index's qubit-1 (or qubit-2) digit only.
@@ -147,9 +143,6 @@ class SwapPowOp(GateOp):
         reduced = _real(self.alpha, "swap exponent") % 2.0
         return min(reduced, 2.0 - reduced)
 
-    def unitary(self):
-        return swap_pow(self.alpha)
-
     def apply(self, u):
         # SWAP**alpha mixes only the rows of |01> and |10>.
         out = u.copy()
@@ -177,12 +170,6 @@ class CnotOp(GateOp):
 
     control: int
     kind: ClassVar[str] = "cnot"
-
-    def unitary(self):
-        if self.control not in (1, 2):
-            _qubit_index(self.control, "control")
-        # A copy: CNOT is read-only, and like every op's unitary the result is the caller's.
-        return (CNOT if self.control == 1 else CNOT_21).copy()
 
     def apply(self, u):
         if self.control not in (1, 2):
@@ -297,17 +284,20 @@ def _core_swap(p):
     ``Circuit(*_core_swap(p))`` evaluates to exp_minus_iH(p) exactly,
     including the declared phase hz - hx - hy.  The list ends with the
     Pauli pair Z on qubit 1, X on qubit 2.  The Paulis are exact constants,
-    so they skip :func:`local_op`'s check.
+    so they skip :func:`local_op`'s check.  The exponents are floats that
+    :func:`swap_angles` computed from coordinates it read and checked in
+    the chamber, so they are finite and skip :func:`swap_op`'s check, which
+    could not fail on them.
     """
     ang = swap_angles(p)
     # p is a decomposition's CanonicalParams, three floats: no second read.
     hx, hy, hz = p
     ops = [
-        swap_op(ang.alpha),
+        SwapPowOp(ang.alpha),
         LocalOp(2, PAULI_X, "X"),
-        swap_op(ang.beta),
+        SwapPowOp(ang.beta),
         LocalOp(1, PAULI_Z, "Z"),
-        swap_op(ang.gamma),
+        SwapPowOp(ang.gamma),
         LocalOp(1, PAULI_Z, "Z"),
         LocalOp(2, PAULI_X, "X"),
     ]

@@ -17,7 +17,15 @@ from swapsynth.cli import cmd_analyze_ep_curve, cmd_random, cmd_synth, main
 from swapsynth.linalg import ContractViolation
 from swapsynth.gates import CNOT
 from swapsynth.linalg import phase_distance
-from swapsynth.synthesis import LocalOp, circuit_from_dict, circuit_to_dict, evaluate_circuit, synthesize_cnot
+from swapsynth.synthesis import (
+    Circuit,
+    LocalOp,
+    circuit_from_dict,
+    circuit_to_dict,
+    evaluate_circuit,
+    swap_op,
+    synthesize_cnot,
+)
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -695,3 +703,29 @@ def test_gate_and_matrix_together_exit_2_before_any_file_is_read(tmp_path, capsy
         code, text, err = run(capsys, *argv)
         assert (code, text) == (2, ""), argv
         assert err == "error: --gate and --matrix each name a target; pass one of them\n", argv
+
+
+@pytest.mark.parametrize(
+    "doc, cause",
+    [
+        ([IDENTITY4_ROWS], "expected a JSON object with keys 'dim' and 'rows'"),
+        ({"dim": 4}, "expected a JSON object with keys 'dim' and 'rows'"),
+        ({"dim": 2, "rows": IDENTITY2_ROWS}, "only dim 4 is supported, got 2"),
+    ],
+    ids=["list", "no-rows", "dim-2"],
+)
+def test_a_matrix_file_that_is_not_a_dim_4_object_exits_2(tmp_path, capsys, doc, cause):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(doc))
+    code, text, err = run(capsys, "synth", "--matrix", str(matrix))
+    assert (code, text, err) == (2, "", f"error: {matrix}: {cause}\n")
+
+
+def test_cost_prints_a_femtosecond_layer(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    circuit.write_text(json.dumps(circuit_to_dict(Circuit([swap_op(1e-3)]))))
+    code, text, _ = run(capsys, "cost", str(circuit), "--profile", "gaas")
+    assert code == 0
+    layer, total = text.splitlines()[-2:]
+    assert layer.split()[:5] == ["layer", "0", "swap_pow", "50", "fs"]
+    assert total.split()[1:] == ["50", "fs"]

@@ -3,7 +3,6 @@ import pytest
 
 from swapsynth.gates import (
     CNOT,
-    CNOT_21,
     CZ,
     PLANCK_H,
     PulseSpec,
@@ -28,12 +27,12 @@ from swapsynth.linalg import (
     haar_random_unitary,
     phase_distance,
 )
-from swapsynth.synthesis import Circuit, evaluate_circuit, prune_circuit, swap_op
+from swapsynth.synthesis import Circuit, cnot_op, evaluate_circuit, prune_circuit, swap_op
 
 
 def test_fixed_gates():
     assert np.allclose(CNOT, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    assert np.allclose(CNOT_21, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+    assert np.array_equal(cnot_op(2).unitary(), [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
     assert np.allclose(CZ, np.diag([1, 1, 1, -1]))
     assert np.allclose(SWAP @ SWAP, ID4)
 
