@@ -132,14 +132,16 @@ class CanonicalDecomposition:
 
 def lambdas(params):
     """Bell-state phase angles of E(params), for params three reals by
-    ``linalg._reals``.  Their sum is exactly zero."""
-    hx, hy, hz = _reals(params, 3, "coordinates")
-    return BellPhases(
-        l00=hx - hy + hz,
-        l01=hx + hy - hz,
-        l10=-hx + hy + hz,
-        l11=-hx - hy - hz,
-    )
+    ``linalg._reals``.  Their sum is exactly zero.  The arithmetic is
+    :func:`_lambdas`'s."""
+    return BellPhases(*_lambdas(*_reals(params, 3, "coordinates")))
+
+
+def _lambdas(hx, hy, hz):
+    """The arithmetic of :func:`lambdas` on three floats, with no admission:
+    the Bell phases (l00, l01, l10, l11) as a plain tuple.  The CNOT
+    synthesis path calls it on the coordinates the KAK computed."""
+    return hx - hy + hz, hx + hy - hz, -hx + hy + hz, -hx - hy - hz
 
 
 def exp_minus_iH(params):
@@ -266,7 +268,15 @@ def _chamber_gauge(half, columns):
         sign[order[0]], sign[order[1]] = -sign[order[0]], -sign[order[1]]
     slots = [order[p] for p in _PLACES]
     rows = [columns[j] for j in slots]
-    q_signs = [1.0 if next(x for x in row if x > 1e-8 or x < -1e-8) > 0 else -1.0 for row in rows]
+    # A plain loop: a next() over a generator would cost three calls a row.
+    q_signs = [1.0, 1.0, 1.0, 1.0]
+    for i, row in enumerate(rows):
+        for x in row:
+            if x > 1e-8:
+                break
+            if x < -1e-8:
+                q_signs[i] = -1.0
+                break
     # Negating a row negates _det4 exactly, so this is the det of the signed rows.
     if _det4(rows) * q_signs[0] * q_signs[1] * q_signs[2] * q_signs[3] < 0:
         q_signs[3] = -q_signs[3]

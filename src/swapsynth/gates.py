@@ -24,6 +24,7 @@ from .linalg import (
     PAULI_Z,
     _frozen,
     _real,
+    _real_array,
 )
 
 
@@ -71,8 +72,14 @@ def swap_pow(alpha):
 
 def rz(zeta):
     """Rotation about z: diag(e^{-i zeta}, e^{i zeta}).  An array of angles
-    gives the (..., 2, 2) stack of the rotations its scalars give."""
-    zeta = np.asarray(zeta, dtype=float)
+    gives the (..., 2, 2) stack of the rotations its scalars give.
+
+    zeta is read by ``linalg._real_array``, naming it "rotation angle": a
+    string, a bool, None, a complex number or a list that mixes a bool
+    with reals is refused.  NaN and the infinities pass and give NaN
+    entries, as ``linalg._reals`` lets them pass.
+    """
+    zeta = _real_array(zeta, "rotation angle")
     e = np.exp(-1j * zeta)
     m = np.zeros((*zeta.shape, 2, 2), dtype=complex)
     m[..., 0, 0] = e

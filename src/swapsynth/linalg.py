@@ -145,6 +145,31 @@ def _reals(values, n, name):
         raise ContractViolation(f"{name} has an entry too large for a float") from None
 
 
+def _real_array(values, name):
+    """values as a float ndarray, or ContractViolation naming it: the one rule
+    for an array of reals, such as rotation angles.  A float ndarray, as the
+    package passes, is returned as it is, at no further call.  Any other
+    ndarray passes when its dtype is of kind integer, unsigned or real; any
+    other value, a scalar or nested lists, when every entry, nested as numpy
+    nests it, has a type in ``_REAL_TYPES``.  So a string, a bool, even
+    among reals, None, a complex number, a ragged row or an int too large
+    for a float is refused.  NaN and the infinities pass, as with
+    :func:`_reals`."""
+    if values.__class__ is np.ndarray and values.dtype == float:
+        return values
+    if isinstance(values, np.ndarray):
+        reals = values.dtype.kind in "iuf"
+    else:
+        entries = _entries(values)
+        reals = entries is not None and set(map(type, entries)) <= _REAL_TYPES
+    if not reals:
+        raise ContractViolation(f"{name} must be a real number or an array of them, got {values!r}")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ContractViolation(f"{name} has an entry too large for a float") from None
+
+
 def _entries(m):
     """m's entries, nested as numpy nests them, or None when numpy cannot
     nest them: arrays whose shapes differ past the first axis."""

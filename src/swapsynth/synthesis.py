@@ -25,10 +25,10 @@ import numpy as np
 
 from .canonical import (
     BellPhases,
+    _lambdas,
     exp_minus_iH,
     in_weyl_chamber,
     kak_decompose,
-    lambdas,
     split_local_product,
 )
 from .gates import _swap_pow_block, rz
@@ -351,8 +351,17 @@ def cnot_phase_params(phases):
 
         zeta1 = zeta2 = (l00 + l01)/4
         xi1 + xi2 = (l00 - l01)/2,  xi2 - xi1 = (l10 - l11)/2.
+
+    The arithmetic and the sum check are :func:`_phase_layer_angles`'s.
     """
-    l00, l01, l10, l11 = _reals(phases, 4, "Bell phases")
+    return CnotPhaseParams(*_phase_layer_angles(*_reals(phases, 4, "Bell phases")))
+
+
+def _phase_layer_angles(l00, l01, l10, l11):
+    """The arithmetic of :func:`cnot_phase_params` on four floats, with no
+    admission: (zeta1, xi1, zeta2, xi2) as a plain tuple.  The sum check is
+    here, so it runs on the synthesis path too, with the same
+    ContractViolation."""
     total = l00 + l01 + l10 + l11
     # A chained bound, which NaN fails, costs no call to abs.
     if not -1e-9 <= total <= 1e-9:
@@ -360,23 +369,19 @@ def cnot_phase_params(phases):
     zeta = (l00 + l01) / 4.0
     half_sum = (l00 - l01) / 4.0
     half_diff = (l10 - l11) / 4.0
-    return CnotPhaseParams(
-        zeta1=zeta,
-        xi1=half_sum - half_diff,
-        zeta2=zeta,
-        xi2=half_sum + half_diff,
-    )
+    return zeta, half_sum - half_diff, zeta, half_sum + half_diff
 
 
 # Qubit and label of the four phase-layer locals of the CNOT core.
 _CORE_CNOT_SLOTS = ((1, "rz1·W"), (2, "rz1"), (1, "W·rz2"), (2, "rz2"))
 
 
-def _core_cnot_locals(params):
+def _core_cnot_locals(angles):
     """The (4, 2, 2) stack rz(zeta1) W, rz(xi1), W rz(zeta2), rz(xi2) of the
     CNOT core's two phase layers, W the Hadamard, from one stacked :func:`rz`
-    and one stacked product."""
-    m = rz(params)
+    and one stacked product.  angles are four floats; rz gets them as a
+    float array, which its admission returns at once."""
+    m = rz(np.array(angles, dtype=float))
     front, back = m[0::2] @ HADAMARD
     m[0] = front
     # W rz(zeta2) = (rz(zeta2) W)^T, bit for bit: W is symmetric, rz diagonal.
@@ -409,16 +414,17 @@ def shifted_bell_phases(lam):
     The CNOT core imprints its phases while exchanging the phi-/psi-
     slots; a quarter-pi redistribution between the two slot pairs undoes
     the exchange's effect on the canonical class.  Sum stays zero.  lam is
-    read as four reals in BellPhases order by ``linalg._reals``.
+    read as four reals in BellPhases order by ``linalg._reals``.  The
+    arithmetic is :func:`_shifted_bell_phases`'s.
     """
-    l00, l01, l10, l11 = _reals(lam, 4, "Bell phases")
+    return BellPhases(*_shifted_bell_phases(*_reals(lam, 4, "Bell phases")))
+
+
+def _shifted_bell_phases(l00, l01, l10, l11):
+    """The arithmetic of :func:`shifted_bell_phases` on four floats, with no
+    admission: the shifted (l00, l01, l10, l11) as a plain tuple."""
     quarter = np.pi / 4.0
-    return BellPhases(
-        l00=l00 - quarter,
-        l01=l01 - quarter,
-        l10=l10 + quarter,
-        l11=l11 + quarter,
-    )
+    return l00 - quarter, l01 - quarter, l10 + quarter, l11 + quarter
 
 
 # The core for coordinates h evaluates to E(h) E(-pi/4, 0, 0) BELL_EXCHANGE,
@@ -440,8 +446,12 @@ _CNOT_SLOTS = ((1, "front-q1"), (2, "front-q2"), *_CORE_CNOT_SLOTS, (1, "back-q1
 
 
 def _cnot_core_params(params):
-    """Phase-layer angles of the CNOT core for chamber coordinates params."""
-    return cnot_phase_params(shifted_bell_phases(lambdas(params)))
+    """Phase-layer angles (zeta1, xi1, zeta2, xi2) of the CNOT core, as a
+    plain tuple, for a decomposition's CanonicalParams: the bits of
+    ``cnot_phase_params(shifted_bell_phases(lambdas(params)))``.  The KAK
+    computed params as floats, so the three steps' private arithmetic runs
+    on them with no admission in between, the sum check included."""
+    return _phase_layer_angles(*_shifted_bell_phases(*_lambdas(*params)))
 
 
 def synthesize_cnot(u):

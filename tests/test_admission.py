@@ -23,6 +23,14 @@ other qubit or raised a bare KeyError.
 or a circuit's global phase.  Each of its readers refuses what the circuit
 writer refuses, a hand-built field included.  It takes the types of
 ``_reals``: a subclass, such as an ``IntEnum`` member, passes neither.
+
+``linalg._real_array`` is the one rule for an array of reals, the angles of
+``gates.rz``.  A string, a bool, None, a complex number, a list that mixes a
+bool with reals, a ragged row or an int too large for a float is refused
+with a ContractViolation naming "rotation angle".  NaN and the infinities
+pass, as with ``_reals``, and every float spelling gives the bits that
+``np.asarray(zeta, dtype=float)`` gave.  A float ndarray, as the CNOT path
+hands rz, comes back as itself.
 """
 
 import enum
@@ -43,12 +51,14 @@ from swapsynth.canonical import (
 from swapsynth.cli import main
 from swapsynth.costmodel import builtin_profile, schedule_circuit
 from swapsynth.entanglement import ep_exact, ep_monte_carlo
+from swapsynth.gates import rz
 from swapsynth.linalg import (
     ATOL_UNITARY,
     ContractViolation,
     HADAMARD,
     ID4,
     PAULI_X,
+    _real_array,
     assert_unitary,
     diagonalize_complex_symmetric_unitary,
     haar_random_unitary,
@@ -367,3 +377,62 @@ def test_a_qubit_equal_to_1_or_2_reads_as_that_qubit():
         assert np.array_equal(LocalOp(two, PAULI_X).apply(ID4), LocalOp(2, PAULI_X).apply(ID4))
         assert np.array_equal(CnotOp(one).apply(ID4), CnotOp(1).unitary())
         assert np.array_equal(CnotOp(two).unitary(), CnotOp(2).apply(ID4))
+
+
+# Each angle argument that is no real number nor an array of them.
+BAD_ANGLES = {
+    "str": "0.5",
+    "bool": True,
+    "np.bool_": np.True_,
+    "None": None,
+    "complex": 1j,
+    "complex array": np.array([0.1, 0.2j]),
+    "mixed list": [0.1, True],
+    "bool array": np.array([True, False]),
+    "str array": np.array(["0.5"]),
+    "ragged rows": [[0.1], [0.2, 0.3]],
+}
+
+
+@pytest.mark.parametrize("fault", BAD_ANGLES)
+def test_rz_refuses_an_angle_that_is_no_real(fault):
+    rule = r"^rotation angle must be a real number or an array of them, got "
+    with pytest.raises(ContractViolation, match=rule):
+        rz(BAD_ANGLES[fault])
+
+
+def test_rz_refuses_an_int_too_large_for_a_float():
+    for value in (10**400, [0.1, 10**400]):
+        with pytest.raises(ContractViolation, match=r"^rotation angle has an entry too large for a float$"):
+            rz(value)
+
+
+def _asarray_rz(zeta):
+    """rz as it read its angles before its admission: np.asarray(zeta, dtype=float)."""
+    zeta = np.asarray(zeta, dtype=float)
+    e = np.exp(-1j * zeta)
+    m = np.zeros((*zeta.shape, 2, 2), dtype=complex)
+    m[..., 0, 0] = e
+    m[..., 1, 1] += np.conjugate(e)
+    return m
+
+
+# Every spelling of a real angle or an array of them, NaN and the infinities included.
+FLOAT_ANGLES = [
+    0.3, -0.0, 0, 7, np.float64(-1.25), np.float32(0.3), np.int64(2), np.uint8(3),
+    [0.1, -0.2, 3.0], (0.1, 2), [[0.5, -0.5], [1e-300, 4.0]],
+    np.array([0.1, 0.2]), np.array([0.1, 0.2], dtype=np.float32), np.arange(4),
+    np.array(0.7), np.array([[1.5], [-2.5]]), [], float("nan"), [float("inf"), -float("inf")],
+]
+
+
+@pytest.mark.parametrize("zeta", FLOAT_ANGLES, ids=repr)
+def test_rz_gives_every_float_spelling_its_former_bits(zeta):
+    with np.errstate(invalid="ignore"):
+        got, want = rz(zeta), _asarray_rz(zeta)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_float_array_of_angles_is_admitted_as_itself():
+    angles = np.array([0.1, -0.2, 0.3, 0.4])
+    assert _real_array(angles, "rotation angle") is angles

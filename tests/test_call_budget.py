@@ -29,7 +29,9 @@ had drifted to 143 under a budget of 147).  The Newton-Schulz step as a
 linalg helper costs the call its own ``np.conjugate`` saves.  Handing the
 gather a slot permutation and a table of +-1.0 signs, in place of signed
 column references that it decoded again, and taking det(q) of the unsigned
-columns times the product of their signs, it makes 125.
+columns times the product of their signs, it makes 125.  Finding each
+column's first entry beyond 1e-8 by a plain loop, in place of four next()
+calls over generators, each of which cost three calls, it makes 112.
 The budgets below count that miss path, so each profiled call starts from
 an empty memo; the hit path has budgets of its own.
 
@@ -60,7 +62,7 @@ from swapsynth.synthesis import (
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
-BUDGET = 125
+BUDGET = 112
 
 
 # synthesize_cnot made 267 calls while the CNOT core built its three exact
@@ -85,7 +87,12 @@ BUDGET = 125
 # The swap core building its three pulses as SwapPowOps, whose exponents
 # swap_angles computed and checked, saves swap_op's three calls and their
 # three linalg._real reads: synthesize_swap makes 151.
-SYNTHESIS_BUDGETS = {synthesize_swap: 151, synthesize_cnot: 160}
+# The KAK's sign loop saves 13 on both (138 and 147), and the CNOT path's
+# phase-layer angles computed by the private arithmetic of lambdas,
+# shifted_bell_phases and cnot_phase_params on the KAK's own floats, with no
+# _reals re-read or NamedTuple in between, 9 more, less one for admitting
+# gates.rz's angles by linalg._real_array: 138 and 139.
+SYNTHESIS_BUDGETS = {synthesize_swap: 138, synthesize_cnot: 139}
 
 # A target the memo holds: kak_decompose admits it and looks it up, and the
 # synthesizers only build their circuits.  Through a builder that took the
@@ -95,7 +102,10 @@ SYNTHESIS_BUDGETS = {synthesize_swap: 151, synthesize_cnot: 160}
 # each tuple of reals once by linalg._reals takes them to 44 and 38, and
 # linalg._real by exact type the swap path to 38.  Its pulses built as
 # SwapPowOps, without swap_op's read of each exponent, take it to 29.
-HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 29, synthesize_cnot: 38}
+# The CNOT path's angles by the three steps' private arithmetic, with the
+# three _reals reads and three NamedTuples gone, take it to 29, and
+# admitting gates.rz's angles by linalg._real_array to 30.
+HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 29, synthesize_cnot: 30}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked

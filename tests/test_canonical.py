@@ -359,6 +359,38 @@ def test_chamber_gauge_stays_inside_at_the_wall_band_edge():
                 assert in_weyl_chamber(h), (e, f, t, h)
 
 
+def _generator_q_signs(rows):
+    """The q signs of the gauged rows as _chamber_gauge once found them, by
+    next() over a generator: the sign of each row's first entry beyond 1e-8
+    in size, then slot 3's negated when the signed rows' det is negative."""
+    signs = [1.0 if next(x for x in row if x > 1e-8 or x < -1e-8) > 0 else -1.0 for row in rows]
+    if canonical._det4(rows) * signs[0] * signs[1] * signs[2] * signs[3] < 0:
+        signs[3] = -signs[3]
+    return signs
+
+
+# First entries at the sign threshold: on it, one ulp beyond it, and zeros.
+THRESHOLD_ENTRIES = (
+    1e-8, -1e-8, math.nextafter(1e-8, 1.0), math.nextafter(-1e-8, -1.0), 0.0, -0.0
+)
+
+
+def test_chamber_gauge_signs_columns_from_their_first_entry_beyond_1e_8():
+    """An entry of exactly +-1e-8 or +-0.0 is passed over and the next one
+    signs the column, while one an ulp beyond 1e-8 signs it itself, as the
+    generator form did.  Each tail's first entry signs against some
+    threshold entries, and the two phase sets give an unturned and a
+    turned gauge."""
+    tails = ([0.6, -0.8, 0.0], [-0.5, 0.0, 0.3], [0.0, -0.7, -0.2], [-0.1, 0.2, 0.9])
+    for half in ([0.3, -0.1, 0.5, -0.7], [1.0, 0.9, -0.95, -0.95]):
+        turned = canonical._chamber_gauge(half, np.eye(4).tolist())[3]
+        assert turned == (-1 if half[0] == 1.0 else 0)
+        for firsts in itertools.product(THRESHOLD_ENTRIES, repeat=4):
+            columns = [[first, *tail] for first, tail in zip(firsts, tails)]
+            _, slots, (_, q_signs), _ = canonical._chamber_gauge(half, columns)
+            assert q_signs == _generator_q_signs([columns[j] for j in slots]), (half, firsts)
+
+
 def test_chamber_gauge_ignores_the_eigensolver_order_and_signs(monkeypatch):
     """With distinct eigenphases, permuting or negating the eigensolver's
     columns leaves the coordinates and the gathered factors unchanged."""

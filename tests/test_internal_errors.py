@@ -79,13 +79,15 @@ def test_swap_angles_of_computed_params(monkeypatch, capsys):
 
 
 def test_cnot_phase_params_of_computed_phases(monkeypatch, capsys):
-    original = synthesis.shifted_bell_phases
+    """The sum check of cnot_phase_params runs on the synthesis path, where
+    the private shift step hands its floats to the private angle step."""
+    original = synthesis._shifted_bell_phases
 
-    def unbalanced(lam):
-        phases = original(lam)
-        return phases._replace(l00=phases.l00 + 1e-6)
+    def unbalanced(*lam):
+        l00, *rest = original(*lam)
+        return (l00 + 1e-6, *rest)
 
-    monkeypatch.setattr(synthesis, "shifted_bell_phases", unbalanced)
+    monkeypatch.setattr(synthesis, "_shifted_bell_phases", unbalanced)
     with pytest.raises(NumericalError, match=r"cnot synthesis: .*within 1e-9, got 1\.000e-06"):
         synthesize_cnot(U)
     assert cli_exit(capsys, "--backend", "cnot") == 3
