@@ -382,9 +382,8 @@ def test_chamber_gauge_signs_columns_from_their_first_entry_beyond_1e_8():
     threshold entries, and the two phase sets give an unturned and a
     turned gauge."""
     tails = ([0.6, -0.8, 0.0], [-0.5, 0.0, 0.3], [0.0, -0.7, -0.2], [-0.1, 0.2, 0.9])
-    for half in ([0.3, -0.1, 0.5, -0.7], [1.0, 0.9, -0.95, -0.95]):
-        turned = canonical._chamber_gauge(half, np.eye(4).tolist())[3]
-        assert turned == (-1 if half[0] == 1.0 else 0)
+    for half, turns in (([0.3, -0.1, 0.5, -0.7], 0), ([1.0, 0.9, -0.95, -0.95], -1)):
+        assert canonical._chamber_gauge(half, np.eye(4).tolist())[3] == turns
         for firsts in itertools.product(THRESHOLD_ENTRIES, repeat=4):
             columns = [[first, *tail] for first, tail in zip(firsts, tails)]
             _, slots, (_, q_signs), _ = canonical._chamber_gauge(half, columns)

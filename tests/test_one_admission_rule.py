@@ -13,9 +13,11 @@ a scalar rule of its own would need: ``isfinite``, ``OverflowError`` and
 ``operator.index``.
 
 ``linalg._number_array`` owns the rule for the entries of a matrix, and
-``linalg._NUMBER_KINDS`` its types.  The third scan flags, outside
-``linalg.py``, what a number rule of its own would test: an import of
-``numbers``, ``numbers.Number`` and an array's ``.dtype.kind``.
+``linalg._NUMBER_KINDS`` its types; ``linalg._real_array`` owns the rule
+for an array of reals, such as the angles of ``gates.rz``.  The third
+scan flags, outside ``linalg.py``, what a number rule of its own would
+test: an import of ``numbers``, ``numbers.Number`` and an array's
+``.dtype.kind``.
 
 ``linalg._reals`` owns the rule for a tuple of reals, such as canonical
 coordinates or Bell phases.  The fourth scan flags, outside ``linalg.py``,

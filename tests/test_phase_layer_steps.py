@@ -5,45 +5,34 @@
 ``synthesis.cnot_phase_params`` on the floats the KAK computed, with no
 ``linalg._reals`` read in between.  It must give, bit for bit, the angles
 of the public chain ``cnot_phase_params(shifted_bell_phases(lambdas(h)))``,
-for h drawn from a wide box, from the chamber's faces and vertices and from
-the mixing weight's collision coordinates of
-``tests/test_mix_weight_collisions.py``.  The sum check of
-cnot_phase_params lives in its private arithmetic, so the synthesis path
-runs it.  The run is derandomized.
+for h drawn from a wide box, from the chamber's vertices, from the regions
+of ``tests/test_whole_chamber.py`` and from the mixing weight's collision
+coordinates of ``tests/test_mix_weight_collisions.py``.  The run is
+derandomized.  (That the sum check of cnot_phase_params runs on the
+synthesis path is tested in ``tests/test_internal_errors.py``.)
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapsynth import synthesis
 from swapsynth.canonical import CanonicalParams, kak_decompose, lambdas
-from swapsynth.linalg import ContractViolation, haar_random_unitary
+from swapsynth.linalg import haar_random_unitary
 from swapsynth.synthesis import _cnot_core_params, cnot_phase_params, shifted_bell_phases
 from test_mix_weight_collisions import PLANES, SEGMENTS
+from test_whole_chamber import REGIONS
 
 PI4 = math.pi / 4.0
 
 VERTICES = [(0.0, 0.0, 0.0), (PI4, 0.0, 0.0), (PI4, PI4, 0.0), (PI4, PI4, PI4), (PI4, PI4, -PI4)]
 
-# Each face of the chamber maps two fractions in [0, 1] to a point on it.
-FACES = {
-    "hx=pi/4": lambda u, v: (PI4, PI4 * u, PI4 * u * v),
-    "hy=hx": lambda u, v: (PI4 * u, PI4 * u, PI4 * u * (2.0 * v - 1.0)),
-    "hz=hy": lambda u, v: (PI4 * u, PI4 * u * v, PI4 * u * v),
-    "hz=-hy": lambda u, v: (PI4 * u, PI4 * u * v, -PI4 * u * v),
-    "hz=0": lambda u, v: (PI4 * u, PI4 * u * v, 0.0),
-    "hy=0": lambda u, v: (PI4 * u, 0.0, 0.0),
-}
-
 _unit = st.floats(0.0, 1.0)
 POINTS = st.one_of(
     st.tuples(*[st.floats(-20.0, 20.0)] * 3),
     st.sampled_from(VERTICES),
-    st.builds(lambda face, u, v: FACES[face](u, v), st.sampled_from(sorted(FACES)), _unit, _unit),
+    st.builds(lambda region, *f: REGIONS[region](*f), st.sampled_from(sorted(REGIONS)), _unit, _unit, _unit),
     st.builds(lambda plane, s, t: PLANES[plane](s, t), st.sampled_from(sorted(PLANES)), _unit, _unit),
     st.builds(lambda segment, t: SEGMENTS[segment](t), st.sampled_from(sorted(SEGMENTS)), _unit),
 )
@@ -70,10 +59,3 @@ def test_core_params_of_decomposed_targets_are_the_public_chain():
         params = kak_decompose(haar_random_unitary(4, seed=seed)).params
         assert _bits(_cnot_core_params(params)) == _bits(_public_chain(params)), seed
 
-
-def test_the_sum_check_is_in_the_private_arithmetic():
-    message = r"^Bell phases must sum to 0 within 1e-9, got 1\.000e-06$"
-    with pytest.raises(ContractViolation, match=message):
-        synthesis._phase_layer_angles(1e-6, 0.0, 0.0, 0.0)
-    with pytest.raises(ContractViolation, match=r"^Bell phases must sum to 0 within 1e-9, got nan$"):
-        synthesis._phase_layer_angles(float("nan"), 0.0, 0.0, 0.0)
