@@ -333,16 +333,24 @@ def _decompose(key):
     # the bound at which diagonalize_complex_symmetric_unitary admits m.
     u = _newton_schulz(u)
 
-    v, phi = project_su(u)
+    # Both stages admit their argument as a caller's; here it is a value the
+    # KAK computed, so a broken contract is a numerical fault.
+    try:
+        v, phi = project_su(u)
+    except ContractViolation as exc:
+        raise NumericalError(f"kak_decompose, projecting u onto SU(4): {exc}") from exc
     vm = _MAGIC_H @ v @ MAGIC
     m = vm.T @ vm
-
-    d, q = diagonalize_complex_symmetric_unitary(m)
+    try:
+        d, q = diagonalize_complex_symmetric_unitary(m)
+    except ContractViolation as exc:
+        raise NumericalError(f"kak_decompose, diagonalizing m: {exc}") from exc
     # np.angle(d) is this arctan2, behind four Python-level calls.
     half = np.arctan2(d.imag, d.real) * -0.5
     # vm = o2 diag(e^{-i half}) q^T, with q and o2 real orthogonal, in the
     # eigensolver's column order: the gauge only names columns.
-    o2 = (vm @ q) * np.exp(1j * half)
+    # q cast once by hand: numpy's own cast before the complex product costs more.
+    o2 = (vm @ q.astype(complex)) * np.exp(1j * half)
     residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
     h, slots, signs, turns = _chamber_gauge(half.tolist(), q.T.tolist())

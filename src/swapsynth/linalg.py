@@ -13,6 +13,7 @@ import math
 import operator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 # Admission tolerance for unitarity and symmetry checks on inputs.
@@ -242,8 +243,10 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     """
     n = u.shape[-1]
     eye = ID4 if n == 4 else ID2 if n == 2 else np.eye(n)
-    # The ufunc np.conjugate costs no Python-level call, unlike ndarray.conj.
-    dev = np.abs(u @ np.conjugate(u).swapaxes(-1, -2) - eye)
+    # The ufunc np.conjugate costs no Python-level call, unlike ndarray.conj;
+    # a real stack, such as the KAK's rotations, is its own conjugate.
+    uc = np.conjugate(u) if u.dtype.kind == "c" else u
+    dev = np.abs(u @ uc.swapaxes(-1, -2) - eye)
     # Written so that a NaN deviation fails the check too.  The ufunc's own
     # reduce skips the Python wrapper behind ndarray.max.
     if not np.maximum.reduce(dev, axis=None) <= atol:
@@ -263,6 +266,30 @@ def _newton_schulz(u):
     """One Newton-Schulz step u (3I - u^dag u) / 2 from a 4x4 u toward its
     nearest unitary: a u within e of unitary comes within about e^2."""
     return u @ (_THREE_ID4 - np.conjugate(u).T @ u) / 2.0
+
+
+def _eigh(a):
+    """Eigenvalues, ascending, and orthonormal eigenvectors of a real
+    symmetric float64 matrix, read from its lower triangle.
+
+    This is the LAPACK gufunc that ``np.linalg.eigh`` calls for such a
+    matrix, with the same signature, so its results are the wrapper's to
+    the bit.  The wrapper's shape checks, dtype bookkeeping, ``errstate``
+    and NamedTuple cost about as much as the 4x4 solve itself.  Unlike the
+    wrapper it raises no ``LinAlgError`` when the solver does not converge:
+    it returns NaN eigenpairs, which the reconstruction check of
+    :func:`diagonalize_complex_symmetric_unitary` refuses as NumericalError.
+    Private, like ``_kron``.
+    """
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def _det(u):
+    """Determinant of a complex128 square matrix: the LAPACK gufunc that
+    ``np.linalg.det`` calls for it, with the same signature, so bit for bit
+    its result, without the wrapper, which costs about as much again on a
+    4x4.  Private, like ``_kron``."""
+    return _umath_linalg.det(u, signature="D->D")
 
 
 def _check_bound(dev, bound, what):
@@ -319,7 +346,7 @@ def project_su(u):
     """
     u = assert_unitary(u, name="u")
     n = u.shape[0]
-    det = np.linalg.det(u)
+    det = _det(u)
     # np.angle(det) is this arctan2, behind four Python-level calls; the
     # libm atan2 of cmath.phase differs from it in the last bit.
     phi = np.arctan2(det.imag, det.real) / n
@@ -335,6 +362,9 @@ _MIX_WEIGHT = 1.1842932116394713
 
 def _reconstruct(m, q):
     """d = diag(q^T m q) / |d|, max||d| - 1| and max|q diag(d) q^T - m|."""
+    # numpy would cast the real q before each of its three complex products;
+    # one cast gives them the same bits.
+    q = q.astype(complex)
     d = np.add.reduce(q * (m @ q), axis=0)
     size = np.abs(d)
     unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
@@ -366,12 +396,12 @@ def diagonalize_complex_symmetric_unitary(m):
             f"matrix is not symmetric: max deviation {sym_dev:.3e}"
         )
 
-    w, q = np.linalg.eigh(m.real + _MIX_WEIGHT * m.imag)
+    w, q = _eigh(m.real + _MIX_WEIGHT * m.imag)
     d, unimodular_dev, recon_dev = _reconstruct(m, q)
     if not recon_dev <= 1e-9:
         # A cluster of one column is left as it is by its 1x1 eigh.
         for c in np.split(np.arange(4), np.flatnonzero(np.diff(w) >= 1e-6) + 1):
-            q[:, c] = q[:, c] @ np.linalg.eigh(q[:, c].T @ m.imag @ q[:, c])[1]
+            q[:, c] = q[:, c] @ _eigh(q[:, c].T @ m.imag @ q[:, c])[1]
         d, unimodular_dev, recon_dev = _reconstruct(m, q)
     if not recon_dev <= 1e-9:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")

@@ -5,8 +5,8 @@ stays within a budget of Python-level calls.
 Every per-target step pays Python call overhead on 4x4 matrices, so the
 number of calls that cProfile records for one decomposition is a cheap,
 exactly repeatable proxy for that overhead.  It is a count, not a speed
-claim, and it is tied to the installed numpy, whose Python wrappers
-(``np.linalg.det``, ``ndarray.max`` and others) are part of it: the budget
+claim, and it is tied to the installed numpy, whose Python wrappers and
+methods (``np.array``, ``ndarray.astype`` and others) are part of it: the budget
 was measured on numpy 2.4.6, and on any other version the test is skipped.
 With complex local factors and complex move conjugators the KAK made 218
 calls on this target; with real factors gathered by column it made 206.
@@ -32,6 +32,9 @@ column references that it decoded again, and taking det(q) of the unsigned
 columns times the product of their signs, it makes 125.  Finding each
 column's first entry beyond 1e-8 by a plain loop, in place of four next()
 calls over generators, each of which cost three calls, it makes 112.
+Calling the LAPACK gufuncs behind ``np.linalg.eigh`` and ``np.linalg.det``
+through one private helper each, in place of numpy's Python wrappers, it
+makes 75.
 The budgets below count that miss path, so each profiled call starts from
 an empty memo; the hit path has budgets of its own.
 
@@ -62,7 +65,7 @@ from swapsynth.synthesis import (
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
-BUDGET = 112
+BUDGET = 75
 
 
 # synthesize_cnot made 267 calls while the CNOT core built its three exact
@@ -92,7 +95,9 @@ BUDGET = 112
 # shifted_bell_phases and cnot_phase_params on the KAK's own floats, with no
 # _reals re-read or NamedTuple in between, 9 more, less one for admitting
 # gates.rz's angles by linalg._real_array: 138 and 139.
-SYNTHESIS_BUDGETS = {synthesize_swap: 138, synthesize_cnot: 139}
+# The KAK's eigh and det through the LAPACK gufuncs, without numpy's
+# wrappers, save 37 on both: 101 and 102.
+SYNTHESIS_BUDGETS = {synthesize_swap: 101, synthesize_cnot: 102}
 
 # A target the memo holds: kak_decompose admits it and looks it up, and the
 # synthesizers only build their circuits.  Through a builder that took the

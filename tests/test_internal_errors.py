@@ -108,6 +108,47 @@ def test_nan_eigenvalue_of_joint_diagonalization(monkeypatch, capsys):
     assert cli_exit(capsys) == 3
 
 
+# NaN arithmetic on the way to the check may raise numpy's invalid-value flag.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eigh_that_does_not_converge(monkeypatch, capsys):
+    """A LAPACK eigensolver that does not converge returns NaN eigenpairs
+    through the package's binding, where numpy's wrapper raised LinAlgError,
+    a ValueError that escaped the CLI.  The reconstruction check refuses them."""
+
+    def no_convergence(a):
+        return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan)
+
+    monkeypatch.setattr(linalg, "_eigh", no_convergence)
+    with pytest.raises(NumericalError, match=r"^diagonalization residual nan exceeds 1e-9$"):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
+
+
+def test_projection_of_computed_unitary(monkeypatch, capsys):
+    original = canonical._newton_schulz
+    monkeypatch.setattr(canonical, "_newton_schulz", lambda u: original(u) * (1.0 + 1e-6))
+    with pytest.raises(
+        NumericalError, match=r"^kak_decompose, projecting u onto SU\(4\): u is not unitary: .*e-06 exceeds 1e-10$"
+    ):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
+
+
+def test_diagonalization_of_computed_m(monkeypatch, capsys):
+    original = canonical.project_su
+
+    def scaled(u):
+        v, phi = original(u)
+        return v * (1.0 + 1e-6), phi
+
+    monkeypatch.setattr(canonical, "project_su", scaled)
+    with pytest.raises(
+        NumericalError, match=r"^kak_decompose, diagonalizing m: m is not unitary: max deviation 4\.000e-06 exceeds 1e-10$"
+    ):
+        kak_decompose(U)
+    assert cli_exit(capsys) == 3
+
+
 def test_bounds_print_exactly():
     # A bound that is not a round number is printed as given, not rounded to 1.3e-09.
     with pytest.raises(NumericalError, match=r"^residual 2\.000e-09 exceeds 1\.25e-09$"):

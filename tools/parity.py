@@ -26,6 +26,11 @@ of ``circuit_to_dict`` of both backends.  ``outputs_and_evaluate`` adds the
 Each part is framed by its length, so no two records hash alike by
 concatenation.  The targets are built with the package under test, so a
 change to ``haar_random_unitary`` or ``exp_minus_iH`` shows too.
+
+A ``RuntimeWarning``, such as a floating-point overflow, division or
+invalid-value flag raised by a numpy call, is an error: the script stops
+with a traceback instead of printing hashes of outputs that passed through
+a flagged operation.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 import os
 import pathlib
 import sys
+import warnings
 
 # One BLAS thread, as perfbench/run.py runs: the eigensolver's bits must
 # not depend on how the host splits a 4x4.
@@ -155,6 +161,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the swapsynth package")
     args = parser.parse_args(argv)
+    warnings.simplefilter("error", RuntimeWarning)
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
     import swapsynth.canonical
     import swapsynth.gates
