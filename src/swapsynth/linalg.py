@@ -362,7 +362,7 @@ _MIX_WEIGHT = 1.1842932116394713
 
 def _reconstruct(m, q):
     """d = diag(q^T m q) / |d|, max||d| - 1| and max|q diag(d) q^T - m|."""
-    # numpy would cast the real q before each of its three complex products;
+    # numpy would cast the real q before each complex product it enters;
     # one cast gives them the same bits.
     q = q.astype(complex)
     d = np.add.reduce(q * (m @ q), axis=0)
