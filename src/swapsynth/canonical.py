@@ -208,19 +208,20 @@ def _split_rotations(os):
     """
     k = os.shape[0]
     _check_unitary(os, "local product", atol=2.5e-11)
-    m = (os.reshape(k, 1, 16) @ _TO_QUATERNION_PAIR).reshape(k, 4, 4)
+    m = os.reshape(k, 16).dot(_TO_QUATERNION_PAIR).reshape(k, 4, 4)
     # m = p r^T with unit p and r: its largest column, normalised, is +-p,
     # and then r = m^T p.  The first of equal columns wins.
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     members = np.arange(k)
     j = norms.argmax(axis=1)
     p = m[members, :, j] / norms[members, j, np.newaxis]
+    # A product per member, which dot does not form.
     r = (p[:, np.newaxis, :] @ m)[:, 0]
     # 8 max|m - p r^T| bounds max|l - a (x) b|.
     deviation = np.abs(m - p[:, :, np.newaxis] * r[:, np.newaxis, :])
     residual = 8.0 * np.maximum.reduce(deviation, axis=None)
     _check_bound(residual, 1e-8, "not a single-qubit tensor product: residual")
-    ab = _frozen(np.array([p, r])[..., np.newaxis, :] @ _QUATERNIONS.reshape(4, 4))
+    ab = _frozen(np.array([p, r]).dot(_QUATERNIONS.reshape(4, 4)))
     a, b = ab.reshape(2, k, 2, 2)
     return a, b
 
@@ -339,8 +340,8 @@ def _decompose(key):
         v, phi = project_su(u)
     except ContractViolation as exc:
         raise NumericalError(f"kak_decompose, projecting u onto SU(4): {exc}") from exc
-    vm = _MAGIC_H @ v @ MAGIC
-    m = vm.T @ vm
+    vm = _MAGIC_H.dot(v).dot(MAGIC)
+    m = vm.T.dot(vm)
     try:
         d, q = diagonalize_complex_symmetric_unitary(m)
     except ContractViolation as exc:
@@ -349,8 +350,8 @@ def _decompose(key):
     half = np.arctan2(d.imag, d.real) * -0.5
     # vm = o2 diag(e^{-i half}) q^T, with q and o2 real orthogonal, in the
     # eigensolver's column order: the gauge only names columns.
-    # q cast once by hand: numpy's own cast before the complex product costs more.
-    o2 = (vm @ q.astype(complex)) * np.exp(1j * half)
+    # dot casts the real q itself, to the bits of a complex q's product.
+    o2 = vm.dot(q) * np.exp(1j * half)
     residue = np.maximum.reduce(np.abs(o2.imag), axis=None)
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
     h, slots, signs, turns = _chamber_gauge(half.tolist(), q.T.tolist())

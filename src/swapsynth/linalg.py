@@ -5,6 +5,14 @@ wrapping matrices in classes, functions validate their contracts on entry
 (unitarity, symmetry) and raise :class:`ContractViolation` when
 an argument breaks its contract, or :class:`NumericalError` when an internal
 procedure misses its tolerance.
+
+One rule for matrix products on the per-target path: ``a.dot(b)`` wherever
+``dot`` computes what ``a @ b`` computes, and ``@`` for the pairwise
+products of two stacks, which ``dot`` does not form.  Both reach the same
+BLAS routine, so the bits are the same, but on 4x4 and smaller operands the
+matmul gufunc's dispatch costs more than ``dot``'s.  ``@`` also stays where
+an operand may be a caller's hand-built value rather than an array, since
+``np.dot`` reads a scalar or a list where the matmul raises.
 """
 
 from __future__ import annotations
@@ -246,7 +254,8 @@ def _check_unitary(u, name, atol=ATOL_UNITARY):
     # The ufunc np.conjugate costs no Python-level call, unlike ndarray.conj;
     # a real stack, such as the KAK's rotations, is its own conjugate.
     uc = np.conjugate(u) if u.dtype.kind == "c" else u
-    dev = np.abs(u @ uc.swapaxes(-1, -2) - eye)
+    # dot does not pair the members of a stack, so a stack keeps the matmul.
+    dev = np.abs((u.dot(uc.T) if u.ndim == 2 else u @ uc.swapaxes(-1, -2)) - eye)
     # Written so that a NaN deviation fails the check too.  The ufunc's own
     # reduce skips the Python wrapper behind ndarray.max.
     if not np.maximum.reduce(dev, axis=None) <= atol:
@@ -265,7 +274,7 @@ _THREE_ID4 = _frozen(3.0 * ID4)
 def _newton_schulz(u):
     """One Newton-Schulz step u (3I - u^dag u) / 2 from a 4x4 u toward its
     nearest unitary: a u within e of unitary comes within about e^2."""
-    return u @ (_THREE_ID4 - np.conjugate(u).T @ u) / 2.0
+    return u.dot(_THREE_ID4 - np.conjugate(u).T.dot(u)) / 2.0
 
 
 def _eigh(a):
@@ -365,11 +374,14 @@ def _reconstruct(m, q):
     # numpy would cast the real q before each complex product it enters;
     # one cast gives them the same bits.
     q = q.astype(complex)
-    d = np.add.reduce(q * (m @ q), axis=0)
+    d = np.add.reduce(q * m.dot(q), axis=0)
     size = np.abs(d)
     unimodular_dev = np.maximum.reduce(np.abs(size - 1.0), axis=None)
-    d = d / size
-    return d, unimodular_dev, np.maximum.reduce(np.abs((q * d) @ q.T - m), axis=None)
+    # numpy divides a complex by a real through this same reciprocal, so the
+    # bits are the division's, but the division raises an invalid-value
+    # warning on the NaN eigenpairs of a failed solve.
+    d = d * (1.0 / size)
+    return d, unimodular_dev, np.maximum.reduce(np.abs((q * d).dot(q.T) - m), axis=None)
 
 
 def diagonalize_complex_symmetric_unitary(m):
@@ -406,6 +418,6 @@ def diagonalize_complex_symmetric_unitary(m):
     if not recon_dev <= 1e-9:
         raise NumericalError(f"diagonalization residual {recon_dev:.3e} exceeds 1e-9")
     _check_bound(unimodular_dev, 1e-8, "non-unimodular eigenvalues: deviation")
-    orthogonality_dev = np.maximum.reduce(np.abs(q.T @ q - ID4), axis=None)
+    orthogonality_dev = np.maximum.reduce(np.abs(q.T.dot(q) - ID4), axis=None)
     _check_bound(orthogonality_dev, 1e-10, "eigenvector matrix lost orthogonality:")
     return d, q

@@ -95,7 +95,14 @@ class LocalOp(GateOp):
             return (self.matrix @ u.reshape(2, 8)).reshape(4, 4)
         if self.qubit != 2:
             _qubit_index(self.qubit, "qubit")
-        return (self.matrix @ u.reshape(2, 2, 4)).reshape(4, 4)
+        m = self.matrix
+        # dot costs less than the matmul, but np.dot(3, u) is 3u where the
+        # matmul raises, and a list or a string array fails otherwise: so dot
+        # serves only a complex 2-D array, which every op the package builds
+        # or reads holds.
+        if m.__class__ is np.ndarray and m.ndim == 2 and m.dtype == complex:
+            return m.dot(u.reshape(2, 2, 4)).swapaxes(0, 1).reshape(4, 4)
+        return (m @ u.reshape(2, 2, 4)).reshape(4, 4)
 
     def to_dict(self):
         # Entries that are not numbers are not cast: no rows are written,
@@ -146,7 +153,7 @@ class SwapPowOp(GateOp):
     def apply(self, u):
         # SWAP**alpha mixes only the rows of |01> and |10>.
         out = u.copy()
-        out[1:3] = _swap_pow_block(self.alpha) @ u[1:3]
+        out[1:3] = _swap_pow_block(self.alpha).dot(u[1:3])
         return out
 
     def to_dict(self):
@@ -330,8 +337,8 @@ def synthesize_swap(u):
     m[0], m[1] = dec.front
     try:
         (*core, z, x), phase = _core_swap(dec.params)
-        np.matmul(b1, z.matrix, out=m[2])
-        np.matmul(b2, x.matrix, out=m[3])
+        b1.dot(z.matrix, out=m[2])
+        b2.dot(x.matrix, out=m[3])
         u1, v1, u4, v4 = _local_ops(
             m, ((1, "u1"), (2, "v1"), (1, f"u4'·{z.label}"), (2, f"v4'·{x.label}"))
         )
@@ -382,7 +389,7 @@ def _core_cnot_locals(angles):
     and one stacked product.  angles are four floats; rz gets them as a
     float array, which its admission returns at once."""
     m = rz(np.array(angles, dtype=float))
-    front, back = m[0::2] @ HADAMARD
+    front, back = m[0::2].dot(HADAMARD)
     m[0] = front
     # W rz(zeta2) = (rz(zeta2) W)^T, bit for bit: W is symmetric, rz diagonal.
     m[2] = back.T

@@ -8,6 +8,7 @@ the CLI exits 3.  Each test forces one such path with monkeypatch.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -108,20 +109,22 @@ def test_nan_eigenvalue_of_joint_diagonalization(monkeypatch, capsys):
     assert cli_exit(capsys) == 3
 
 
-# NaN arithmetic on the way to the check may raise numpy's invalid-value flag.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eigh_that_does_not_converge(monkeypatch, capsys):
     """A LAPACK eigensolver that does not converge returns NaN eigenpairs
     through the package's binding, where numpy's wrapper raised LinAlgError,
-    a ValueError that escaped the CLI.  The reconstruction check refuses them."""
+    a ValueError that escaped the CLI.  The reconstruction check refuses them,
+    with no numpy warning on the way: the CLI's stderr is its one line."""
 
     def no_convergence(a):
         return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan)
 
     monkeypatch.setattr(linalg, "_eigh", no_convergence)
-    with pytest.raises(NumericalError, match=r"^diagonalization residual nan exceeds 1e-9$"):
-        kak_decompose(U)
-    assert cli_exit(capsys) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^diagonalization residual nan exceeds 1e-9$"):
+            kak_decompose(U)
+        assert cli.main(["synth", "--gate", "cnot"]) == 3
+    assert capsys.readouterr().err == "numerical failure: diagonalization residual nan exceeds 1e-9\n"
 
 
 def test_projection_of_computed_unitary(monkeypatch, capsys):
