@@ -36,7 +36,8 @@ Calling the LAPACK gufuncs behind ``np.linalg.eigh`` and ``np.linalg.det``
 through one private helper each, in place of numpy's Python wrappers, it
 makes 75.  Its matrix products through ``ndarray.dot`` in place of the
 matmul gufunc cost less each, but cProfile records a ``dot`` call where it
-records no ``@``: it makes 14 ``dot`` calls and 71 others.
+records no ``@``: it makes 14 ``dot`` calls and 71 others, as o2's product
+casts q itself and three unitarity checks of one matrix take no swapaxes.
 The budgets below count that miss path, so each profiled call starts from
 an empty memo; the hit path has budgets of its own.
 
@@ -46,9 +47,10 @@ pinned exactly per path in ``DOTS``: a product moved between ``dot`` and
 
 Every budget is a count per code object: the sum of ``callcount`` over the
 entries of ``cProfile.Profile.getstats()``, less the profiler's own
-``disable()`` and the ``dot`` calls.  ``pstats.Stats(...).total_calls`` is not used: it keeps one
-row per (file, line, name) label, so calls to functions sharing a label,
-such as every dataclass ``__init__``, are dropped by memory layout.
+``disable()`` and the ``dot`` calls.  ``pstats.Stats(...).total_calls`` is
+not used: it keeps one row per (file, line, name) label, so calls to
+functions sharing a label, such as every dataclass ``__init__``, are
+dropped by memory layout.
 """
 
 import cProfile
@@ -106,7 +108,7 @@ BUDGET = 71
 # The KAK's eigh and det through the LAPACK gufuncs, without numpy's
 # wrappers, save 37 on both: 101 and 102.
 # Their products through ndarray.dot, counted in DOTS, leave 97 and 98 other
-# calls; the qubit-2 local's dot adds a swapaxes and a reshape.
+# calls, the KAK's 4 fewer.
 SYNTHESIS_BUDGETS = {synthesize_swap: 97, synthesize_cnot: 98}
 
 # A target the memo holds: kak_decompose admits it and looks it up, and the
@@ -137,6 +139,7 @@ READER_BUDGET = 216
 
 # One 4x4 _matrix_from_json, the lambda that calls it included: one array
 # conversion, one cast and one view.  Parsed entry by entry it made 8.
+# It makes no dot call.
 CODEC_BUDGET = 5
 
 # Calls of ndarray.dot and numpy.dot, pinned exactly, as (miss, hit).  The

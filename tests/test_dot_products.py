@@ -172,8 +172,8 @@ def test_dot_is_the_matmul_on_every_recorded_product(pairs):
         assert by_dot.tobytes() == by_matmul.tobytes(), site
 
 
-# Hand-built matrices that local_op would refuse: each must act as the
-# matmul form did, by its result or by the class of its error.
+# Hand-built matrices, which skip local_op's admission: each must act as
+# the matmul form did, by its result or by the class of its error.
 HAND_BUILT = {
     "int": 3,
     "None": None,
