@@ -8,7 +8,6 @@ half-SWAP used in CNOT constructions.
 
 from swapsynth import (
     PLANCK_H,
-    PulseSpec,
     ep_closed_form_swap,
     heisenberg_evolution,
     phase_distance,
@@ -17,12 +16,11 @@ from swapsynth import (
 
 print("pulse area (units of h)   exponent   entangling power")
 for fraction in (0.0, 0.125, 0.25, 0.375, 0.5):
-    pulse = PulseSpec(integrated_coupling=fraction * PLANCK_H, label=f"{fraction} h")
-    u, alpha, theta = heisenberg_evolution(pulse)
+    u, alpha, theta = heisenberg_evolution(fraction * PLANCK_H)
     check = phase_distance(u, swap_pow(alpha))
     print(f"{fraction:22.3f}   {alpha:8.4f}   {ep_closed_form_swap(alpha):.6f}"
           f"   (matches SWAP^alpha to {check:.0e})")
 
-u, alpha, theta = heisenberg_evolution(PulseSpec(integrated_coupling=PLANCK_H / 4))
+u, alpha, theta = heisenberg_evolution(PLANCK_H / 4)
 print(f"\nquarter-quantum pulse: exponent {alpha}, global phase {theta:+.6f}")
 print("two of them bracket a Pauli rotation to make a CNOT; see the synthesis demos.")

@@ -18,7 +18,6 @@ from .gates import (
     CNOT,
     PLANCK_H,
     SWAP,
-    PulseSpec,
     heisenberg_evolution,
     named_gate,
     rz,

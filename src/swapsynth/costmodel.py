@@ -100,26 +100,23 @@ def builtin_profile(name):
 def profile_from_dict(doc):
     """Build a profile from its JSON form.
 
-    Expected keys: name, rabi_frequency_hz, pi_rotation_time_s,
-    swap_full_time_s, and optionally local_rotation_policy; any other key,
-    such as a misspelled policy, is refused by name.  Every value goes
-    to HardwareProfile as read, so neither "5e6" nor true nor 10**400 passes
-    as a timing, nor null as the name.
+    The keys are the fields of HardwareProfile, in its order: each field
+    without a default is required, each with one is optional, and any
+    other key, such as a misspelled policy, is refused by name.  Every
+    value goes to HardwareProfile as read, so neither "5e6" nor true nor
+    10**400 passes as a timing, nor null as the name.
     """
     if not isinstance(doc, dict):
         raise ContractViolation("profile document must be a JSON object")
-    keys = ("name", *_TIMING_FIELDS, "local_rotation_policy")
-    for key in keys[:-1]:  # all but the optional policy
-        if key not in doc:
-            raise ContractViolation(f"profile document missing key {key!r}")
+    fields = dataclasses.fields(HardwareProfile)
+    for field in fields:
+        if field.default is dataclasses.MISSING and field.name not in doc:
+            raise ContractViolation(f"profile document missing key {field.name!r}")
+    keys = [field.name for field in fields]
     for key in doc:
         if key not in keys:
             raise ContractViolation(f"unknown profile key {key!r}; expected {', '.join(keys)}")
-    return HardwareProfile(
-        name=doc["name"],
-        local_rotation_policy=doc.get("local_rotation_policy", "fixed_pi"),
-        **{key: doc[key] for key in _TIMING_FIELDS},
-    )
+    return HardwareProfile(**doc)
 
 
 def _admit_profile(profile):
@@ -142,7 +139,6 @@ class Schedule:
 
     layers: tuple
     total_time_s: float
-    profile_name: str
 
 
 def schedule_circuit(circuit, profile):
@@ -176,7 +172,7 @@ def schedule_circuit(circuit, profile):
             layers.append(Layer(duration, (idx,), op.kind))
             open_qubits = (op.qubit,)
     total = float(sum(layer.duration_s for layer in layers))
-    return Schedule(layers=tuple(layers), total_time_s=total, profile_name=profile.name)
+    return Schedule(layers=tuple(layers), total_time_s=total)
 
 
 def _backend_entry(circuit, profile):

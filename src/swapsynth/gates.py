@@ -10,7 +10,6 @@ SWAP**1 = SWAP.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 
 import numpy as np
 
@@ -116,26 +115,13 @@ def named_gate(name):
     return NAMED_GATES[key].copy()
 
 
-@dataclasses.dataclass(frozen=True)
-class PulseSpec:
-    """An isotropic exchange pulse described by its integrated strength.
+def heisenberg_evolution(integrated_coupling):
+    """Unitary generated by an isotropic exchange pulse, and its SWAP power.
 
     ``integrated_coupling`` is the time integral of the exchange coupling
     J(t) in joule-seconds; it may be negative for reverse evolution.  Only
     the integral matters for the final unitary, not the pulse shape.  It is
-    stored as a float by ``linalg._real``, so a bool, a string or NaN is refused.
-    """
-
-    integrated_coupling: float
-    label: str = ""
-
-    def __post_init__(self):
-        coupling = _real(self.integrated_coupling, "integrated_coupling")
-        object.__setattr__(self, "integrated_coupling", coupling)
-
-
-def heisenberg_evolution(pulse):
-    """Unitary generated by an isotropic exchange pulse, and its SWAP power.
+    read by ``linalg._real``, so a bool, a string or NaN is refused.
 
     The coupling J(t) S1.S2 between spin-1/2 operators S = sigma/2 gives,
     for phi = (integral of J dt) / hbar,
@@ -151,12 +137,9 @@ def heisenberg_evolution(pulse):
     larger; this module consistently uses spin operators S = sigma/2.)
 
     Returns (u, alpha, theta) with u = e^{i theta} swap_pow(alpha), theta
-    reported on the principal branch (-pi, pi].  A bare number is taken as
-    the integral of a PulseSpec.
+    reported on the principal branch (-pi, pi].
     """
-    if not isinstance(pulse, PulseSpec):
-        pulse = PulseSpec(pulse)
-    phi = pulse.integrated_coupling / HBAR
+    phi = _real(integrated_coupling, "integrated_coupling") / HBAR
     alpha = float((phi / np.pi) % 2.0)
     theta = float(np.angle(np.exp(-1j * phi / 4.0)))
     return np.exp(1j * theta) * swap_pow(alpha), alpha, theta

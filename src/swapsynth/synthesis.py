@@ -91,16 +91,17 @@ class LocalOp(GateOp):
 
     def apply(self, u):
         # The 2x2 acts on the row index's qubit-1 (or qubit-2) digit only.
-        if self.qubit == 1:
-            return (self.matrix @ u.reshape(2, 8)).reshape(4, 4)
-        if self.qubit != 2:
-            _qubit_index(self.qubit, "qubit")
         m = self.matrix
         # dot costs less than the matmul, but np.dot(3, u) is 3u where the
         # matmul raises, and a list or a string array fails otherwise: so dot
         # serves only a complex 2-D array, which every op the package builds
         # or reads holds.
-        if m.__class__ is np.ndarray and m.ndim == 2 and m.dtype == complex:
+        by_dot = m.__class__ is np.ndarray and m.ndim == 2 and m.dtype == complex
+        if self.qubit == 1:
+            return (m.dot(u.reshape(2, 8)) if by_dot else m @ u.reshape(2, 8)).reshape(4, 4)
+        if self.qubit != 2:
+            _qubit_index(self.qubit, "qubit")
+        if by_dot:
             return m.dot(u.reshape(2, 2, 4)).swapaxes(0, 1).reshape(4, 4)
         return (m @ u.reshape(2, 2, 4)).reshape(4, 4)
 

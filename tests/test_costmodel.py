@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swapsynth import canonical
+from swapsynth import canonical, costmodel
 from swapsynth.costmodel import (
     HardwareProfile,
     Layer,
@@ -76,12 +77,20 @@ def test_profile_from_dict():
     p = profile_from_dict(doc)
     assert p.name == "lab"
     assert p.local_rotation_policy == "proportional"
-    with pytest.raises(ContractViolation):
-        profile_from_dict({"name": "incomplete"})
-    with pytest.raises(ContractViolation):
-        profile_from_dict("gaas")
+    assert _outcome(lambda: profile_from_dict("gaas")) == "refused: profile document must be a JSON object"
+    # Missing keys are named in field order, the first one missing first.
+    assert _outcome(lambda: profile_from_dict({"name": "incomplete"})) == (
+        "refused: profile document missing key 'rabi_frequency_hz'"
+    )
     with pytest.raises(ContractViolation, match="missing key 'swap_full_time_s'"):
         profile_from_dict({k: v for k, v in doc.items() if k != "swap_full_time_s"})
+    # The policy is optional.
+    policy_free = {k: v for k, v in doc.items() if k != "local_rotation_policy"}
+    assert profile_from_dict(policy_free).local_rotation_policy == "fixed_pi"
+    assert _outcome(lambda: profile_from_dict({**doc, "x": 1})) == (
+        "refused: unknown profile key 'x'; expected name, rabi_frequency_hz, "
+        "pi_rotation_time_s, swap_full_time_s, local_rotation_policy"
+    )
     # A key outside the five is refused by name, not dropped: a misspelled
     # policy would otherwise price every local at the pi time.
     misspelled = {k: v for k, v in doc.items() if k != "local_rotation_policy"}
@@ -114,6 +123,24 @@ def test_profile_from_dict():
             built = _outcome(lambda: HardwareProfile(**{**doc, key: bad}))
             assert built == _outcome(lambda: profile_from_dict({**doc, key: bad}))
             assert built == f"refused: {key} must be a string, got {bad!r}"
+
+
+def test_profile_keys_are_the_dataclass_fields(monkeypatch):
+    """A field added to HardwareProfile is a profile key, with no second list to extend."""
+
+    @dataclasses.dataclass(frozen=True)
+    class WithVirtualZ(HardwareProfile):
+        virtual_z: bool = False
+
+    monkeypatch.setattr(costmodel, "HardwareProfile", WithVirtualZ)
+    doc = {"name": "lab", "rabi_frequency_hz": 1.0e7, "pi_rotation_time_s": 5.0e-8, "swap_full_time_s": 1.0e-10}
+    p = profile_from_dict({**doc, "virtual_z": True})
+    assert type(p) is WithVirtualZ and p.virtual_z is True
+    assert profile_from_dict(doc).virtual_z is False
+    assert _outcome(lambda: profile_from_dict({**doc, "x": 1})).endswith(
+        "; expected name, rabi_frequency_hz, pi_rotation_time_s, swap_full_time_s, "
+        "local_rotation_policy, virtual_z"
+    )
 
 
 def _outcome(call):

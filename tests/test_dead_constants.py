@@ -9,6 +9,12 @@ read is dead code.
 Each public module-level ``def`` or ``class`` must be read outside its own
 definition, by a module of the package or by a script in ``demos/``.  A
 re-export does not count: a function that only tests call is dead code too.
+
+Each field of a public ``@dataclasses.dataclass`` must be read as an
+attribute, ``x.name`` or ``getattr(x, "name")``, by a module of the package
+or by a demo: a field that nothing reads only restates what its builder
+already had.  A ``ClassVar`` is no field, and a NamedTuple is exempt, since
+it is read by position.
 """
 
 import ast
@@ -86,6 +92,56 @@ def dead_definitions(sources, demo_sources=()):
     return sorted(dead)
 
 
+def dataclass_fields(tree):
+    """(class, field) of each field of each public module-level dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+        if decorators.isdisjoint({"dataclasses.dataclass", "dataclass"}):
+            continue
+        for statement in node.body:
+            if (
+                isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and "ClassVar" not in ast.unparse(statement.annotation)
+            ):
+                yield node.name, statement.target.id
+
+
+def attribute_reads(tree):
+    """Each name read as an attribute: x.name, or getattr(x, "name")."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def dead_fields(sources, demo_sources=()):
+    """Sorted "module.Class.field" of every unread dataclass field.
+
+    sources and demo_sources are as for :func:`dead_definitions`.
+    """
+    texts = (*sources.values(), *demo_sources)
+    read = set().union(*(attribute_reads(ast.parse(source)) for source in texts))
+    return sorted(
+        f"{module}.{cls}.{field}"
+        for module, source in sources.items()
+        for cls, field in dataclass_fields(ast.parse(source))
+        if field not in read
+    )
+
+
 def test_scanner_finds_dead_and_keeps_read():
     sources = {
         "__init__": "from .a import EXPORTED, exported_only\n__version__ = '1'\n",
@@ -125,6 +181,37 @@ def test_scanner_finds_dead_and_keeps_read():
     ]
 
 
+def test_field_scanner_finds_unread_fields():
+    sources = {
+        "a": (
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "from typing import ClassVar, NamedTuple\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Spec:\n"
+            "    read: float\n"
+            "    by_getattr: float\n"
+            "    in_demo: float\n"
+            "    written_only: str = ''\n"
+            "    unread: str = ''\n"
+            "    kind: ClassVar[str] = 'spec'\n"
+            "@dataclass\n"
+            "class Bare:\n"
+            "    never: int\n"
+            "@dataclasses.dataclass\n"
+            "class _Private:\n"
+            "    hidden: int\n"
+            "class Row(NamedTuple):\n"
+            "    by_position: int\n"
+            "def f(s):\n"
+            "    s.written_only = 'x'\n"
+            "    return s.read + getattr(s, 'by_getattr')\n"
+        ),
+    }
+    demos = ["print(spec.in_demo)\n"]
+    assert dead_fields(sources, demos) == ["a.Bare.never", "a.Spec.unread", "a.Spec.written_only"]
+
+
 def package_sources():
     return {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
 
@@ -136,3 +223,8 @@ def test_no_dead_public_constants():
 def test_no_dead_public_functions_or_classes():
     demos = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demos").glob("*.py"))]
     assert dead_definitions(package_sources(), demos) == []
+
+
+def test_no_unread_dataclass_fields():
+    demos = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demos").glob("*.py"))]
+    assert dead_fields(package_sources(), demos) == []

@@ -10,9 +10,9 @@ CNOT and expanded circuits, and compare the bytes of the ``dot`` form with
 those of the matmul form it replaced.  A numpy release that splits the two
 fails here, at the product, not in a hash of compiled circuits.
 
-``LocalOp.apply`` takes the ``dot`` form on qubit 2 only for a complex 2-D
-array; a hand-built matrix of any other kind keeps the matmul, so it
-raises the same error or gives the same result as before.
+``LocalOp.apply`` takes the ``dot`` form on either qubit only for a
+complex 2-D array; a hand-built matrix of any other kind keeps the
+matmul, so it raises the same error or gives the same result as before.
 """
 
 import numpy as np
@@ -54,6 +54,10 @@ FORMS = {
     ),
     "cnot_hadamard": (_dot, _matmul),
     "swap_pow_apply": (_dot, _matmul),
+    "local_apply_qubit1": (
+        lambda a, b: a.dot(b).reshape(4, 4),
+        lambda a, b: (a @ b).reshape(4, 4),
+    ),
     "local_apply_qubit2": (
         lambda a, b: a.dot(b).swapaxes(0, 1).reshape(4, 4),
         lambda a, b: (a @ b).reshape(4, 4),
@@ -152,6 +156,9 @@ def pairs():
         elif kind == "SwapPowOp":
             op, u = args
             found.append(("swap_pow_apply", _swap_pow_block(op.alpha), u[1:3]))
+        elif kind == "LocalOp" and args[0].qubit == 1:
+            op, u = args
+            found.append(("local_apply_qubit1", op.matrix, u.reshape(2, 8)))
         elif kind == "LocalOp" and args[0].qubit == 2:
             op, u = args
             found.append(("local_apply_qubit2", op.matrix, u.reshape(2, 2, 4)))

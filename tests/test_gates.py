@@ -5,7 +5,6 @@ from swapsynth.gates import (
     CNOT,
     CZ,
     PLANCK_H,
-    PulseSpec,
     SWAP,
     heisenberg_evolution,
     named_gate,
@@ -132,23 +131,19 @@ def test_named_gate_lookup():
 
 
 def test_pulse_spec_validation():
-    p = PulseSpec(integrated_coupling=1e-34, label="probe")
-    assert p.label == "probe"
-    with pytest.raises(ContractViolation):
-        PulseSpec(integrated_coupling=float("inf"))
-    # A PulseSpec and a bare integral are admitted by one rule, and refuse alike.
+    # The integral is admitted by linalg._real under its own name.
     for bad in (True, np.True_, "1e-34", "abc", None, float("nan"), float("inf"), -float("inf"), 10**400):
-        for build in (PulseSpec, heisenberg_evolution):
-            with pytest.raises(ContractViolation, match="^integrated_coupling "):
-                build(bad)
+        with pytest.raises(ContractViolation, match="^integrated_coupling "):
+            heisenberg_evolution(bad)
+    # Every real type gives what its float gives.
     for value in (np.float64(1e-34), np.int64(0), 0):
-        assert type(PulseSpec(value).integrated_coupling) is float
-    bare = heisenberg_evolution(np.float64(PLANCK_H / 4.0))
-    assert bare[1:] == heisenberg_evolution(PulseSpec(PLANCK_H / 4.0))[1:]
+        got, want = heisenberg_evolution(value), heisenberg_evolution(float(value))
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert type(got[1]) is float and type(got[2]) is float
 
 
 def test_heisenberg_zero_pulse():
-    u, alpha, theta = heisenberg_evolution(PulseSpec(integrated_coupling=0.0))
+    u, alpha, theta = heisenberg_evolution(0.0)
     assert np.allclose(u, ID4)
     assert alpha == pytest.approx(0.0)
     assert theta == pytest.approx(0.0)
@@ -168,7 +163,7 @@ def test_heisenberg_matches_swap_power():
     rng = np.random.default_rng(5)
     for _ in range(20):
         integral = rng.uniform(0, 2) * PLANCK_H
-        u, alpha, theta = heisenberg_evolution(PulseSpec(integrated_coupling=integral))
+        u, alpha, theta = heisenberg_evolution(integral)
         assert phase_distance(u, swap_pow(alpha)) < 1e-12
         assert alpha == pytest.approx(_alpha_from_bell_phases(u), abs=1e-10)
         # declared phase reattaches exactly
@@ -184,7 +179,7 @@ def test_heisenberg_matches_exchange_exponential():
     hbar = PLANCK_H / (2.0 * np.pi)
     for k in (-3.7, -1.0, -0.5, -0.13, 0.0, 0.21, 0.5, 1.0, 2.6, 7.3):
         integral = k * PLANCK_H
-        u, alpha, theta = heisenberg_evolution(PulseSpec(integrated_coupling=integral))
+        u, alpha, theta = heisenberg_evolution(integral)
         reference = (q * np.exp(-1j * (integral / hbar) * w)) @ q.conj().T
         assert np.max(np.abs(u - reference)) < 1e-12
         assert 0.0 <= alpha < 2.0
@@ -196,20 +191,20 @@ def test_heisenberg_matches_exchange_exponential():
 
 def test_heisenberg_half_quantum():
     # integral h/2 is a full SWAP
-    u, alpha, _ = heisenberg_evolution(PulseSpec(integrated_coupling=PLANCK_H / 2))
+    u, alpha, _ = heisenberg_evolution(PLANCK_H / 2)
     assert alpha == pytest.approx(1.0)
     assert phase_distance(u, SWAP) < 1e-12
 
 
 def test_heisenberg_bell_diagonal():
-    u, _, _ = heisenberg_evolution(PulseSpec(integrated_coupling=0.3 * PLANCK_H))
+    u, _, _ = heisenberg_evolution(0.3 * PLANCK_H)
     for state in (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS):
         overlap = abs(state.conj() @ (u @ state))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_heisenberg_accepts_bare_float():
-    u1, a1, t1 = heisenberg_evolution(0.2 * PLANCK_H)
-    u2, a2, t2 = heisenberg_evolution(PulseSpec(integrated_coupling=0.2 * PLANCK_H))
-    assert np.array_equal(u1, u2)
-    assert (a1, t1) == (a2, t2)
+    # A fifth of h is SWAP**0.4, with the declared phase reattached.
+    u, alpha, theta = heisenberg_evolution(0.2 * PLANCK_H)
+    assert alpha == pytest.approx(0.4, abs=1e-12)
+    assert np.array_equal(u, np.exp(1j * theta) * swap_pow(alpha))
