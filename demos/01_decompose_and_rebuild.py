@@ -7,7 +7,7 @@ rebuilding from the parts reproduces the input to machine precision.
 
 import numpy as np
 
-from swapsynth import haar_random_unitary, kak_decompose, reconstruct
+from swapsynth import haar_random_unitary, in_weyl_chamber, kak_decompose, reconstruct
 
 u = haar_random_unitary(4, seed=2029)
 dec = kak_decompose(u)
@@ -17,6 +17,7 @@ print("canonical coordinates")
 print(f"  hx = {hx:.9f}")
 print(f"  hy = {hy:.9f}")
 print(f"  hz = {hz:.9f}   (negative values are legitimate interior points)")
+print(f"  in the canonical chamber: {in_weyl_chamber(dec.params)}")
 print(f"global phase  {dec.global_phase:+.9f}")
 
 f1, f2 = dec.front

@@ -162,14 +162,22 @@ def in_weyl_chamber(params):
     0 <= |hz| <= hy <= hx <= pi/4, with hz >= 0 required on the hx = pi/4
     wall (where the two hz signs describe the same equivalence class).
     params is read as three reals by ``linalg._reals``; a NaN coordinate is
-    outside.
+    outside.  The test is :func:`_in_chamber`'s.
     """
-    hx, hy, hz = _reals(params, 3, "coordinates")
-    # Each bound is tested as holding, so that a NaN fails it.
+    return _in_chamber(*_reals(params, 3, "coordinates"))
+
+
+def _in_chamber(hx, hy, hz):
+    """The test of :func:`in_weyl_chamber` on three floats, with no
+    admission: the one chamber rule, which the KAK and the swap synthesis
+    path apply to the coordinates the KAK computed."""
+    # Each bound is tested as holding, so that a NaN fails it.  |hz| <= bound
+    # is chained, as -bound is exact, and costs no call to abs.
+    bound = hy + _CHAMBER_TOL
     inside = (
         hx <= np.pi / 4.0 + _CHAMBER_TOL
         and hy <= hx + _CHAMBER_TOL
-        and abs(hz) <= hy + _CHAMBER_TOL
+        and -bound <= hz <= bound
         and hy >= -_CHAMBER_TOL
     )
     return inside and not (hx >= np.pi / 4.0 - _WALL_TOL and hz < -_CHAMBER_TOL)
@@ -259,7 +267,7 @@ def _chamber_gauge(half, columns):
     a, b, c, d = [lam[j] for j in order]
     turned = c + np.pi / 2.0, d + np.pi / 2.0, a - np.pi / 2.0, b - np.pi / 2.0
     turns = -1 if a + b > np.pi / 2.0 else 0
-    # The wall rule reads h's own hx and hz, as in_weyl_chamber will.
+    # The wall rule reads h's own hx and hz, as _in_chamber will.
     first, second, third, _ = turned if turns else (a, b, c, d)
     if (first + second) / 2.0 >= np.pi / 4.0 - _WALL_TOL and (second + third) / 2.0 < -1e-13:
         turns = -1 - turns
@@ -356,7 +364,7 @@ def _decompose(key):
     _check_bound(residue, 1e-8, "second orthogonal factor has imaginary residue")
     h, slots, signs, turns = _chamber_gauge(half.tolist(), q.T.tolist())
     params = CanonicalParams(*h)
-    if not in_weyl_chamber(params):
+    if not _in_chamber(*h):
         raise NumericalError(f"reduction left the chamber: {params}")
 
     # l2 = MAGIC o2 MAGIC^dag and l1 = MAGIC q^T MAGIC^dag with their columns

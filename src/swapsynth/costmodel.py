@@ -150,14 +150,20 @@ def schedule_circuit(circuit, profile):
     scales with the exponent's distance from an even integer, capped at the
     full-SWAP time, and cnot is an optimistic full-SWAP-time placeholder,
     since a CNOT is not a native pulse on an exchange-only device.  A
-    local's qubit is read as ``LocalOp`` reads it.
+    local's qubit is read as ``LocalOp`` reads it.  An op's field that its
+    duration reads and its writer would refuse, such as a local matrix that
+    ``local_op`` refuses under the "proportional" policy, raises that error
+    with ``ops[i]: `` naming the op.
     """
     _admit_profile(profile)
     layers = []
     # Qubits of the last layer while it holds only single-qubit gates.
     open_qubits = ()
     for idx, op in enumerate(circuit.ops):
-        duration = op.duration_s(profile)
+        try:
+            duration = op.duration_s(profile)
+        except ContractViolation as exc:
+            raise ContractViolation(f"ops[{idx}]: {exc}") from None
         if not isinstance(op, LocalOp):
             layers.append(Layer(duration, (idx,), op.kind))
             open_qubits = ()

@@ -49,7 +49,11 @@ def _swap_pow_block(alpha):
     e = cmath.exp(1j * np.pi * (_real(alpha, "swap exponent") % 2.0))
     p = (1.0 + e) / 2.0
     m = (1.0 - e) / 2.0
-    return np.array([[p, m], [m, p]])
+    # Filled entry by entry: converting a nested list costs more than the product it feeds.
+    block = np.empty((2, 2), complex)
+    block[0, 0] = block[1, 1] = p
+    block[0, 1] = block[1, 0] = m
+    return block
 
 
 def swap_pow(alpha):

@@ -25,9 +25,9 @@ import numpy as np
 
 from .canonical import (
     BellPhases,
+    _in_chamber,
     _lambdas,
     exp_minus_iH,
-    in_weyl_chamber,
     kak_decompose,
     split_local_product,
 )
@@ -81,7 +81,10 @@ class LocalOp(GateOp):
 
     A hand-built qubit that equals neither 1 nor 2 is refused, where it is
     read, with the error of :func:`local_op`; one equal to 1 or 2, such as
-    True or 1.0, reads as that qubit, and only the writer refuses it.
+    True or 1.0, reads as that qubit, and only the writer refuses it.  A
+    hand-built matrix is admitted by local_op's rule where its entries are
+    priced or compared with the identity: by ``identity_phase``, and by
+    ``duration_s`` under the "proportional" policy.
     """
 
     qubit: int
@@ -127,16 +130,19 @@ class LocalOp(GateOp):
         return LocalOp(qubit, matrix, _text(entry.get("label", ""), "label"))
 
     def identity_phase(self, tol):
-        theta = np.angle(np.trace(self.matrix) / 2.0)
-        if np.abs(self.matrix - np.exp(1j * theta) * ID2).max() <= tol:
+        m = assert_unitary(self.matrix, name="local matrix", dim=2)
+        theta = np.angle(np.trace(m) / 2.0)
+        if np.abs(m - np.exp(1j * theta) * ID2).max() <= tol:
             return theta
         return None
 
     def duration_s(self, profile):
+        # The fixed price reads no matrix, so it admits none.
         if profile.local_rotation_policy == "fixed_pi":
             return profile.pi_rotation_time_s
         # Rotation angle ignoring global phase: |tr| = 2|cos(angle/2)|.
-        cos_half = min(abs(np.trace(self.matrix)) / 2.0, 1.0)
+        m = assert_unitary(self.matrix, name="local matrix", dim=2)
+        cos_half = min(abs(np.trace(m)) / 2.0, 1.0)
         return profile.pi_rotation_time_s * 2.0 * np.arccos(cos_half) / np.pi
 
 
@@ -152,9 +158,9 @@ class SwapPowOp(GateOp):
         return min(reduced, 2.0 - reduced)
 
     def apply(self, u):
-        # SWAP**alpha mixes only the rows of |01> and |10>.
+        # SWAP**alpha mixes only the rows of |01> and |10>, written in place.
         out = u.copy()
-        out[1:3] = _swap_pow_block(self.alpha).dot(u[1:3])
+        _swap_pow_block(self.alpha).dot(u[1:3], out=out[1:3])
         return out
 
     def to_dict(self):
@@ -271,19 +277,23 @@ def swap_angles(p):
 
     alpha = 2(hx+hy)/pi, beta = 2(hx-hz)/pi, gamma = 2(hy-hz)/pi.  All three
     lie in [0, 1]; beta and gamma exceed 1/2 exactly when hz < 0.  p is read
-    as three reals by ``linalg._reals``.
+    as three reals by ``linalg._reals``.  The chamber check and the
+    arithmetic are :func:`_pulse_exponents`'s.
     """
-    hx, hy, hz = h = _reals(p, 3, "coordinates")
-    if not in_weyl_chamber(h):
+    return SwapAngles(*_pulse_exponents(*_reals(p, 3, "coordinates")))
+
+
+def _pulse_exponents(hx, hy, hz):
+    """The chamber check and the arithmetic of :func:`swap_angles` on three
+    floats, with no admission: (alpha, beta, gamma) as a plain tuple.  The
+    swap synthesis path calls it on the coordinates the KAK computed, so
+    its check raises the same ContractViolation there."""
+    if not _in_chamber(hx, hy, hz):
         raise ContractViolation(
-            f"parameters {h} lie outside the canonical chamber by more "
-            f"than its tolerance 1e-9"
+            f"parameters {(hx, hy, hz)} lie outside the canonical chamber by "
+            f"more than its tolerance 1e-9"
         )
-    return SwapAngles(
-        alpha=2.0 * (hx + hy) / np.pi,
-        beta=2.0 * (hx - hz) / np.pi,
-        gamma=2.0 * (hy - hz) / np.pi,
-    )
+    return 2.0 * (hx + hy) / np.pi, 2.0 * (hx - hz) / np.pi, 2.0 * (hy - hz) / np.pi
 
 
 def _core_swap(p):
@@ -292,20 +302,20 @@ def _core_swap(p):
     ``Circuit(*_core_swap(p))`` evaluates to exp_minus_iH(p) exactly,
     including the declared phase hz - hx - hy.  The list ends with the
     Pauli pair Z on qubit 1, X on qubit 2.  The Paulis are exact constants,
-    so they skip :func:`local_op`'s check.  The exponents are floats that
-    :func:`swap_angles` computed from coordinates it read and checked in
-    the chamber, so they are finite and skip :func:`swap_op`'s check, which
-    could not fail on them.
+    so they skip :func:`local_op`'s check.  p is a decomposition's
+    CanonicalParams, three floats, so it is not read again: the exponents
+    are :func:`_pulse_exponents`'s of its floats, checked in the chamber,
+    so they are finite and skip :func:`swap_op`'s check, which could not
+    fail on them.
     """
-    ang = swap_angles(p)
-    # p is a decomposition's CanonicalParams, three floats: no second read.
     hx, hy, hz = p
+    alpha, beta, gamma = _pulse_exponents(hx, hy, hz)
     ops = [
-        SwapPowOp(ang.alpha),
+        SwapPowOp(alpha),
         LocalOp(2, PAULI_X, "X"),
-        SwapPowOp(ang.beta),
+        SwapPowOp(beta),
         LocalOp(1, PAULI_Z, "Z"),
-        SwapPowOp(ang.gamma),
+        SwapPowOp(gamma),
         LocalOp(1, PAULI_Z, "Z"),
         LocalOp(2, PAULI_X, "X"),
     ]
@@ -474,8 +484,11 @@ def synthesize_cnot(u):
     """
     dec = kak_decompose(u)
     m = np.empty((8, 2, 2), dtype=complex)
-    m[:2] = _CORE_PQ_DAG @ dec.front
-    m[6:] = dec.back
+    # Each pair is written slot by slot: converting a tuple of arrays costs more.
+    front1, front2 = dec.front
+    _CORE_PQ_DAG[0].dot(front1, out=m[0])
+    _CORE_PQ_DAG[1].dot(front2, out=m[1])
+    m[6], m[7] = dec.back
     try:
         m[2:6] = _core_cnot_locals(_cnot_core_params(dec.params))
         f1, f2, w1, r1, w2, r2, b1, b2 = _local_ops(m, _CNOT_SLOTS)
@@ -543,15 +556,21 @@ def prune_circuit(circuit, tol=1e-12):
     Identity-like locals contribute only a phase, which is folded into the
     declared global phase; swap_pow ops with exponent within tol of an even
     integer are dropped outright.  CNOTs are never pruned.  tol is a real
-    number of at least 0, by ``linalg._real``.
+    number of at least 0, by ``linalg._real``.  A hand-built op's field
+    that its writer would refuse, such as a local matrix that
+    :func:`local_op` refuses, raises that error with ``ops[i]: `` naming
+    the op.
     """
     tol = _real(tol, "tol")
     if tol < 0:
         raise ContractViolation(f"tol must be >= 0, got {tol}")
     phase = _real(circuit.declared_global_phase, "global_phase")
     ops = []
-    for op in circuit.ops:
-        theta = op.identity_phase(tol)
+    for i, op in enumerate(circuit.ops):
+        try:
+            theta = op.identity_phase(tol)
+        except ContractViolation as exc:
+            raise ContractViolation(f"ops[{i}]: {exc}") from None
         if theta is None:
             ops.append(op)
         else:

@@ -17,7 +17,11 @@ bits.
 An op's ``qubit`` or ``control`` is written by ``synthesis._qubit_index``,
 the int 1 or 2.  Each reader of a hand-built op refuses a value equal to
 neither 1 nor 2 with the writer's error, where it once read it as the
-other qubit or raised a bare KeyError.
+other qubit or raised a bare KeyError.  A hand-built local's matrix is
+admitted by ``local_op``'s rule where its entries are read: by
+``prune_circuit``, and by ``schedule_circuit`` under the "proportional"
+policy, each naming the op by ``ops[i]: ``, where they once raised a bare
+numpy error, priced it at 0 s or pruned a bool identity.
 
 ``linalg._real`` is the one rule for a real scalar, such as a swap exponent
 or a circuit's global phase.  Each of its readers refuses what the circuit
@@ -49,7 +53,7 @@ from swapsynth.canonical import (
     split_local_product,
 )
 from swapsynth.cli import main
-from swapsynth.costmodel import builtin_profile, schedule_circuit
+from swapsynth.costmodel import HardwareProfile, builtin_profile, schedule_circuit
 from swapsynth.entanglement import ep_exact, ep_monte_carlo
 from swapsynth.gates import rz
 from swapsynth.linalg import (
@@ -369,6 +373,46 @@ def test_a_bad_hand_built_qubit_is_refused_by_every_reader(reader, value):
     with pytest.raises(ContractViolation) as exc:
         read(op)
     assert f"ops[0]: {exc.value}" == str(written.value)
+
+
+PROPORTIONAL = HardwareProfile(
+    name="proportional",
+    rabi_frequency_hz=6.2e6,
+    pi_rotation_time_s=80e-9,
+    swap_full_time_s=50e-12,
+    local_rotation_policy="proportional",
+)
+
+# Each read of a hand-built local's entries, given a circuit.
+MATRIX_READERS = {
+    "prune_circuit": prune_circuit,
+    "schedule_circuit, proportional": lambda c: schedule_circuit(c, PROPORTIONAL),
+}
+
+BAD_MATRICES = {
+    "str": "x",
+    "3x3": np.eye(3),
+    "bool identity": np.eye(2, dtype=bool),
+    "2I": 2.0 * np.eye(2),
+}
+
+
+@pytest.mark.parametrize("matrix", BAD_MATRICES)
+@pytest.mark.parametrize("reader", MATRIX_READERS)
+def test_a_bad_hand_built_local_matrix_is_refused_where_it_is_read(reader, matrix):
+    bad = BAD_MATRICES[matrix]
+    with pytest.raises(ContractViolation) as written:
+        local_op(1, bad)
+    with pytest.raises(ContractViolation) as exc:
+        MATRIX_READERS[reader](Circuit([swap_op(0.5), LocalOp(1, bad)]))
+    assert str(exc.value) == f"ops[1]: {written.value}"
+
+
+def test_the_fixed_pi_price_reads_no_local_matrix():
+    profile = builtin_profile("gaas")
+    for bad in BAD_MATRICES.values():
+        sched = schedule_circuit(Circuit([LocalOp(1, bad)]), profile)
+        assert sched.total_time_s == profile.pi_rotation_time_s
 
 
 def test_a_qubit_equal_to_1_or_2_reads_as_that_qubit():

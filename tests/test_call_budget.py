@@ -38,6 +38,9 @@ makes 75.  Its matrix products through ``ndarray.dot`` in place of the
 matmul gufunc cost less each, but cProfile records a ``dot`` call where it
 records no ``@``: it makes 14 ``dot`` calls and 71 others, as o2's product
 casts q itself and three unitarity checks of one matrix take no swapaxes.
+Testing its chamber point by the private predicate of ``in_weyl_chamber``
+on its own floats, with no ``linalg._reals`` re-read and |hz| bounded by a
+chained comparison in place of ``abs``, it makes 69 others.
 The budgets below count that miss path, so each profiled call starts from
 an empty memo; the hit path has budgets of its own.
 
@@ -74,8 +77,9 @@ from swapsynth.synthesis import (
 
 MEASURED_ON = "2.4.6"
 COMPLEX_FACTOR_CALLS = 218
-# Its products through ndarray.dot, counted in DOTS, leave 71 other calls.
-BUDGET = 71
+# Its products through ndarray.dot, counted in DOTS, leave 71 other calls;
+# the chamber test on its own floats, 69.
+BUDGET = 69
 
 
 # synthesize_cnot made 267 calls while the CNOT core built its three exact
@@ -109,7 +113,11 @@ BUDGET = 71
 # wrappers, save 37 on both: 101 and 102.
 # Their products through ndarray.dot, counted in DOTS, leave 97 and 98 other
 # calls, the KAK's 4 fewer.
-SYNTHESIS_BUDGETS = {synthesize_swap: 97, synthesize_cnot: 98}
+# The KAK's chamber test on its own floats saves 2 on both, and the swap
+# core's exponents by the private check and arithmetic of swap_angles, with
+# no _reals re-read, in_weyl_chamber call or SwapAngles in between, 5 more:
+# 90 and 96 (the CNOT path's two front products, now by dot, move to DOTS).
+SYNTHESIS_BUDGETS = {synthesize_swap: 90, synthesize_cnot: 96}
 
 # A target the memo holds: kak_decompose admits it and looks it up, and the
 # synthesizers only build their circuits.  Through a builder that took the
@@ -123,8 +131,9 @@ SYNTHESIS_BUDGETS = {synthesize_swap: 97, synthesize_cnot: 98}
 # three _reals reads and three NamedTuples gone, take it to 29, and
 # admitting gates.rz's angles by linalg._real_array to 30.
 # Their products through ndarray.dot, counted in DOTS, leave them at 3, 29
-# and 30 other calls.
-HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 29, synthesize_cnot: 30}
+# and 30 other calls.  The swap core's exponents by the private step of
+# swap_angles take the swap path to 24.
+HIT_BUDGETS = {kak_decompose: 3, synthesize_swap: 24, synthesize_cnot: 30}
 
 # circuit_from_dict made 262 calls on the CNOT circuit of the budget target
 # while it admitted each of its eight locals through local_op; one stacked
@@ -147,8 +156,9 @@ CODEC_BUDGET = 5
 # (2), the magic-basis transform (2) and m (1), the reconstruction (2), q's
 # orthogonality (1), o2 (1) and the SO(4) split (2).  synthesize_swap adds
 # its two back locals (16 and 2), synthesize_cnot the phase layers' Hadamard
-# (15 and 1).  The reader and the codec make none.
-DOTS = {kak_decompose: (14, 0), synthesize_swap: (16, 2), synthesize_cnot: (15, 1)}
+# and its two front locals, one product each in place of one stacked matmul
+# (17 and 3).  The reader and the codec make none.
+DOTS = {kak_decompose: (14, 0), synthesize_swap: (16, 2), synthesize_cnot: (17, 3)}
 
 
 def _is_dot(code):

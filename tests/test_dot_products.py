@@ -53,7 +53,17 @@ FORMS = {
         lambda a, b: np.matmul(a, b, out=np.empty((2, 2), complex)),
     ),
     "cnot_hadamard": (_dot, _matmul),
-    "swap_pow_apply": (_dot, _matmul),
+    # The two front locals, each written into its slot of the stack, in
+    # place of one matmul of the two stacks.
+    "cnot_front_locals": (
+        lambda a, b: np.array([a[i].dot(b[i], out=np.empty((2, 2), complex)) for i in range(2)]),
+        _matmul,
+    ),
+    # The block's product is written into the output's rows.
+    "swap_pow_apply": (
+        lambda a, b: a.dot(b, out=np.empty((2, 4), complex)),
+        _matmul,
+    ),
     "local_apply_qubit1": (
         lambda a, b: a.dot(b).reshape(4, 4),
         lambda a, b: (a @ b).reshape(4, 4),
@@ -128,6 +138,7 @@ def pairs():
             found += [("swap_back_locals", dec.back[0], z.matrix), ("swap_back_locals", dec.back[1], x.matrix)]
             m = rz(np.array(synthesis._cnot_core_params(dec.params), dtype=float))
             found.append(("cnot_hadamard", m[0::2], HADAMARD))
+            found.append(("cnot_front_locals", synthesis._CORE_PQ_DAG, np.array(dec.front)))
     canonical._decompose.cache_clear()
 
     v = None

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from swapsynth.gates import (
     CZ,
     PLANCK_H,
     SWAP,
+    _swap_pow_block,
     heisenberg_evolution,
     named_gate,
     rz,
@@ -55,6 +58,18 @@ def test_swap_pow_endpoints():
     assert np.allclose(swap_pow(0.0), ID4)
     assert np.allclose(swap_pow(1.0), SWAP)
     assert np.allclose(swap_pow(2.0), ID4)
+
+
+@pytest.mark.parametrize("alpha", (0.0, -0.0, 0.5, -0.5, 1.0, 1.5, 2.0, 1e15))
+def test_swap_pow_block_is_the_nested_list_build(alpha):
+    """The block filled entry by entry has the bytes of the nested-list
+    build it replaced, signed zeros included."""
+    e = cmath.exp(1j * np.pi * (alpha % 2.0))
+    p, m = (1.0 + e) / 2.0, (1.0 - e) / 2.0
+    nested = np.array([[p, m], [m, p]])
+    block = _swap_pow_block(alpha)
+    assert block.dtype == nested.dtype and block.shape == nested.shape
+    assert block.tobytes() == nested.tobytes()
 
 
 def test_swap_pow_half():

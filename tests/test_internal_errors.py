@@ -73,7 +73,7 @@ def test_reduction_to_nan_coordinates(monkeypatch, capsys):
 
 
 def test_swap_angles_of_computed_params(monkeypatch, capsys):
-    monkeypatch.setattr(synthesis, "in_weyl_chamber", lambda p: False)
+    monkeypatch.setattr(synthesis, "_in_chamber", lambda hx, hy, hz: False)
     with pytest.raises(NumericalError, match=r"swap synthesis: parameters .* tolerance 1e-9"):
         synthesize_swap(U)
     assert cli_exit(capsys, "--backend", "swap") == 3
