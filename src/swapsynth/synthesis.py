@@ -158,8 +158,9 @@ class SwapPowOp(GateOp):
         return min(reduced, 2.0 - reduced)
 
     def apply(self, u):
-        # SWAP**alpha mixes only the rows of |01> and |10>, written in place.
-        out = u.copy()
+        # SWAP**alpha mixes only the rows of |01> and |10>, written in place
+        # into a complex copy, which a real u needs too.
+        out = u.astype(complex)
         _swap_pow_block(self.alpha).dot(u[1:3], out=out[1:3])
         return out
 

@@ -29,7 +29,7 @@ from swapsynth.linalg import (
     haar_random_unitary,
     phase_distance,
 )
-from swapsynth.synthesis import Circuit, cnot_op, evaluate_circuit, prune_circuit, swap_op
+from swapsynth.synthesis import Circuit, SwapPowOp, cnot_op, evaluate_circuit, prune_circuit, swap_op
 
 
 def test_fixed_gates():
@@ -70,6 +70,15 @@ def test_swap_pow_block_is_the_nested_list_build(alpha):
     block = _swap_pow_block(alpha)
     assert block.dtype == nested.dtype and block.shape == nested.shape
     assert block.tobytes() == nested.tobytes()
+
+
+def test_swap_pow_op_applies_to_a_real_matrix():
+    """A real u gives the complex product: the block's entries are not cast
+    to the real parts they would have in a real copy of u."""
+    for alpha in (0.31, 0.5, 1.0, 1.5):
+        got = SwapPowOp(alpha).apply(np.eye(4))
+        assert got.dtype == complex
+        assert np.array_equal(got, swap_pow(alpha))
 
 
 def test_swap_pow_half():
