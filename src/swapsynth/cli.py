@@ -113,15 +113,31 @@ def _resolve_profile(name_or_path):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_matrix_layout(indent, rows, cols):
+    """The indented text of a rows x cols matrix of [re, im] pairs at indent,
+    with a ``%r`` slot per float: ``%r`` of an exact float is its
+    ``float.__repr__``, as json writes it.  The CLI writes a few shapes at
+    a few depths, so a small fixed cache holds them all."""
+    row_indent = indent + "  "
+    pair_indent = row_indent + "  "
+    entry_indent = pair_indent + "  "
+    pair = "[" + entry_indent + "%r," + entry_indent + "%r" + pair_indent + "]"
+    row = "[" + pair_indent + ("," + pair_indent).join([pair] * cols) + row_indent + "]"
+    return "[" + row_indent + ("," + row_indent).join([row] * rows) + indent + "]"
+
+
 def _json_text(doc, sort_keys=False):
     """Exactly ``json.dumps(doc, indent=2, sort_keys=sort_keys)``, built with one join per container.
 
     The stdlib's C encoder serves only ``indent=None``, so an indented dumps
-    runs its pure-Python generator, one small chunk at a time.  Containers
-    are told apart by ``isinstance`` as there (a tuple is a list); a finite
-    float is its ``float.__repr__``, an int its ``int.__repr__`` and a
-    string its ASCII-escaped form, as there; every other scalar, and every
-    non-string key, goes to the C encoder of ``json.dumps``, whose rule it is.
+    runs its pure-Python generator, one small chunk at a time.  A matrix of
+    [re, im] pairs, as the CLI writes every matrix, is formatted whole from
+    one cached layout.  Containers are told apart by ``isinstance`` as
+    there (a tuple is a list); a finite float is its ``float.__repr__``, an
+    int its ``int.__repr__`` and a string its ASCII-escaped form, as there;
+    every other scalar, and every non-string key, goes to the C encoder of
+    ``json.dumps``, whose rule it is.
     The one difference: a document that contains itself raises RecursionError
     here, where json.dumps reports a circular reference.  The CLI builds none.
     """
@@ -134,6 +150,22 @@ def _json_text(doc, sort_keys=False):
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
+            if o.__class__ is list and o[0].__class__ is list and o[0] and o[0][0].__class__ is list:
+                # A matrix of [re, im] pairs, when every row is an exact list
+                # as long as the first, every pair an exact list of two, and
+                # every entry a finite exact float: one layout, no recursion.
+                cols = len(o[0])
+                floats = [
+                    x
+                    for row in o
+                    if row.__class__ is list and len(row) == cols
+                    for pair in row
+                    if pair.__class__ is list and len(pair) == 2
+                    for x in pair
+                    if x.__class__ is float and x - x == 0.0
+                ]
+                if len(floats) == 2 * cols * len(o):
+                    return _pair_matrix_layout(indent, len(o), cols) % tuple(floats)
             inner = indent + "  "
             return "[" + inner + ("," + inner).join([text(v, inner) for v in o]) + indent + "]"
         if isinstance(o, dict):

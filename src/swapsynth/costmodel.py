@@ -150,26 +150,27 @@ def schedule_circuit(circuit, profile):
     scales with the exponent's distance from an even integer, capped at the
     full-SWAP time, and cnot is an optimistic full-SWAP-time placeholder,
     since a CNOT is not a native pulse on an exchange-only device.  A
-    local's qubit is read as ``LocalOp`` reads it.  An op's field that its
-    duration reads and its writer would refuse, such as a local matrix that
-    ``local_op`` refuses under the "proportional" policy, raises that error
-    with ``ops[i]: `` naming the op.
+    local's qubit is read as ``LocalOp`` reads it.  An op's field that this
+    reads and its writer would refuse, such as a local's qubit, or a local
+    matrix that ``local_op`` refuses under the "proportional" policy, raises
+    that error with ``ops[i]: `` naming the op.
     """
     _admit_profile(profile)
     layers = []
     # Qubits of the last layer while it holds only single-qubit gates.
     open_qubits = ()
     for idx, op in enumerate(circuit.ops):
+        local = isinstance(op, LocalOp)
         try:
             duration = op.duration_s(profile)
+            if local and op.qubit not in (1, 2):
+                _qubit_index(op.qubit, "qubit")
         except ContractViolation as exc:
             raise ContractViolation(f"ops[{idx}]: {exc}") from None
-        if not isinstance(op, LocalOp):
+        if not local:
             layers.append(Layer(duration, (idx,), op.kind))
             open_qubits = ()
             continue
-        if op.qubit not in (1, 2):
-            _qubit_index(op.qubit, "qubit")
         if open_qubits and op.qubit not in open_qubits:
             last = layers[-1]
             layers[-1] = Layer(max(last.duration_s, duration), last.op_indices + (idx,), op.kind)

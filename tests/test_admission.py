@@ -17,7 +17,9 @@ bits.
 An op's ``qubit`` or ``control`` is written by ``synthesis._qubit_index``,
 the int 1 or 2.  Each reader of a hand-built op refuses a value equal to
 neither 1 nor 2 with the writer's error, where it once read it as the
-other qubit or raised a bare KeyError.  A hand-built local's matrix is
+other qubit or raised a bare KeyError; ``schedule_circuit``, a reader of
+a whole circuit, names the op by ``ops[i]: `` as ``circuit_to_dict`` does.
+A hand-built local's matrix is
 admitted by ``local_op``'s rule where its entries are read: by
 ``prune_circuit``, and by ``schedule_circuit`` under the "proportional"
 policy, each naming the op by ``ops[i]: ``, where they once raised a bare
@@ -345,19 +347,21 @@ def test_a_subclass_of_a_real_type_passes_neither_real_rule(kind):
 
 
 # Each read of a hand-built op's qubit or control: the op built from a
-# value, and the call that reads it.
+# value, the call that reads it, and the prefix that names the op in its
+# error.
 QUBIT_READERS = {
-    "LocalOp.unitary": (lambda x: LocalOp(x, PAULI_X), lambda op: op.unitary()),
-    "LocalOp.apply": (lambda x: LocalOp(x, PAULI_X), lambda op: op.apply(ID4)),
-    "evaluate_circuit(LocalOp)": (lambda x: LocalOp(x, PAULI_X), lambda op: evaluate_circuit(Circuit([op]))),
+    "LocalOp.unitary": (lambda x: LocalOp(x, PAULI_X), lambda op: op.unitary(), ""),
+    "LocalOp.apply": (lambda x: LocalOp(x, PAULI_X), lambda op: op.apply(ID4), ""),
+    "evaluate_circuit(LocalOp)": (lambda x: LocalOp(x, PAULI_X), lambda op: evaluate_circuit(Circuit([op])), ""),
     "schedule_circuit": (
         lambda x: LocalOp(x, PAULI_X),
         lambda op: schedule_circuit(Circuit([local_op(1, PAULI_X), op, local_op(2, PAULI_X)]), builtin_profile("gaas")),
+        "ops[1]: ",
     ),
-    "CnotOp.unitary": (CnotOp, lambda op: op.unitary()),
-    "CnotOp.apply": (CnotOp, lambda op: op.apply(ID4)),
-    "evaluate_circuit(CnotOp)": (CnotOp, lambda op: evaluate_circuit(Circuit([op]))),
-    "expand_cnots_to_swaps": (CnotOp, lambda op: expand_cnots_to_swaps(Circuit([op]))),
+    "CnotOp.unitary": (CnotOp, lambda op: op.unitary(), ""),
+    "CnotOp.apply": (CnotOp, lambda op: op.apply(ID4), ""),
+    "evaluate_circuit(CnotOp)": (CnotOp, lambda op: evaluate_circuit(Circuit([op])), ""),
+    "expand_cnots_to_swaps": (CnotOp, lambda op: expand_cnots_to_swaps(Circuit([op])), ""),
 }
 
 BAD_QUBITS = {"0": 0, "3": 3, "str": "1", "None": None}
@@ -366,13 +370,14 @@ BAD_QUBITS = {"0": 0, "3": 3, "str": "1", "None": None}
 @pytest.mark.parametrize("value", BAD_QUBITS)
 @pytest.mark.parametrize("reader", QUBIT_READERS)
 def test_a_bad_hand_built_qubit_is_refused_by_every_reader(reader, value):
-    build, read = QUBIT_READERS[reader]
+    build, read, prefix = QUBIT_READERS[reader]
     op = build(BAD_QUBITS[value])
     with pytest.raises(ContractViolation) as written:
         circuit_to_dict(Circuit([op]))
     with pytest.raises(ContractViolation) as exc:
         read(op)
-    assert f"ops[0]: {exc.value}" == str(written.value)
+    assert str(written.value).startswith("ops[0]: ")
+    assert str(exc.value) == prefix + str(written.value).removeprefix("ops[0]: ")
 
 
 PROPORTIONAL = HardwareProfile(

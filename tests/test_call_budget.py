@@ -1,6 +1,7 @@
 """Call-count guards: one kak_decompose, synthesize_swap or synthesize_cnot,
-one circuit_from_dict of a CNOT circuit, and one matrix read from JSON,
-stays within a budget of Python-level calls.
+one circuit_from_dict of a CNOT circuit, one matrix read from JSON, and
+the CLI's JSON text of a CNOT circuit and of a matrix file, stays within a
+budget of Python-level calls.
 
 Every per-target step pays Python call overhead on 4x4 matrices, so the
 number of calls that cProfile records for one decomposition is a cheap,
@@ -63,7 +64,7 @@ import os
 import numpy as np
 import pytest
 
-from swapsynth import canonical
+from swapsynth import canonical, cli
 from swapsynth.canonical import kak_decompose
 from swapsynth.linalg import haar_random_unitary
 from swapsynth.synthesis import (
@@ -151,6 +152,13 @@ READER_BUDGET = 216
 # It makes no dot call.
 CODEC_BUDGET = 5
 
+# cli._json_text of the CNOT circuit document of the budget target, and of
+# a 4x4 matrix-file document.  Recursing once per container and scalar, it
+# made 820 and 210 calls; formatting each matrix of [re, im] pairs whole,
+# from one cached layout, it makes 476 and 49.  It makes no dot call.  It
+# calls no numpy, so its budgets hold on any numpy version.
+WRITER_BUDGETS = {"cnot circuit": 476, "matrix file": 49}
+
 # Calls of ndarray.dot and numpy.dot, pinned exactly, as (miss, hit).  The
 # KAK miss makes 14: _check_unitary of one matrix (3), the Newton-Schulz step
 # (2), the magic-basis transform (2) and m (1), the reconstruction (2), q's
@@ -232,4 +240,16 @@ def test_matrix_reader_call_budget():
     rows = json.loads(json.dumps(_matrix_to_json(haar_random_unitary(4, seed=2))))
     calls, dots = _calls(lambda r: _matrix_from_json(r, 4, "matrix"), rows)
     assert calls <= CODEC_BUDGET, calls
+    assert dots == 0
+
+
+@pytest.mark.parametrize("kind", WRITER_BUDGETS)
+def test_json_writer_call_budget(kind):
+    u = haar_random_unitary(4, seed=2)
+    if kind == "cnot circuit":
+        doc = circuit_to_dict(synthesize_cnot(u))
+    else:
+        doc = {"dim": 4, "rows": _matrix_to_json(u)}
+    calls, dots = _calls(cli._json_text, doc)
+    assert calls <= WRITER_BUDGETS[kind], calls
     assert dots == 0
